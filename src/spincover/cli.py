@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .clifford_core import Multivector, Signature, blade_from_name, blade_name
-from .covering import NoCandidateError, Rotor, forward_map, matrix_to_rotor, select_candidate
+from .covering import NoCandidateError, Rotor, forward_map, rotor_from_candidate, select_candidate
 from .division_algebras import (
     SIG_21,
     SIG_30,
@@ -220,14 +220,12 @@ def cmd_rotor_from_matrix(args: argparse.Namespace) -> int:
         else:
             cand_el = select_candidate(arr, sig, method=args.method)
             f_mask = cand_el.F
-            rotor = matrix_to_rotor(arr, sig, method=args.method, validate=False)
+            rotor = rotor_from_candidate(cand_el, args.method)
     except NoCandidateError as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
 
-    residual = max(
-        verify_covering(rotor, arr).max_residual,
-        verify_covering(-rotor, arr).max_residual,
-    )
+    # -rotor conjugates exactly as rotor does, so one residual covers both.
+    residual = verify_covering(rotor, arr).max_residual
     out: dict = {
         "p": sig.p,
         "q": sig.q,

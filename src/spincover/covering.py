@@ -11,22 +11,28 @@ Recovery probes the matrix with an even-grade blade F, assembling
     M_F = sum over k = 0..n, over row k-subsets B and column k-subsets A,
           of minor(P, B, A) * e_B e_F e^A
 
-which is always proportional to the sought rotor; the proportionality
-scalar can vanish for some F, so all even F are scanned and the candidate
-with the largest reverse-norm wins. For n = 3 the sum collapses to the
-cheaper first-order candidate
+which is always proportional to the sought rotor. For n = 3 the sum
+collapses to the cheaper first-order candidate
 
     L_F = e_F + sum over a, b of p_a^b e_b e_F e^a
 
 with M_F = 2 L_F.
 
 The candidate is M_F = 2^n eps_F s_F S, where eps_F is the sign of
-reverse(e_F) e_F and s_F the e_F coefficient of S, so its own e_F
-coefficient is <M_F>_F = 2^n eps_F s_F^2. The rotor is therefore
+reverse(e_F) e_F and s_F the e_F coefficient of S, so it vanishes exactly
+when s_F does. Only the B = A terms reach e_F, each as (-1)^|A & F| e_F,
+so the e_F coefficient
+
+    <M_F>_F = sum over A of (-1)^|A & F| det P[A, A] = 2^n eps_F s_F^2
+
+is a Walsh-Hadamard transform of the 2^n principal minors. One transform
+ranks every probe by w_F = eps_F <M_F>_F = 2^n s_F^2, and only the
+candidate with the largest w_F is assembled. The rotor is
 M_F / sqrt(2^n eps_F <M_F>_F), up to sign. The reverse-norm
-reverse(M_F) M_F would give the same divisor in exact arithmetic, but for
-q > 0 it is an indefinite sum of squares that cancels catastrophically on
-large boosts, so it only ranks the probes.
+reverse(M_F) M_F = 4^n s_F^2 would give the same divisor in exact
+arithmetic, but for q > 0 it is an indefinite sum of squares that
+cancels catastrophically on large boosts, so it only tests that the
+chosen candidate is nonzero.
 """
 
 from __future__ import annotations
@@ -256,58 +262,115 @@ def even_blades(n: int) -> Iterator[int]:
             yield int(mask)
 
 
-def iter_candidates(matrix: object, sig: Signature, method: Method = "general") -> Iterator[CandidateElement]:
-    """Candidates for every even probe blade, in ascending (grade, mask) order."""
-    arr = _entries(matrix, sig)
+def _principal_minors(
+    arr: np.ndarray, sig: Signature, method: Method
+) -> tuple[list[tuple[np.ndarray, np.ndarray]] | None, np.ndarray]:
+    """Minor tables (general only) and d with d[A] = det P[A, A], d[0] = 1.
+
+    The n3 form sees only the first-order terms: d = (1, p11, p22, p33) on
+    masks 0, 1, 2, 4 and zero elsewhere.
+    """
+    d = np.zeros(sig.dim)
     if method == "n3":
         if sig.n != 3:
             raise ValueError(f"method 'n3' needs n = 3, got n = {sig.n}")
-        for F in even_blades(3):
-            yield candidate_n3(arr, sig, F)
-        return
+        d[0] = 1.0
+        d[[1, 2, 4]] = np.diagonal(arr)
+        return None, d
     if method != "general":
         raise ValueError(f"unknown method {method!r}; expected 'general' or 'n3'")
     tables = _minor_tables(arr, sig.n)
-    for F in even_blades(sig.n):
-        yield _candidate_from(sig, F, _assemble_general(sig, tables, F))
+    for masks, dets in tables:
+        d[masks] = np.diagonal(dets)
+    return tables, d
+
+
+def _probe_weights(sig: Signature, d: np.ndarray) -> np.ndarray:
+    # In-place Walsh-Hadamard butterfly, one pass per generator:
+    # w_F = eps_F sum_A (-1)^|A & F| d_A.
+    w = d.copy()
+    for bit in range(sig.n):
+        pairs = w.reshape(-1, 2, 1 << bit)
+        low, high = pairs[:, 0].copy(), pairs[:, 1].copy()
+        pairs[:, 0], pairs[:, 1] = low + high, low - high
+    return _reverse_norm_signs(sig.p, sig.q) * w
+
+
+def probe_weights(matrix: object, sig: Signature, method: Method = "general") -> np.ndarray:
+    """Per-mask weights w_F = eps_F <M_F>_F, ranking the probe blades.
+
+    For a matrix in SO+(p,q) covered by +-S, w_F = 2^n s_F^2 with s_F the
+    e_F coefficient of S (2^(n-1) s_F^2 for the n3 form). Only the even
+    masks name probes.
+    """
+    return _probe_weights(sig, _principal_minors(_entries(matrix, sig), sig, method)[1])
+
+
+def iter_candidates(matrix: object, sig: Signature, method: Method = "general") -> Iterator[CandidateElement]:
+    """Candidates for the even probe blades, assembled lazily, largest w_F first.
+
+    The order comes from probe_weights; exact ties keep ascending
+    (grade, mask) order.
+    """
+    arr = _entries(matrix, sig)
+    tables, d = _principal_minors(arr, sig, method)
+    evens = np.fromiter(even_blades(sig.n), dtype=np.int64)
+    weights = _probe_weights(sig, d)[evens]
+    for F in evens[np.argsort(-weights, kind="stable")].tolist():
+        if tables is None:
+            yield candidate_n3(arr, sig, F)
+        else:
+            yield _candidate_from(sig, F, _assemble_general(sig, tables, F))
 
 
 def select_candidate(
     matrix: object,
     sig: Signature,
     method: Method = "general",
-    early_exit: bool = False,
     threshold: float | None = None,
 ) -> CandidateElement:
-    """The candidate with the largest reverse-norm over all even probe blades.
+    """The first candidate from iter_candidates whose reverse-norm exceeds threshold.
 
-    Ties keep the earliest blade in (grade, mask) order. With early_exit,
-    scanning stops once a candidate's reverse-norm reaches half the maximum
-    possible value; for signatures with q = 0 no later candidate can beat
-    that, so the selection is unchanged, but for q > 0 a later blade could
-    (the flag stays off by default).
+    For a matrix in SO+(p,q) that is the first one, the probe with the
+    largest s_F^2, so exactly one candidate is assembled. A matrix outside
+    the group (validation skipped or loosened) can give a vanishing first
+    candidate; the later ones are then tried in turn.
 
-    Raises NoCandidateError when every candidate is below threshold, which
-    cannot happen for a matrix actually inside SO+(p,q).
+    Raises NoCandidateError, naming the candidate with the largest
+    reverse-norm, when none exceeds threshold.
     """
     scale = 4.0 if method == "n3" else 1.0
-    top = float(sig.dim) ** 2 / scale
     if threshold is None:
-        threshold = RELATIVE_THRESHOLD * top
+        threshold = RELATIVE_THRESHOLD * float(sig.dim) ** 2 / scale
     best: CandidateElement | None = None
     for cand in iter_candidates(matrix, sig, method):
+        if cand.normsq > threshold:
+            return cand
         if best is None or cand.normsq > best.normsq:
             best = cand
-        if early_exit and best.normsq >= top / 2.0:
-            break
     assert best is not None
-    if not best.normsq > threshold:
-        arr = _entries(matrix, sig)
+    arr = _entries(matrix, sig)
+    raise NoCandidateError(
+        f"no nonzero covering candidate: best reverse-norm {best.normsq:.6g} at "
+        f"F = {best.blade} (threshold {threshold:.6g}) for matrix\n{np.array2string(arr)}"
+    )
+
+
+def rotor_from_candidate(cand: CandidateElement, method: Method = "general") -> Rotor:
+    """The sign-canonicalized rotor M_F / sqrt(2^n eps_F <M_F>_F).
+
+    The scale is 2^(n-1) for the n3 form. NoCandidateError is raised when
+    the radicand is not positive, which no SO+(p,q) matrix gives.
+    """
+    sig = cand.M.sig
+    scale = 2.0 ** (sig.n - 1 if method == "n3" else sig.n)
+    weight = scale * _reverse_norm_signs(sig.p, sig.q)[cand.F] * cand.M.coeffs[cand.F]
+    if not weight > 0.0:
         raise NoCandidateError(
-            f"no nonzero covering candidate: best reverse-norm {best.normsq:.6g} at "
-            f"F = {best.blade} (threshold {threshold:.6g}) for matrix\n{np.array2string(arr)}"
+            f"candidate at F = {cand.blade} has non-positive normalizer {weight:.6g}; "
+            f"the matrix is not in SO+({sig.p},{sig.q})"
         )
-    return best
+    return Rotor(cand.M / math.sqrt(weight)).canonicalized()
 
 
 def matrix_to_rotor(
@@ -317,34 +380,21 @@ def matrix_to_rotor(
     tol: float = DEFAULT_TOLERANCE,
     validate: bool = True,
     project: bool = False,
-    early_exit: bool = False,
 ) -> Rotor:
     """One of the two rotors covering the given SO+(p,q) matrix.
 
     The result is sign-canonicalized; the other preimage is its negation.
     With validate (the default) the matrix must pass membership first;
     project applies the polar-type group projection before validating.
-
-    F is the probe with the largest reverse-norm; the candidate is divided
-    by sqrt(2^n eps_F <M_F>_F) (2^(n-1) for the n3 form), which does not
-    cancel for q > 0 as the reverse-norm does. NoCandidateError is raised
-    when that radicand is not positive, which no SO+(p,q) matrix gives.
+    The candidate comes from select_candidate and its normalization from
+    rotor_from_candidate.
     """
     arr = _entries(matrix, sig)
     if project:
         arr = project_to_group(arr, sig)
     if validate:
         require_membership(arr, sig, tol)
-    cand = select_candidate(arr, sig, method=method, early_exit=early_exit)
-    scale = 2.0 ** (sig.n - 1 if method == "n3" else sig.n)
-    weight = scale * _reverse_norm_signs(sig.p, sig.q)[cand.F] * cand.M.coeffs[cand.F]
-    if not weight > 0.0:
-        raise NoCandidateError(
-            f"candidate at F = {cand.blade} has non-positive normalizer {weight:.6g}; "
-            f"the matrix is not in SO+({sig.p},{sig.q})"
-        )
-    value = cand.M / math.sqrt(weight)
-    return Rotor(value).canonicalized()
+    return rotor_from_candidate(select_candidate(arr, sig, method=method), method)
 
 
 def rotor_from_frames(

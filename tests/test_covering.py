@@ -1,10 +1,12 @@
 """Two-sheeted covering: forward conjugation map and matrix-to-rotor recovery."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from spincover import cli, covering, matrix_group
 from spincover.clifford_core import (
     Multivector,
     Signature,
@@ -24,6 +26,7 @@ from spincover.covering import (
     forward_map,
     iter_candidates,
     matrix_to_rotor,
+    probe_weights,
     rotor_from_frames,
     select_candidate,
 )
@@ -251,33 +254,106 @@ def test_select_candidate_rejects_all_zero():
         select_candidate(flip, sig)
 
 
-def test_early_exit_bit_compatible_when_definite():
-    rng = np.random.default_rng(14)
-    for sig in (SIG30, Signature(4, 0)):
-        for _ in range(40):
-            matrix = forward_map(random_rotor(sig, rng))
-            eager = select_candidate(matrix, sig, early_exit=True)
-            full = select_candidate(matrix, sig)
-            assert eager.F == full.F
-            assert np.array_equal(eager.M.coeffs, full.M.coeffs)
-            assert eager.normsq == full.normsq
-
-
-def test_early_exit_can_pick_other_blade_when_indefinite():
-    # unit rotor whose scalar probe passes the half-maximum bar while a later
-    # probe is strictly larger; both still normalize to the same +-pair
+def test_select_candidate_picks_largest_probe_when_indefinite():
+    # unit rotor whose scalar probe passes half the maximum reverse-norm
+    # while the e12 probe is strictly larger; the pick is the larger one
     coeffs = {0: 0.8, 0b011: math.sqrt(2.36), 0b101: 1.0, 0b110: 1.0}
     rotor = Rotor.checked(Multivector.from_terms(SIG21, coeffs), tol=1e-12)
     matrix = forward_map(rotor)
-    eager = select_candidate(matrix, SIG21, early_exit=True)
-    full = select_candidate(matrix, SIG21)
-    assert eager.F == 0
-    assert full.F == 0b011
-    assert full.normsq > eager.normsq
-    recovered_eager = matrix_to_rotor(matrix, SIG21, early_exit=True)
-    recovered_full = matrix_to_rotor(matrix, SIG21)
-    assert rotor_distance(recovered_eager, recovered_full) <= 1e-12
-    assert rotor_distance(recovered_full, rotor) <= 1e-12
+    assert select_candidate(matrix, SIG21).F == 0b011
+    assert rotor_distance(matrix_to_rotor(matrix, SIG21), rotor) <= 1e-12
+
+
+def _half_turn(sig: Signature, rng: np.random.Generator) -> Rotor:
+    # a half turn in a plane of two same-sign generators, turned by a
+    # random rotor so that several probe weights vanish at once
+    a, b = (0, 1) if sig.p >= 2 else (sig.n - 2, sig.n - 1)
+    turn = random_rotor(sig, rng)
+    plane = Multivector.basis(sig, (1 << a) | (1 << b))
+    return Rotor(turn.value * plane * turn.inverse())
+
+
+def _boost(sig: Signature, rapidity: float, rng: np.random.Generator) -> Rotor:
+    # a boost in the (e1, e_n) plane (e_n squares to -1) after a random rotor
+    generator = Multivector.basis(sig, 1 | (1 << (sig.n - 1)), rapidity / 2.0)
+    return Rotor(exp_bivector(generator) * random_rotor(sig, rng).value)
+
+
+def _probe_inputs(sig: Signature, rng: np.random.Generator) -> list[Rotor]:
+    rotors = [random_rotor(sig, rng), random_rotor(sig, rng, scale=1.5)]
+    if sig.n >= 2 and (sig.p >= 2 or sig.q >= 2):
+        rotors.append(_half_turn(sig, rng))
+    if sig.p >= 1 and sig.q >= 1:
+        rotors += [_boost(sig, 6.0, rng), _boost(sig, -6.0, rng)]
+    return rotors
+
+
+ALL_SIGNATURES = [Signature(p, n - p) for n in range(1, 7) for p in range(n + 1)]
+
+
+@pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=lambda s: f"{s.p},{s.q}")
+def test_closed_form_pick_is_max_reverse_norm_probe(sig):
+    rng = np.random.default_rng(100 + 10 * sig.p + sig.q)
+    for rotor in _probe_inputs(sig, rng):
+        matrix = forward_map(rotor, tol=1e-6)
+        scan = [candidate_general(matrix, sig, F) for F in even_blades(sig.n)]
+        best = max(scan, key=lambda cand: cand.normsq)
+        assert select_candidate(matrix, sig).F == best.F
+        # the sampled rotors miss unit norm by up to ~1e-9 themselves
+        recovered = matrix_to_rotor(matrix, sig, tol=1e-6)
+        bound = rotor.unit_residual() + 1e-10 * np.abs(rotor.coeffs).max()
+        assert rotor_distance(recovered, rotor) <= bound
+
+
+@pytest.mark.parametrize("sig", [SIG20, SIG30, SIG21, Signature(1, 2), Signature(2, 2),
+                                 Signature(3, 2), Signature(1, 4), Signature(4, 2)],
+                         ids=lambda s: f"{s.p},{s.q}")
+def test_probe_weights_are_scaled_squared_rotor_coefficients(sig):
+    rng = np.random.default_rng(200 + 10 * sig.p + sig.q)
+    evens = list(even_blades(sig.n))
+    for rotor in _probe_inputs(sig, rng):
+        matrix = forward_map(rotor, tol=1e-6)
+        expected = float(sig.dim) * rotor.coeffs[evens] ** 2
+        weights = probe_weights(matrix, sig)[evens]
+        assert np.abs(weights - expected).max() <= 1e-12 * max(1.0, expected.max())
+        if sig.n == 3:
+            first_order = probe_weights(matrix, sig, method="n3")[evens]
+            assert np.abs(2.0 * first_order - expected).max() <= 1e-12 * max(1.0, expected.max())
+
+
+def test_general_recovery_assembles_one_candidate(monkeypatch):
+    assembled = []
+    original = covering._assemble_general
+
+    def counting(sig, tables, F):
+        assembled.append(F)
+        return original(sig, tables, F)
+
+    monkeypatch.setattr(covering, "_assemble_general", counting)
+    rng = np.random.default_rng(300)
+    for sig in (SIG30, SIG21, Signature(2, 3), Signature(4, 2)):
+        for rotor in _probe_inputs(sig, rng):
+            assembled.clear()
+            matrix_to_rotor(forward_map(rotor, tol=1e-6), sig, tol=1e-6)
+            assert len(assembled) == 1
+
+
+def test_cli_rotor_from_matrix_computes_each_minor_grade_once(monkeypatch, capsys):
+    grades = []
+    original = covering.batched_minors
+
+    def counting(matrix, k):
+        grades.append(k)
+        return original(matrix, k)
+
+    monkeypatch.setattr(covering, "batched_minors", counting)
+    monkeypatch.setattr(matrix_group, "batched_minors", counting)
+    sig = Signature(3, 2)
+    matrix = forward_map(random_rotor(sig, np.random.default_rng(301)))
+    doc = json.dumps({"p": sig.p, "q": sig.q, "matrix": matrix.tolist()})
+    assert cli.main(["rotor-from-matrix", doc]) == 0
+    assert json.loads(capsys.readouterr().out)["residual"] <= 1e-12
+    assert sorted(grades) == list(range(sig.n + 1))
 
 
 # -- matrix_to_rotor -----------------------------------------------------------
@@ -325,7 +401,7 @@ def test_matrix_to_rotor_validates_membership():
     reflection = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(MembershipError):
         matrix_to_rotor(reflection, SIG30)
-    # skipping validation reaches the candidate scan, where a determinant -1
+    # skipping validation reaches candidate selection, where a determinant -1
     # matrix legitimately has no preimage and every candidate vanishes
     with pytest.raises(NoCandidateError):
         matrix_to_rotor(reflection, SIG30, validate=False)
