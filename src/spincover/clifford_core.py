@@ -15,7 +15,8 @@ bit i set means generator e_{i+1} is present. For n = 3:
 A multivector is a float64 vector of 2^n coefficients in mask order.
 Generators square to +1 for index <= p and to -1 above, and distinct
 generators anticommute; all structure signs are computed with integer
-bit arithmetic, so the multiplication table is exact.
+bit arithmetic on demand, so products are exact in their signs and no
+multiplication table is stored.
 """
 
 from __future__ import annotations
@@ -158,24 +159,28 @@ def blade_inverse(a: int, sig: Signature) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _sign_table(p: int, q: int) -> np.ndarray:
-    """Full (2^n, 2^n) int8 table of blade product signs for Cl(p,q)."""
+def _sign_keys(p: int, q: int) -> np.ndarray:
+    """Per-mask keys K_A with sign(e_A e_B) = (-1)^popcount(B & K_A).
+
+    Generator i of A passes every generator of B below it, so the swap
+    parity is popcount(B & ((1 << i) - 1)) summed over the bits i of A;
+    the shared generators that square to -1 add popcount(B & A & neg).
+    Both parities are linear in B over GF(2), so one xor-combined key per
+    A carries them.
+    """
     sig = Signature(p, q)
-    masks = np.arange(sig.dim, dtype=np.uint64)
-    a = masks[:, None]
-    b = masks[None, :]
-    swaps = np.zeros((sig.dim, sig.dim), dtype=np.uint32)
-    for shift in range(1, sig.n):
-        swaps += np.bitwise_count((a >> np.uint64(shift)) & b)
-    swaps += np.bitwise_count(a & b & np.uint64(sig.negative_mask))
-    table = np.where(swaps & 1, -1, 1).astype(np.int8)
-    table.setflags(write=False)
-    return table
+    masks = np.arange(sig.dim, dtype=np.int64)
+    keys = masks & sig.negative_mask
+    for i in range(sig.n):
+        keys ^= np.where(masks >> i & 1, (1 << i) - 1, 0)
+    keys.setflags(write=False)
+    return keys
 
 
-def sign_table(sig: Signature) -> np.ndarray:
-    """Read-only (2^n, 2^n) table: entry [a, b] is the sign of e_a e_b."""
-    return _sign_table(sig.p, sig.q)
+def blade_signs(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Signs of e_a e_b as int8, broadcast over integer mask arrays a and b."""
+    odd = np.bitwise_count(b & _sign_keys(sig.p, sig.q)[a]) & 1
+    return 1 - 2 * odd.astype(np.int8)
 
 
 @lru_cache(maxsize=None)
@@ -392,9 +397,9 @@ def geometric_product(u: Multivector, v: Multivector) -> Multivector:
     ib = np.nonzero(v.coeffs)[0]
     if ia.size == 0 or ib.size == 0:
         return Multivector.zero(sig)
-    table = _sign_table(sig.p, sig.q)
+    signs = blade_signs(sig, ia[:, None], ib[None, :])
     masks = (ia[:, None] ^ ib[None, :]).ravel()
-    values = (u.coeffs[ia][:, None] * v.coeffs[ib][None, :] * table[np.ix_(ia, ib)]).ravel()
+    values = (u.coeffs[ia][:, None] * v.coeffs[ib][None, :] * signs).ravel()
     return Multivector(sig, np.bincount(masks, weights=values, minlength=sig.dim))
 
 
@@ -424,12 +429,15 @@ def exp_bivector(b: Multivector) -> Multivector:
     """Exponential of a pure grade-2 element.
 
     Power series with argument halving: the input is scaled by 2^-h until its
-    coefficient inf-norm is at most 1, 20 series terms are summed, and the
-    result is squared h times. Accuracy target is reverse(R)*R = 1 to 1e-12.
+    coefficient 1-norm is at most 1, 20 series terms are summed, and the
+    result is squared h times. The 1-norm bounds the product of two
+    multivectors by the product of their norms, so the k-th term is at most
+    1/k! and the series has converged. Accuracy target is reverse(R)*R = 1
+    to 1e-12.
     """
     if np.any(b.coeffs[_grades(b.sig.n) != 2]):
         raise ValueError("exp_bivector requires a pure grade-2 argument")
-    norm = b.max_abs()
+    norm = float(np.sum(np.abs(b.coeffs)))
     halvings = 0
     while norm > 1.0:
         norm /= 2.0

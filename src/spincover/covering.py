@@ -49,8 +49,8 @@ from .clifford_core import (
     _reverse_norm_signs,
     blade_grade,
     blade_name,
+    blade_signs,
     grade_masks,
-    sign_table,
     squared_norm,
 )
 from .matrix_group import (
@@ -168,30 +168,78 @@ class Frame:
 # Forward direction: rotor -> matrix
 # ---------------------------------------------------------------------------
 
+def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
+    # Butterfly on a copy, one pass per generator:
+    # out_F = sum_A (-1)^|A & F| v_A.
+    w = v.copy()
+    for bit in range(w.size.bit_length() - 1):
+        pairs = w.reshape(-1, 2, 1 << bit)
+        low, high = pairs[:, 0].copy(), pairs[:, 1].copy()
+        pairs[:, 0], pairs[:, 1] = low + high, low - high
+    return w
+
+
+def _reachable(sig: Signature, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    # Masks A ^ B over A in left and B in right: where the xor-convolution
+    # of the two support indicators, a transform of the product of their
+    # transforms, is nonzero.
+    spectrum = np.ones(sig.dim)
+    for support in (left, right):
+        indicator = np.zeros(sig.dim)
+        indicator[support] = 1.0
+        spectrum *= _walsh_hadamard(indicator)
+    return np.nonzero(_walsh_hadamard(spectrum) > 0.0)[0]
+
+
+def conjugated_generators(value: Multivector, right: Multivector) -> np.ndarray:
+    """(n, 2^n) coefficients whose row a is the product value e_a right.
+
+    Each value e_a is a signed permutation of value, so the n products
+    with right are one matrix product with the right-multiplication
+    operator, operator[C, A] = sign(e_A e_{A^C}) right[A^C]. Its columns
+    are the union of the supports of the n left factors and its rows the
+    masks that those factors can reach in a product with right.
+    """
+    value._check_sig(right)
+    sig = value.sig
+    bits = (np.int64(1) << np.arange(sig.n, dtype=np.int64))[:, None]
+    occupied = np.zeros(sig.dim, dtype=bool)
+    occupied[np.nonzero(value.coeffs)[0] ^ bits] = True
+    cols = np.nonzero(occupied)[0]
+    shifted = cols ^ bits
+    left = blade_signs(sig, shifted, bits) * value.coeffs[shifted]
+    rows = _reachable(sig, cols, np.nonzero(right.coeffs)[0])
+    partner = rows[:, None] ^ cols
+    operator = blade_signs(sig, cols, partner) * right.coeffs[partner]
+    images = np.zeros((sig.n, sig.dim))
+    images[:, rows] = (operator @ left.T).T
+    return images
+
+
 def forward_map(rotor: Rotor | Multivector, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
     """Matrix of the conjugation action: column a holds S e_a S^-1.
 
-    Raises ValueError when reverse(S) S is not 1 within tol or when some
-    conjugated generator picks up non-grade-1 components beyond tol.
+    S^-1 is reverse(S), and all n images come from one
+    conjugated_generators call, so no geometric product runs. Raises
+    ValueError when reverse(S) S is not 1 within tol or when some
+    conjugated generator picks up non-grade-1 components beyond tol,
+    checked over every coefficient of every image.
     """
     value = rotor.value if isinstance(rotor, Rotor) else rotor
     sig = value.sig
     norm = squared_norm(value)
     if abs(norm - 1.0) > tol:
         raise ValueError(f"rotor norm reverse(S)*S = {norm:.12g} is not 1 within {tol:.3e}")
-    inverse = value.reverse()
-    columns = []
-    worst = 0.0
-    for slot in range(sig.n):
-        image = value * Multivector.basis(sig, 1 << slot) * inverse
-        residual = (image - image.grade_projection(1)).max_abs()
-        worst = max(worst, residual)
-        columns.append(image.vector_components())
+    images = conjugated_generators(value, value.reverse())
+    vectors = 1 << np.arange(sig.n)
+    matrix = images[:, vectors].T.copy()
+    images[:, vectors] = 0.0
+    worst = float(np.max(np.abs(images)))
     if worst > tol:
         raise ValueError(
             f"conjugation does not preserve grade 1 (residual {worst:.3e}); not a rotor"
         )
-    return np.column_stack(columns)
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +261,15 @@ def _minor_tables(arr: np.ndarray, n: int) -> list[tuple[np.ndarray, np.ndarray]
 def _assemble_general(sig: Signature, tables: list[tuple[np.ndarray, np.ndarray]], F: int) -> Multivector:
     # One bincount per grade accumulates every minor(P,B,A) e_B e_F e^A term:
     # sign(e_B e_F) * sign(e_{B^F} e_A) * sign(e_A e_A) at mask B ^ F ^ A.
-    table = sign_table(sig)
+    # Only the middle sign needs the pair grid.
+    every = np.arange(sig.dim)
+    with_probe = blade_signs(sig, every, F)
+    squares = blade_signs(sig, every, every)
     total = np.zeros(sig.dim)
     for masks, dets in tables:
         b = masks[:, None]
         a = masks[None, :]
-        signs = table[b, F] * table[b ^ F, a] * table[a, a]
+        signs = with_probe[b] * blade_signs(sig, b ^ F, a) * squares[a]
         total += np.bincount(
             ((b ^ F) ^ a).ravel(), weights=(dets * signs).ravel(), minlength=sig.dim
         )
@@ -245,11 +296,10 @@ def candidate_n3(matrix: object, sig: Signature, F: int) -> CandidateElement:
     if blade_grade(F) % 2:
         raise ValueError(f"probe blade {blade_name(F)} has odd grade")
     arr = _entries(matrix, sig)
-    table = sign_table(sig)
     masks = np.int64(1) << np.arange(3, dtype=np.int64)
     b = masks[:, None]
     a = masks[None, :]
-    signs = table[b, F] * table[b ^ F, a] * table[a, a]
+    signs = blade_signs(sig, b, F) * blade_signs(sig, b ^ F, a) * blade_signs(sig, a, a)
     coeffs = np.bincount(((b ^ F) ^ a).ravel(), weights=(arr * signs).ravel(), minlength=sig.dim)
     coeffs[F] += 1.0
     return _candidate_from(sig, F, Multivector(sig, coeffs))
@@ -286,14 +336,8 @@ def _principal_minors(
 
 
 def _probe_weights(sig: Signature, d: np.ndarray) -> np.ndarray:
-    # In-place Walsh-Hadamard butterfly, one pass per generator:
     # w_F = eps_F sum_A (-1)^|A & F| d_A.
-    w = d.copy()
-    for bit in range(sig.n):
-        pairs = w.reshape(-1, 2, 1 << bit)
-        low, high = pairs[:, 0].copy(), pairs[:, 1].copy()
-        pairs[:, 0], pairs[:, 1] = low + high, low - high
-    return _reverse_norm_signs(sig.p, sig.q) * w
+    return _reverse_norm_signs(sig.p, sig.q) * _walsh_hadamard(d)
 
 
 def probe_weights(matrix: object, sig: Signature, method: Method = "general") -> np.ndarray:

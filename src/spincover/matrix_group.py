@@ -222,25 +222,45 @@ def batched_minors(matrix: np.ndarray, k: int) -> tuple[list[tuple[int, ...]], n
     Returns the list of k-subsets of range(n) (0-based, lexicographic) and a
     square array whose [i, j] entry is the minor on rows subsets[i] and
     columns subsets[j]. Sizes up to 3 use closed forms; larger sizes go
-    through one batched LU determinant call.
+    through batched LU determinant calls on slabs of at most
+    _SLAB_ENTRIES gathered entries each.
     """
     n = matrix.shape[0]
     subsets = list(combinations(range(n), k))
     if k == 0:
         return subsets, np.ones((1, 1))
-    m = len(subsets)
     rows = np.array(subsets)
+    if k >= 4:
+        return subsets, _slab_determinants(matrix, rows)
     blocks = matrix[rows[:, None, :, None], rows[None, :, None, :]]
     if k == 1:
         return subsets, blocks[:, :, 0, 0].copy()
     if k == 2:
         dets = blocks[:, :, 0, 0] * blocks[:, :, 1, 1] - blocks[:, :, 0, 1] * blocks[:, :, 1, 0]
         return subsets, dets
-    if k == 3:
-        dets = (
-            blocks[:, :, 0, 0] * (blocks[:, :, 1, 1] * blocks[:, :, 2, 2] - blocks[:, :, 1, 2] * blocks[:, :, 2, 1])
-            - blocks[:, :, 0, 1] * (blocks[:, :, 1, 0] * blocks[:, :, 2, 2] - blocks[:, :, 1, 2] * blocks[:, :, 2, 0])
-            + blocks[:, :, 0, 2] * (blocks[:, :, 1, 0] * blocks[:, :, 2, 1] - blocks[:, :, 1, 1] * blocks[:, :, 2, 0])
-        )
-        return subsets, dets
-    return subsets, np.linalg.det(blocks.reshape(m * m, k, k)).reshape(m, m)
+    dets = (
+        blocks[:, :, 0, 0] * (blocks[:, :, 1, 1] * blocks[:, :, 2, 2] - blocks[:, :, 1, 2] * blocks[:, :, 2, 1])
+        - blocks[:, :, 0, 1] * (blocks[:, :, 1, 0] * blocks[:, :, 2, 2] - blocks[:, :, 1, 2] * blocks[:, :, 2, 0])
+        + blocks[:, :, 0, 2] * (blocks[:, :, 1, 0] * blocks[:, :, 2, 1] - blocks[:, :, 1, 1] * blocks[:, :, 2, 0])
+    )
+    return subsets, dets
+
+
+#: Largest number of matrix entries batched_minors gathers for one LU call:
+#: 512 KB of float64.
+_SLAB_ENTRIES = 1 << 16
+
+
+def _slab_determinants(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # One gather of every block holds m^2 k^2 floats, 12.7 MB for n = 10 and
+    # k = 5. Whether the malloc heap keeps or returns freed arrays that size
+    # depends on its layout, which moved a process's peak RSS by MB from one
+    # run to the next. Slabs of rows bound each gather; every block's LU,
+    # and so every minor, is the same as in one stacked call.
+    m, k = rows.shape
+    dets = np.empty((m, m))
+    step = max(1, _SLAB_ENTRIES // (m * k * k))
+    for start in range(0, m, step):
+        slab = rows[start:start + step]
+        dets[start:start + step] = np.linalg.det(matrix[slab[:, None, :, None], rows[None, :, None, :]])
+    return dets

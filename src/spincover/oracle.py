@@ -25,6 +25,7 @@ from .covering import (
     Rotor,
     candidate_general,
     candidate_n3,
+    conjugated_generators,
     even_blades,
     forward_map,
     matrix_to_rotor,
@@ -113,13 +114,8 @@ def verify_covering(rotor: Rotor | Multivector, matrix: object) -> CoveringRepor
 def frame_from_rotor(rotor: Rotor | Multivector) -> Frame:
     """The frame of conjugated generators beta_a = S e_a reverse(S)."""
     value = rotor.value if isinstance(rotor, Rotor) else rotor
-    sig = value.sig
-    inverse = value.reverse()
-    beta = tuple(
-        (value * Multivector.basis(sig, 1 << slot) * inverse).grade_projection(1)
-        for slot in range(sig.n)
-    )
-    return Frame(sig, beta)
+    images = conjugated_generators(value, value.reverse())
+    return Frame(value.sig, tuple(Multivector(value.sig, row).grade_projection(1) for row in images))
 
 
 def corollary_expansion(frame: Frame, F: int) -> Multivector:

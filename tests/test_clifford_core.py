@@ -17,10 +17,10 @@ from spincover.clifford_core import (
     blade_inverse,
     blade_name,
     blade_product,
+    blade_signs,
     exp_bivector,
     geometric_product,
     grade_masks,
-    sign_table,
     squared_norm,
 )
 
@@ -91,7 +91,8 @@ def test_blade_from_name_rejects_garbage():
 
 def test_blade_product_matches_oracle_exhaustively():
     for sig in SMALL_SIGS:
-        table = sign_table(sig)
+        masks = np.arange(sig.dim)
+        table = blade_signs(sig, masks[:, None], masks[None, :])
         for a in range(sig.dim):
             for b in range(sig.dim):
                 sign, mask = blade_product(a, b, sig)
@@ -109,6 +110,12 @@ def test_blade_product_matches_oracle_n6(a, b, p):
     ref_sign, ref_blade = naive_blade_product(mask_to_blade(a), mask_to_blade(b), sig.p, sig.q)
     assert sign == ref_sign
     assert mask_to_blade(mask) == ref_blade
+
+
+@given(st.integers(0, (1 << 12) - 1), st.integers(0, (1 << 12) - 1), st.integers(0, 12))
+def test_blade_signs_match_blade_product_n12(a, b, p):
+    sig = Signature(p, 12 - p)
+    assert blade_signs(sig, np.array([a]), np.array([b]))[0] == blade_product(a, b, sig)[0]
 
 
 def test_blade_inverse_examples():
@@ -339,6 +346,20 @@ def test_exp_bivector_unit_norm():
         gram = rotor.reverse() * rotor
         assert abs(gram.scalar_part() - 1.0) <= 1e-12
         assert (gram - gram.grade_projection(0)).max_abs() <= 1e-12
+
+
+def test_exp_bivector_unit_norm_with_many_large_coefficients():
+    # Every coefficient is at most 1.5 but the 1-norm is about 11, so the
+    # series only converges once the argument is halved by its 1-norm.
+    rng = np.random.default_rng(7)
+    for sig in (Signature(0, 6), Signature(6, 0)):
+        for _ in range(5):
+            coeffs = np.zeros(sig.dim)
+            coeffs[grade_masks(sig.n, 2)] = rng.uniform(-1.5, 1.5, 15)
+            rotor = exp_bivector(Multivector(sig, coeffs))
+            gram = rotor.reverse() * rotor
+            assert abs(gram.scalar_part() - 1.0) <= 1e-12
+            assert (gram - gram.grade_projection(0)).max_abs() <= 1e-12
 
 
 def test_exp_bivector_rejects_non_bivectors():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spincover import cli, covering, matrix_group
+from spincover import cli, clifford_core, covering, matrix_group
 from spincover.clifford_core import (
     Multivector,
     Signature,
@@ -22,6 +22,7 @@ from spincover.covering import (
     Rotor,
     candidate_general,
     candidate_n3,
+    conjugated_generators,
     even_blades,
     forward_map,
     iter_candidates,
@@ -31,6 +32,9 @@ from spincover.covering import (
     select_candidate,
 )
 from spincover.matrix_group import MembershipError, check_membership
+from spincover.oracle import frame_from_rotor
+
+from oracles import coeffs_to_dict, dict_to_coeffs, naive_product
 
 SIG20 = Signature(2, 0)
 SIG30 = Signature(3, 0)
@@ -134,6 +138,73 @@ def test_forward_map_rejects_bad_input():
     mixed = Multivector.from_terms(SIG30, {0b001: 1.0, 0b110: 1.0, 0: 1.0})
     with pytest.raises(ValueError):
         forward_map(mixed)
+
+
+def test_forward_map_rejects_unit_rotor_that_mixes_grades():
+    # In Cl(6,0) the pseudoscalar I anticommutes with every vector and
+    # I^2 = -1, so S = cos t + sin t I has reverse(S) S = 1 exactly, yet
+    # S e_a reverse(S) = cos 2t e_a - sin 2t e_a I is not a vector.
+    sig = Signature(6, 0)
+    value = Multivector.from_terms(sig, {0: math.cos(0.3), sig.dim - 1: math.sin(0.3)})
+    assert Rotor(value).unit_residual() == 0.0
+    with pytest.raises(ValueError, match="does not preserve grade 1"):
+        forward_map(value)
+
+
+SIGS_UP_TO_4 = [Signature(p, n - p) for n in range(1, 5) for p in range(n + 1)]
+
+
+@pytest.mark.parametrize("sig", SIGS_UP_TO_4, ids=lambda s: f"{s.p}_{s.q}")
+def test_conjugated_generators_match_naive_products(sig):
+    rng = np.random.default_rng(40 + 5 * sig.p + sig.q)
+    odd = clifford_core._grades(sig.n) % 2 == 1
+    parts = {"even": ~odd, "odd": odd, "mixed": np.ones(sig.dim, dtype=bool)}
+    for left_part in parts.values():
+        for right_part in parts.values():
+            value = np.where(left_part, rng.uniform(-1.0, 1.0, sig.dim), 0.0)
+            right = np.where(right_part, rng.uniform(-1.0, 1.0, sig.dim), 0.0)
+            got = conjugated_generators(Multivector(sig, value), Multivector(sig, right))
+            assert got.shape == (sig.n, sig.dim)
+            for a in range(sig.n):
+                ref = naive_product(
+                    naive_product(coeffs_to_dict(value), {(a + 1,): 1.0}, sig.p, sig.q),
+                    coeffs_to_dict(right),
+                    sig.p,
+                    sig.q,
+                )
+                assert np.max(np.abs(got[a] - dict_to_coeffs(ref, sig.n))) <= 1e-14
+
+
+def test_conjugated_generators_of_zero_is_zero():
+    sig = Signature(2, 1)
+    zero = Multivector.zero(sig)
+    assert not conjugated_generators(zero, Multivector.scalar(sig)).any()
+    assert not conjugated_generators(Multivector.scalar(sig), zero).any()
+
+
+def test_forward_direction_makes_no_geometric_product(monkeypatch):
+    calls = []
+    original = clifford_core.geometric_product
+
+    def counting(u, v):
+        calls.append(u.sig)
+        return original(u, v)
+
+    monkeypatch.setattr(clifford_core, "geometric_product", counting)
+    rng = np.random.default_rng(41)
+    for sig in (SIG30, SIG21, Signature(3, 3), Signature(2, 5)):
+        rotor = random_rotor(sig, rng)
+        calls.clear()
+        forward_map(rotor)
+        frame_from_rotor(rotor)
+        assert calls == []
+        Rotor.checked(rotor.value)
+        assert len(calls) == 1
+
+
+def test_sign_table_is_gone():
+    assert not hasattr(clifford_core, "sign_table")
+    assert not hasattr(clifford_core, "_sign_table")
 
 
 # -- candidates ----------------------------------------------------------------
