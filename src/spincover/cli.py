@@ -27,18 +27,7 @@ import numpy as np
 
 from .clifford_core import Multivector, Signature, blade_from_name, blade_name
 from .covering import NoCandidateError, Rotor, forward_map, rotor_from_candidate, select_candidate
-from .division_algebras import (
-    SIG_21,
-    SIG_30,
-    quaternion_to_su2,
-    rotor_to_quaternion,
-    rotor_to_split,
-    select_quaternion_candidate,
-    select_split_candidate,
-    split_to_rotor,
-    split_to_su11,
-    quaternion_to_rotor,
-)
+from .division_algebras import SIG_30, quaternion_to_su2, rotor_to_quaternion, rotor_to_split, split_to_su11
 from .matrix_group import (
     DEFAULT_TOLERANCE,
     MembershipReport,
@@ -198,29 +187,11 @@ def cmd_rotor_from_matrix(args: argparse.Namespace) -> int:
     if not report.ok:
         return _fail(EXIT_REJECTED, str(report), report)
 
-    extras: dict = {}
+    # The (split-)quaternion is the n3 rotor read through the bridge.
+    method = "n3" if args.method == "quaternion" else args.method
     try:
-        if args.method == "quaternion":
-            if (sig.p, sig.q) == (3, 0):
-                f_mask, cand = select_quaternion_candidate(arr)
-                scale = 1.0 / math.sqrt(cand.norm_squared())
-                unit = type(cand)(cand.a * scale, cand.b * scale, cand.c * scale, cand.d * scale)
-                rotor = quaternion_to_rotor(unit).canonicalized()
-                aligned = rotor_to_quaternion(rotor)
-                extras["quaternion"] = {"a": aligned.a, "b": aligned.b, "c": aligned.c, "d": aligned.d}
-                extras["su2"] = _complex_rows(quaternion_to_su2(aligned))
-            else:
-                f_mask, cand = select_split_candidate(arr)
-                scale = 1.0 / math.sqrt(cand.norm_squared())
-                unit = type(cand)(cand.a * scale, cand.b * scale, cand.c * scale, cand.d * scale)
-                rotor = split_to_rotor(unit).canonicalized()
-                aligned = rotor_to_split(rotor)
-                extras["split_quaternion"] = {"a": aligned.a, "b": aligned.b, "c": aligned.c, "d": aligned.d}
-                extras["su11"] = _complex_rows(split_to_su11(aligned))
-        else:
-            cand_el = select_candidate(arr, sig, method=args.method)
-            f_mask = cand_el.F
-            rotor = rotor_from_candidate(cand_el, args.method)
+        cand = select_candidate(arr, sig, method=method)
+        rotor = rotor_from_candidate(cand, method)
     except NoCandidateError as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
 
@@ -230,12 +201,19 @@ def cmd_rotor_from_matrix(args: argparse.Namespace) -> int:
         "p": sig.p,
         "q": sig.q,
         "method": args.method,
-        "F": blade_name(f_mask),
+        "F": blade_name(cand.F),
         "rotor": _rotor_dict(rotor.value),
         "rotor_negated": _rotor_dict(-rotor.value),
         "residual": residual,
     }
-    out.update(extras)
+    if args.method == "quaternion" and sig == SIG_30:
+        q = rotor_to_quaternion(rotor)
+        out["quaternion"] = {"a": q.a, "b": q.b, "c": q.c, "d": q.d}
+        out["su2"] = _complex_rows(quaternion_to_su2(q))
+    elif args.method == "quaternion":
+        q = rotor_to_split(rotor)
+        out["split_quaternion"] = {"a": q.a, "b": q.b, "c": q.c, "d": q.d}
+        out["su11"] = _complex_rows(split_to_su11(q))
     _emit(out)
     return EXIT_OK
 

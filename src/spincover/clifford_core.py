@@ -403,18 +403,6 @@ def geometric_product(u: Multivector, v: Multivector) -> Multivector:
     return Multivector(sig, np.bincount(masks, weights=values, minlength=sig.dim))
 
 
-def reverse(u: Multivector) -> Multivector:
-    return u.reverse()
-
-
-def grade_project(u: Multivector, k: int) -> Multivector:
-    return u.grade_projection(k)
-
-
-def center_project(u: Multivector) -> Multivector:
-    return u.center_projection()
-
-
 def squared_norm(u: Multivector) -> float:
     """Scalar part of reverse(u) * u; indefinite when q > 0.
 

@@ -73,6 +73,12 @@ class NoCandidateError(RuntimeError):
     """No probe blade produced a usable candidate (all reverse-norms ~ 0)."""
 
 
+def _size(value: Multivector) -> float:
+    # max(1, sum of squared coefficients): the scale of the rounding in
+    # reverse(S) S and in S e_a reverse(S).
+    return max(1.0, float(np.dot(value.coeffs, value.coeffs)))
+
+
 @dataclass(frozen=True)
 class Rotor:
     """One of the two spin-group preimages of a matrix under the covering."""
@@ -110,13 +116,19 @@ class Rotor:
 
     @classmethod
     def checked(cls, value: Multivector, tol: float = DEFAULT_TOLERANCE) -> Rotor:
-        """Wrap a multivector after verifying evenness and unit norm."""
+        """Wrap a multivector after verifying evenness and unit norm.
+
+        The unit residual is held to tol relative to the rotor's size,
+        tol * max(1, sum of squared coefficients): rounding in reverse(S) S
+        grows with that sum, which for q > 0 exceeds the reverse-norm 1.
+        """
         if value.odd_part_max() != 0.0:
             raise ValueError("rotor has odd-grade coefficients")
         rotor = cls(value)
         residual = rotor.unit_residual()
-        if residual > tol:
-            raise ValueError(f"reverse(S)*S deviates from 1 by {residual:.3e} (tolerance {tol:.3e})")
+        bound = tol * _size(value)
+        if residual > bound:
+            raise ValueError(f"reverse(S)*S deviates from 1 by {residual:.3e} (tolerance {bound:.3e})")
         return rotor
 
 
@@ -221,21 +233,23 @@ def forward_map(rotor: Rotor | Multivector, tol: float = DEFAULT_TOLERANCE) -> n
 
     S^-1 is reverse(S), and all n images come from one
     conjugated_generators call, so no geometric product runs. Raises
-    ValueError when reverse(S) S is not 1 within tol or when some
-    conjugated generator picks up non-grade-1 components beyond tol,
-    checked over every coefficient of every image.
+    ValueError when reverse(S) S is not 1 or when some conjugated
+    generator picks up non-grade-1 components, checked over every
+    coefficient of every image; both tests allow tol relative to the
+    rotor's size, as in Rotor.checked.
     """
     value = rotor.value if isinstance(rotor, Rotor) else rotor
     sig = value.sig
     norm = squared_norm(value)
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"rotor norm reverse(S)*S = {norm:.12g} is not 1 within {tol:.3e}")
+    bound = tol * _size(value)
+    if abs(norm - 1.0) > bound:
+        raise ValueError(f"rotor norm reverse(S)*S = {norm:.12g} is not 1 within {bound:.3e}")
     images = conjugated_generators(value, value.reverse())
     vectors = 1 << np.arange(sig.n)
     matrix = images[:, vectors].T.copy()
     images[:, vectors] = 0.0
     worst = float(np.max(np.abs(images)))
-    if worst > tol:
+    if worst > bound:
         raise ValueError(
             f"conjugation does not preserve grade 1 (residual {worst:.3e}); not a rotor"
         )

@@ -5,13 +5,16 @@ split-quaternions, via
 
     e -> 1,  e12 -> i,  e13 -> j,  e23 -> -k.
 
-Unit quaternions double-cover SO(3) and unit split-quaternions SO+(2,1),
-so the rotor recovery specializes to four linear-in-P candidates Q_F per
-group; normalizing the best one gives the covering pair +-X. Both algebras
-also get their 2x2 complex representations (SU(2), SU(1,1)).
+Unit quaternions double-cover SO(3) and unit split-quaternions SO+(2,1).
+The four quaternion candidates are the n3 candidates L_F read through this
+bridge, so the unit elements come from the n3 rotor of matrix_to_rotor:
+one probe selection and one normalizer, by the e_F coefficient, for both
+algebras. Both algebras also get their 2x2 complex representations
+(SU(2), SU(1,1)).
 
-Quaternions: i^2 = j^2 = k^2 = ijk = -1.
-Split-quaternions: i^2 = -1, j^2 = k^2 = +1, ijk = +1, which forces
+Both are a + bi + cj + dk with i^2 = -1, ij = k and s = j^2 = k^2:
+s = -1 gives the quaternions (ijk = -1) and s = +1 the split-quaternions
+(ijk = +1), where
 
     ij = k   jk = -i   ki = j
     ji = -k  kj = i    ik = -j
@@ -19,14 +22,14 @@ Split-quaternions: i^2 = -1, j^2 = k^2 = +1, ijk = +1, which forces
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .clifford_core import Multivector, Signature
-from .covering import NoCandidateError, Rotor
-from .matrix_group import DEFAULT_TOLERANCE, as_square_matrix, project_to_group, require_membership
+from .covering import Rotor, matrix_to_rotor
+from .matrix_group import DEFAULT_TOLERANCE
 
 SIG_30 = Signature(3, 0)
 SIG_21 = Signature(2, 1)
@@ -41,205 +44,86 @@ PAULI = (
 for _m in PAULI:
     _m.setflags(write=False)
 
-#: Norm-square threshold below which a candidate counts as zero
-#: (matches the covering module's n=3 threshold, 1e-18 x (2^3)^2 / 4).
-CANDIDATE_THRESHOLD = 1e-18 * 16.0
 
-#: Probe blade masks in scan order: scalar, e12, e13, e23.
-PROBE_BLADES = (0, 0b011, 0b101, 0b110)
+@dataclass(frozen=True)
+class _FourComponent:
+    """a + bi + cj + dk with i^2 = -1, ij = k and j^2 = k^2 = SQUARE."""
+
+    a: float
+    b: float
+    c: float
+    d: float
+
+    SQUARE: ClassVar[float]
+
+    def __post_init__(self) -> None:
+        for name in "abcd":
+            object.__setattr__(self, name, float(getattr(self, name)))
+
+    def conjugate(self):
+        return type(self)(self.a, -self.b, -self.c, -self.d)
+
+    def norm_squared(self) -> float:
+        """conj(q) q = a^2 + b^2 - s (c^2 + d^2) with s = j^2."""
+        return self.a * self.a + self.b * self.b - self.SQUARE * (self.c * self.c + self.d * self.d)
+
+    def __neg__(self):
+        return type(self)(-self.a, -self.b, -self.c, -self.d)
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        s = self.SQUARE
+        return type(self)(
+            self.a * other.a - self.b * other.b + s * (self.c * other.c + self.d * other.d),
+            self.a * other.b + self.b * other.a - s * (self.c * other.d - self.d * other.c),
+            self.a * other.c + self.c * other.a - self.b * other.d + self.d * other.b,
+            self.a * other.d + self.d * other.a + self.b * other.c - self.c * other.b,
+        )
+
+    def components(self) -> np.ndarray:
+        return np.array([self.a, self.b, self.c, self.d])
+
+    def isclose(self, other: _FourComponent, tol: float = 1e-12) -> bool:
+        return bool(np.max(np.abs(self.components() - other.components())) <= tol)
 
 
 @dataclass(frozen=True)
-class Quaternion:
+class Quaternion(_FourComponent):
     """q = a + bi + cj + dk with i^2 = j^2 = k^2 = ijk = -1."""
 
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self) -> None:
-        for name in "abcd":
-            object.__setattr__(self, name, float(getattr(self, name)))
-
-    def conjugate(self) -> Quaternion:
-        return Quaternion(self.a, -self.b, -self.c, -self.d)
-
-    def norm_squared(self) -> float:
-        """conj(q) q = a^2 + b^2 + c^2 + d^2."""
-        return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
-
-    def __neg__(self) -> Quaternion:
-        return Quaternion(-self.a, -self.b, -self.c, -self.d)
-
-    def __mul__(self, other: Quaternion) -> Quaternion:
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        return qmul(self, other)
-
-    def components(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c, self.d])
-
-    def isclose(self, other: Quaternion, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.components() - other.components())) <= tol)
+    SQUARE: ClassVar[float] = -1.0
 
 
 @dataclass(frozen=True)
-class SplitQuaternion:
+class SplitQuaternion(_FourComponent):
     """q = a + bi + cj + dk with i^2 = -1, j^2 = k^2 = +1, ijk = +1."""
 
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self) -> None:
-        for name in "abcd":
-            object.__setattr__(self, name, float(getattr(self, name)))
-
-    def conjugate(self) -> SplitQuaternion:
-        return SplitQuaternion(self.a, -self.b, -self.c, -self.d)
-
-    def norm_squared(self) -> float:
-        """conj(q) q = a^2 + b^2 - c^2 - d^2; indefinite."""
-        return self.a * self.a + self.b * self.b - self.c * self.c - self.d * self.d
-
-    def __neg__(self) -> SplitQuaternion:
-        return SplitQuaternion(-self.a, -self.b, -self.c, -self.d)
-
-    def __mul__(self, other: SplitQuaternion) -> SplitQuaternion:
-        if not isinstance(other, SplitQuaternion):
-            return NotImplemented
-        return sqmul(self, other)
-
-    def components(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c, self.d])
-
-    def isclose(self, other: SplitQuaternion, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.components() - other.components())) <= tol)
+    SQUARE: ClassVar[float] = 1.0
 
 
 def qmul(x: Quaternion, y: Quaternion) -> Quaternion:
-    """Hamilton product."""
-    return Quaternion(
-        x.a * y.a - x.b * y.b - x.c * y.c - x.d * y.d,
-        x.a * y.b + x.b * y.a + x.c * y.d - x.d * y.c,
-        x.a * y.c - x.b * y.d + x.c * y.a + x.d * y.b,
-        x.a * y.d + x.b * y.c - x.c * y.b + x.d * y.a,
-    )
+    """Hamilton product, x * y."""
+    return x * y
 
 
 def sqmul(x: SplitQuaternion, y: SplitQuaternion) -> SplitQuaternion:
-    """Split-quaternion product from the table in the module docstring."""
-    return SplitQuaternion(
-        x.a * y.a - x.b * y.b + x.c * y.c + x.d * y.d,
-        x.a * y.b + x.b * y.a - x.c * y.d + x.d * y.c,
-        x.a * y.c + x.c * y.a + x.d * y.b - x.b * y.d,
-        x.a * y.d + x.d * y.a + x.b * y.c - x.c * y.b,
-    )
+    """Split-quaternion product, x * y."""
+    return x * y
 
 
 # ---------------------------------------------------------------------------
-# Covering candidates (linear in the matrix entries)
+# Unit elements covering a matrix: the n3 rotor read through the bridge
 # ---------------------------------------------------------------------------
 
-def so3_to_quaternion_candidates(matrix: object) -> dict[int, Quaternion]:
-    """The four candidates Q_F for P in SO(3), keyed by probe blade mask.
-
-    p[r][c] below is the coordinate over generator r+1 of the image of
-    generator c+1, matching the matrix convention used package-wide.
-    """
-    p = as_square_matrix(matrix, 3)
-    return {
-        0: Quaternion(
-            1 + p[0, 0] + p[1, 1] + p[2, 2],
-            p[0, 1] - p[1, 0],
-            p[0, 2] - p[2, 0],
-            -p[1, 2] + p[2, 1],
-        ),
-        0b011: Quaternion(
-            p[0, 1] - p[1, 0],
-            1 - p[0, 0] - p[1, 1] + p[2, 2],
-            -p[1, 2] - p[2, 1],
-            -p[0, 2] - p[2, 0],
-        ),
-        0b101: Quaternion(
-            p[0, 2] - p[2, 0],
-            -p[1, 2] - p[2, 1],
-            1 - p[0, 0] + p[1, 1] - p[2, 2],
-            p[0, 1] + p[1, 0],
-        ),
-        0b110: Quaternion(
-            p[1, 2] - p[2, 1],
-            p[0, 2] + p[2, 0],
-            -p[0, 1] - p[1, 0],
-            -1 - p[0, 0] + p[1, 1] + p[2, 2],
-        ),
-    }
-
-
-def so21_to_split_quaternion_candidates(matrix: object) -> dict[int, SplitQuaternion]:
-    """The four candidates Q_F for P in SO+(2,1), keyed by probe blade mask."""
-    p = as_square_matrix(matrix, 3)
-    return {
-        0: SplitQuaternion(
-            1 + p[0, 0] + p[1, 1] + p[2, 2],
-            p[0, 1] - p[1, 0],
-            -p[0, 2] - p[2, 0],
-            p[1, 2] + p[2, 1],
-        ),
-        0b011: SplitQuaternion(
-            p[0, 1] - p[1, 0],
-            1 - p[0, 0] - p[1, 1] + p[2, 2],
-            p[1, 2] - p[2, 1],
-            p[0, 2] - p[2, 0],
-        ),
-        0b101: SplitQuaternion(
-            p[0, 2] + p[2, 0],
-            -p[1, 2] + p[2, 1],
-            1 - p[0, 0] + p[1, 1] - p[2, 2],
-            p[0, 1] + p[1, 0],
-        ),
-        0b110: SplitQuaternion(
-            p[1, 2] + p[2, 1],
-            p[0, 2] - p[2, 0],
-            -p[0, 1] - p[1, 0],
-            -1 - p[0, 0] + p[1, 1] + p[2, 2],
-        ),
-    }
-
-
-def _canonical_sign(components: np.ndarray) -> float:
+def _unit_element(cls, sig: Signature, matrix: object, tol: float, validate: bool, project: bool):
+    rotor = matrix_to_rotor(matrix, sig, method="n3", tol=tol, validate=validate, project=project)
+    components = np.array(_bridge_components(rotor.value, sig))
     lead = int(np.argmax(np.abs(components)))
-    return -1.0 if components[lead] < 0 else 1.0
-
-
-def select_quaternion_candidate(matrix: object) -> tuple[int, Quaternion]:
-    """Probe blade mask and unnormalized candidate with the largest norm."""
-    arr = as_square_matrix(matrix, 3)
-    candidates = so3_to_quaternion_candidates(arr)
-    best = max(PROBE_BLADES, key=lambda f: candidates[f].norm_squared())
-    q = candidates[best]
-    if not q.norm_squared() > CANDIDATE_THRESHOLD:
-        raise NoCandidateError(
-            f"no nonzero quaternion candidate (best norm-square {q.norm_squared():.6g}) "
-            f"for matrix\n{np.array2string(arr)}"
-        )
-    return best, q
-
-
-def select_split_candidate(matrix: object) -> tuple[int, SplitQuaternion]:
-    """Probe blade mask and candidate with the largest positive norm-square."""
-    arr = as_square_matrix(matrix, 3)
-    candidates = so21_to_split_quaternion_candidates(arr)
-    best = max(PROBE_BLADES, key=lambda f: candidates[f].norm_squared())
-    q = candidates[best]
-    if not q.norm_squared() > CANDIDATE_THRESHOLD:
-        raise NoCandidateError(
-            f"no split-quaternion candidate with positive norm-square "
-            f"(best {q.norm_squared():.6g}) for matrix\n{np.array2string(arr)}"
-        )
-    return best, q
+    if components[lead] < 0:
+        # + 0.0 turns the -0.0 that negating a zero leaves back into 0.0.
+        components = -components + 0.0
+    return cls(*components)
 
 
 def so3_to_unit_quaternion(
@@ -250,18 +134,12 @@ def so3_to_unit_quaternion(
 ) -> Quaternion:
     """One of the two unit quaternions covering P in SO(3).
 
-    Sign-canonicalized on its own components (largest magnitude positive);
-    note this can differ by a global sign from the canonical Cl(3,0) rotor,
+    The n3 rotor of matrix_to_rotor read through the bridge, then
+    sign-canonicalized on its own components (largest magnitude positive);
+    this can differ by a global sign from the canonical Cl(3,0) rotor,
     because the bridge flips the k component.
     """
-    arr = as_square_matrix(matrix, 3)
-    if project:
-        arr = project_to_group(arr, SIG_30)
-    if validate:
-        require_membership(arr, SIG_30, tol)
-    _, q = select_quaternion_candidate(arr)
-    scale = _canonical_sign(q.components()) / math.sqrt(q.norm_squared())
-    return Quaternion(q.a * scale, q.b * scale, q.c * scale, q.d * scale)
+    return _unit_element(Quaternion, SIG_30, matrix, tol, validate, project)
 
 
 def so21_to_unit_split_quaternion(
@@ -272,17 +150,11 @@ def so21_to_unit_split_quaternion(
 ) -> SplitQuaternion:
     """One of the two unit split-quaternions covering P in SO+(2,1).
 
-    Only candidates with positive norm-square can be normalized; at least
-    one exists for every matrix in the group.
+    The n3 rotor of matrix_to_rotor read through the bridge, with the same
+    sign rule as so3_to_unit_quaternion. NoCandidateError is raised when
+    no probe gives a usable candidate, which no SO+(2,1) matrix does.
     """
-    arr = as_square_matrix(matrix, 3)
-    if project:
-        arr = project_to_group(arr, SIG_21)
-    if validate:
-        require_membership(arr, SIG_21, tol)
-    _, q = select_split_candidate(arr)
-    scale = _canonical_sign(q.components()) / math.sqrt(q.norm_squared())
-    return SplitQuaternion(q.a * scale, q.b * scale, q.c * scale, q.d * scale)
+    return _unit_element(SplitQuaternion, SIG_21, matrix, tol, validate, project)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +164,14 @@ def so21_to_unit_split_quaternion(
 def quaternion_to_su2(q: Quaternion) -> np.ndarray:
     """a sigma_0 + b i sigma_3 + c i sigma_2 + d i sigma_1; unit q lands in SU(2)."""
     return np.array(
-        [[q.a + q.b * 1j, q.c + q.d * 1j], [-q.c + q.d * 1j, q.a - q.b * 1j]]
+        [[complex(q.a, q.b), complex(q.c, q.d)], [complex(0.0 - q.c, q.d), complex(q.a, 0.0 - q.b)]]
     )
 
 
 def split_to_su11(q: SplitQuaternion) -> np.ndarray:
     """a sigma_0 + b i sigma_3 + c sigma_1 - d sigma_2; unit q lands in SU(1,1)."""
     return np.array(
-        [[q.a + q.b * 1j, q.c + q.d * 1j], [q.c - q.d * 1j, q.a - q.b * 1j]]
+        [[complex(q.a, q.b), complex(q.c, q.d)], [complex(q.c, 0.0 - q.d), complex(q.a, 0.0 - q.b)]]
     )
 
 
@@ -335,8 +207,9 @@ def _bridge_components(value: Multivector, sig: Signature) -> tuple[float, float
     worst = float(np.max(np.abs(stray)))
     if worst > 1e-12:
         raise ValueError(f"element has components outside the even subalgebra (max {worst:.3e})")
+    # x + 0.0 and 0.0 - x are 0.0, never -0.0, for a zero coefficient.
     c = value.coeffs
-    return float(c[0]), float(c[0b011]), float(c[0b101]), -float(c[0b110])
+    return float(c[0] + 0.0), float(c[0b011] + 0.0), float(c[0b101] + 0.0), float(0.0 - c[0b110])
 
 
 def quaternion_to_rotor(q: Quaternion) -> Rotor:

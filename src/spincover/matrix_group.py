@@ -182,21 +182,6 @@ def _submatrix(matrix: object, rows: Sequence[int], cols: Sequence[int], n: int)
     return arr[np.ix_([r - 1 for r in rows], [c - 1 for c in cols])]
 
 
-def _det_closed(sub: np.ndarray) -> float:
-    k = sub.shape[0]
-    if k == 1:
-        return float(sub[0, 0])
-    if k == 2:
-        return float(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0])
-    if k == 3:
-        return float(
-            sub[0, 0] * (sub[1, 1] * sub[2, 2] - sub[1, 2] * sub[2, 1])
-            - sub[0, 1] * (sub[1, 0] * sub[2, 2] - sub[1, 2] * sub[2, 0])
-            + sub[0, 2] * (sub[1, 0] * sub[2, 1] - sub[1, 1] * sub[2, 0])
-        )
-    return float(np.linalg.det(sub))
-
-
 def minor(matrix: object, rows: Sequence[int], cols: Sequence[int]) -> float:
     """Determinant of the submatrix on the given rows and columns (1-based).
 
@@ -213,7 +198,7 @@ def minor(matrix: object, rows: Sequence[int], cols: Sequence[int]) -> float:
         raise ValueError(f"minor needs equally many rows and columns, got {len(rows)} and {len(cols)}")
     if not rows:
         return 1.0
-    return _det_closed(_submatrix(arr, rows, cols, arr.shape[0]))
+    return float(_determinants(_submatrix(arr, rows, cols, arr.shape[0])))
 
 
 def batched_minors(matrix: np.ndarray, k: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -232,18 +217,23 @@ def batched_minors(matrix: np.ndarray, k: int) -> tuple[list[tuple[int, ...]], n
     rows = np.array(subsets)
     if k >= 4:
         return subsets, _slab_determinants(matrix, rows)
-    blocks = matrix[rows[:, None, :, None], rows[None, :, None, :]]
+    return subsets, _determinants(matrix[rows[:, None, :, None], rows[None, :, None, :]])
+
+
+def _determinants(blocks: np.ndarray) -> np.ndarray:
+    # Determinants over the last two axes: closed forms up to 3 x 3, LU above.
+    k = blocks.shape[-1]
     if k == 1:
-        return subsets, blocks[:, :, 0, 0].copy()
+        return blocks[..., 0, 0].copy()
     if k == 2:
-        dets = blocks[:, :, 0, 0] * blocks[:, :, 1, 1] - blocks[:, :, 0, 1] * blocks[:, :, 1, 0]
-        return subsets, dets
-    dets = (
-        blocks[:, :, 0, 0] * (blocks[:, :, 1, 1] * blocks[:, :, 2, 2] - blocks[:, :, 1, 2] * blocks[:, :, 2, 1])
-        - blocks[:, :, 0, 1] * (blocks[:, :, 1, 0] * blocks[:, :, 2, 2] - blocks[:, :, 1, 2] * blocks[:, :, 2, 0])
-        + blocks[:, :, 0, 2] * (blocks[:, :, 1, 0] * blocks[:, :, 2, 1] - blocks[:, :, 1, 1] * blocks[:, :, 2, 0])
-    )
-    return subsets, dets
+        return blocks[..., 0, 0] * blocks[..., 1, 1] - blocks[..., 0, 1] * blocks[..., 1, 0]
+    if k == 3:
+        return (
+            blocks[..., 0, 0] * (blocks[..., 1, 1] * blocks[..., 2, 2] - blocks[..., 1, 2] * blocks[..., 2, 1])
+            - blocks[..., 0, 1] * (blocks[..., 1, 0] * blocks[..., 2, 2] - blocks[..., 1, 2] * blocks[..., 2, 0])
+            + blocks[..., 0, 2] * (blocks[..., 1, 0] * blocks[..., 2, 1] - blocks[..., 1, 1] * blocks[..., 2, 0])
+        )
+    return np.linalg.det(blocks)
 
 
 #: Largest number of matrix entries batched_minors gathers for one LU call:
@@ -262,5 +252,5 @@ def _slab_determinants(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     step = max(1, _SLAB_ENTRIES // (m * k * k))
     for start in range(0, m, step):
         slab = rows[start:start + step]
-        dets[start:start + step] = np.linalg.det(matrix[slab[:, None, :, None], rows[None, :, None, :]])
+        dets[start:start + step] = _determinants(matrix[slab[:, None, :, None], rows[None, :, None, :]])
     return dets

@@ -1,5 +1,6 @@
 """Sampling and verification helpers: deterministic rotors, covering residual
-checks, the direct frame expansion, and the selfcheck suites behind the CLI.
+checks, frames of conjugated generators, and the selfcheck suites behind the
+CLI.
 
 Randomness comes from SplitMix64 with fixed constants so that identical seeds
 reproduce identical samples on any platform; generator state is explicit and
@@ -116,27 +117,6 @@ def frame_from_rotor(rotor: Rotor | Multivector) -> Frame:
     value = rotor.value if isinstance(rotor, Rotor) else rotor
     images = conjugated_generators(value, value.reverse())
     return Frame(value.sig, tuple(Multivector(value.sig, row).grade_projection(1) for row in images))
-
-
-def corollary_expansion(frame: Frame, F: int) -> Multivector:
-    """Direct probe expansion over frame products: sum of beta_A e_F e^A.
-
-    beta_A is the geometric product of the frame vectors named by the mask A
-    (empty product = 1). Agrees with the general candidate built from the
-    frame's coordinate matrix; quadratic cost, used as an independent
-    cross-check.
-    """
-    sig = frame.sig
-    total = Multivector.zero(sig)
-    probe = Multivector.basis(sig, F)
-    for a_mask in range(sig.dim):
-        beta_prod = Multivector.scalar(sig)
-        for slot in range(sig.n):
-            if a_mask >> slot & 1:
-                beta_prod = beta_prod * frame.beta[slot]
-        sign, _ = blade_inverse(a_mask, sig)
-        total = total + beta_prod * probe * Multivector.basis(sig, a_mask, float(sign))
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,30 @@ def naive_center_sum(u: dict, p: int, q: int) -> dict:
     return {blade: c for blade, c in total.items() if c != 0.0}
 
 
+def corollary_expansion(frame: list[dict], probe: tuple[int, ...], p: int, q: int) -> dict:
+    """Direct probe expansion over frame products: sum of beta_A e_F e^A.
+
+    frame[a] is the vector beta_(a+1) and beta_A the product of the frame
+    vectors named by the blade A (empty product = 1). Agrees with the
+    general candidate built from the frame's coordinate matrix, without
+    any minor; exponential cost.
+    """
+    n = p + q
+    total: dict[tuple[int, ...], float] = {}
+    for k in range(n + 1):
+        for blade in combinations(range(1, n + 1), k):
+            beta: dict[tuple[int, ...], float] = {(): 1.0}
+            for i in blade:
+                beta = naive_product(beta, frame[i - 1], p, q)
+            inv_sign, _ = naive_blade_inverse(blade, p, q)
+            term = naive_product(
+                naive_product(beta, {probe: 1.0}, p, q), {blade: float(inv_sign)}, p, q
+            )
+            for b, c in term.items():
+                total[b] = total.get(b, 0.0) + c
+    return {blade: c for blade, c in total.items() if c != 0.0}
+
+
 def naive_det(matrix: list[list[float]]) -> float:
     """Laplace expansion along the first row."""
     n = len(matrix)

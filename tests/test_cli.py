@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import spincover.cli as cli
+import spincover.covering as covering
 from spincover.cli import (
     EXIT_BAD_INPUT,
     EXIT_NUMERICAL,
@@ -220,6 +222,57 @@ def test_output_floats_round_trip_exactly(capsys):
     assert main(["matrix-from-rotor", rebuilt]) == EXIT_OK
     matrix_doc = json.loads(capsys.readouterr().out)
     assert np.max(np.abs(np.array(matrix_doc["matrix"]) - np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]]))) <= 1e-15
+
+
+def test_rotor_from_large_boost_pipes_into_matrix_from_rotor(capsys):
+    # The recovered rotor misses unit norm by ~1.5e-8 absolutely but only
+    # ~1e-12 relative to its size, sum of squared coefficients ~ cosh 10.
+    ch, sh = math.cosh(10.0), math.sinh(10.0)
+    want = np.array([[ch, sh], [sh, ch]])
+    source = json.dumps({"p": 1, "q": 1, "matrix": want.tolist()})
+    assert main(["rotor-from-matrix", "--tol", "1e-6", source]) == EXIT_OK
+    rotor_doc = json.loads(capsys.readouterr().out)
+    back_payload = json.dumps({"p": 1, "q": 1, "rotor": rotor_doc["rotor"]})
+    assert main(["matrix-from-rotor", back_payload]) == EXIT_OK
+    got = np.array(json.loads(capsys.readouterr().out)["matrix"])
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+# -- quaternion method ----------------------------------------------------------
+
+QUATERNION_INPUTS = {
+    "so3_half_turn_e12": {"p": 3, "q": 0, "matrix": [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]},
+    "so3_half_turn_e23": {"p": 3, "q": 0, "matrix": [[1, 0, 0], [0, -1, 0], [0, 0, -1]]},
+    "so3_half_turn_e13": {"p": 3, "q": 0, "matrix": [[-1, 0, 0], [0, 1, 0], [0, 0, -1]]},
+    "so21_half_turn_e12": {"p": 2, "q": 1, "matrix": [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]},
+    "quat_rot": json.loads((FIXTURES / "quat_rot.json").read_text()),
+}
+
+
+@pytest.mark.parametrize("payload", QUATERNION_INPUTS.values(), ids=QUATERNION_INPUTS.keys())
+def test_quaternion_method_prints_no_negative_zero(payload, capsys):
+    assert main(["rotor-from-matrix", "--method", "quaternion", json.dumps(payload)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert re.search(r"-0(?![.\d])", out) is None, out
+
+
+def test_quaternion_method_selects_and_assembles_once(monkeypatch, capsys):
+    selections, assemblies = [], []
+    select, assemble = cli.select_candidate, covering.candidate_n3
+
+    def counting_select(*args, **kwargs):
+        selections.append(kwargs["method"])
+        return select(*args, **kwargs)
+
+    def counting_assemble(*args, **kwargs):
+        assemblies.append(args[2])
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "select_candidate", counting_select)
+    monkeypatch.setattr(covering, "candidate_n3", counting_assemble)
+    assert main(["rotor-from-matrix", "--method", "quaternion", str(FIXTURES / "quat_rot.json")]) == EXIT_OK
+    assert "quaternion" in json.loads(capsys.readouterr().out)
+    assert selections == ["n3"] and assemblies == [0]
 
 
 # -- selfcheck --------------------------------------------------------------------

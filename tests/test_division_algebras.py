@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 
 from spincover.clifford_core import Multivector, Signature, exp_bivector, squared_norm
+import spincover.covering as covering
 from spincover.covering import (
     NoCandidateError,
     Rotor,
     candidate_n3,
     forward_map,
     matrix_to_rotor,
+    select_candidate,
 )
 from spincover.division_algebras import (
     PAULI,
-    PROBE_BLADES,
     Quaternion,
     SplitQuaternion,
     qmul,
@@ -24,11 +25,7 @@ from spincover.division_algebras import (
     quaternion_to_su2,
     rotor_to_quaternion,
     rotor_to_split,
-    select_quaternion_candidate,
-    select_split_candidate,
-    so21_to_split_quaternion_candidates,
     so21_to_unit_split_quaternion,
-    so3_to_quaternion_candidates,
     so3_to_unit_quaternion,
     split_to_rotor,
     split_to_su11,
@@ -109,6 +106,9 @@ def test_product_functions_match_operators():
     assert qmul(x, y).isclose(x * y, 0.0)
     u, v = random_split(rng), random_split(rng)
     assert sqmul(u, v).isclose(u * v, 0.0)
+    # the two algebras do not multiply with each other
+    with pytest.raises(TypeError):
+        x * u
 
 
 def test_conjugation_and_norms():
@@ -182,32 +182,103 @@ def test_rotor_to_quaternion_rejects_stray_components():
 
 
 # -- candidate formulas ------------------------------------------------------
+#
+# The quaternion candidates Q_F are the n3 candidates L_F read through the
+# bridge. The hand-expanded tables below are an independent reference for
+# them; p[r][c] is the coordinate over generator r+1 of the image of
+# generator c+1.
+
+PROBE_BLADES = (0, 0b011, 0b101, 0b110)
+
+
+def quaternion_table(p: np.ndarray) -> dict[int, Quaternion]:
+    return {
+        0: Quaternion(
+            1 + p[0, 0] + p[1, 1] + p[2, 2],
+            p[0, 1] - p[1, 0],
+            p[0, 2] - p[2, 0],
+            -p[1, 2] + p[2, 1],
+        ),
+        0b011: Quaternion(
+            p[0, 1] - p[1, 0],
+            1 - p[0, 0] - p[1, 1] + p[2, 2],
+            -p[1, 2] - p[2, 1],
+            -p[0, 2] - p[2, 0],
+        ),
+        0b101: Quaternion(
+            p[0, 2] - p[2, 0],
+            -p[1, 2] - p[2, 1],
+            1 - p[0, 0] + p[1, 1] - p[2, 2],
+            p[0, 1] + p[1, 0],
+        ),
+        0b110: Quaternion(
+            p[1, 2] - p[2, 1],
+            p[0, 2] + p[2, 0],
+            -p[0, 1] - p[1, 0],
+            -1 - p[0, 0] + p[1, 1] + p[2, 2],
+        ),
+    }
+
+
+def split_table(p: np.ndarray) -> dict[int, SplitQuaternion]:
+    return {
+        0: SplitQuaternion(
+            1 + p[0, 0] + p[1, 1] + p[2, 2],
+            p[0, 1] - p[1, 0],
+            -p[0, 2] - p[2, 0],
+            p[1, 2] + p[2, 1],
+        ),
+        0b011: SplitQuaternion(
+            p[0, 1] - p[1, 0],
+            1 - p[0, 0] - p[1, 1] + p[2, 2],
+            p[1, 2] - p[2, 1],
+            p[0, 2] - p[2, 0],
+        ),
+        0b101: SplitQuaternion(
+            p[0, 2] + p[2, 0],
+            -p[1, 2] + p[2, 1],
+            1 - p[0, 0] + p[1, 1] - p[2, 2],
+            p[0, 1] + p[1, 0],
+        ),
+        0b110: SplitQuaternion(
+            p[1, 2] + p[2, 1],
+            p[0, 2] - p[2, 0],
+            -p[0, 1] - p[1, 0],
+            -1 - p[0, 0] + p[1, 1] + p[2, 2],
+        ),
+    }
+
+
+def quaternion_candidate(matrix: np.ndarray, F: int) -> Quaternion:
+    return rotor_to_quaternion(candidate_n3(matrix, SIG30, F).M)
+
+
+def split_candidate(matrix: np.ndarray, F: int) -> SplitQuaternion:
+    return rotor_to_split(candidate_n3(matrix, SIG21, F).M)
+
 
 def test_quaternion_candidates_identity():
-    cands = so3_to_quaternion_candidates(np.eye(3))
-    assert set(cands) == set(PROBE_BLADES)
-    assert cands[0].isclose(Quaternion(4, 0, 0, 0), 0.0)
+    assert quaternion_candidate(np.eye(3), 0).isclose(Quaternion(4, 0, 0, 0), 0.0)
     for F in PROBE_BLADES[1:]:
-        assert cands[F].norm_squared() == 0.0
+        assert quaternion_candidate(np.eye(3), F).norm_squared() == 0.0
 
 
 def test_quaternion_candidates_half_turn():
-    cands = so3_to_quaternion_candidates(np.diag([1.0, -1.0, -1.0]))
-    assert cands[0b110].isclose(Quaternion(0, 0, 0, -4), 0.0)
+    half_turn = np.diag([1.0, -1.0, -1.0])
+    assert quaternion_candidate(half_turn, 0b110).isclose(Quaternion(0, 0, 0, -4), 0.0)
     for F in (0, 0b011, 0b101):
-        assert cands[F].norm_squared() == 0.0
+        assert quaternion_candidate(half_turn, F).norm_squared() == 0.0
 
 
 def test_quaternion_candidates_quarter_turn():
-    cands = so3_to_quaternion_candidates(rotation_z(math.pi / 2.0))
-    assert cands[0].isclose(Quaternion(2, -2, 0, 0), 1e-15)
+    assert quaternion_candidate(rotation_z(math.pi / 2.0), 0).isclose(Quaternion(2, -2, 0, 0), 1e-15)
 
 
 def test_split_candidates_rotation_plane():
     angle = 0.8
     c, s = math.cos(angle), math.sin(angle)
-    cands = so21_to_split_quaternion_candidates(rotation_z(angle))
-    assert cands[0].isclose(SplitQuaternion(2.0 * (1.0 + c), -2.0 * s, 0, 0), 1e-14)
+    got = split_candidate(rotation_z(angle), 0)
+    assert got.isclose(SplitQuaternion(2.0 * (1.0 + c), -2.0 * s, 0, 0), 1e-14)
 
 
 def test_candidates_match_bridged_first_order_candidates():
@@ -218,10 +289,9 @@ def test_candidates_match_bridged_first_order_candidates():
             coeffs[mask] = 0.5 * rng.uniform(-1.0, 1.0)
         rotor = Rotor(exp_bivector(Multivector(SIG30, coeffs)))
         matrix = forward_map(rotor)
-        cands = so3_to_quaternion_candidates(matrix)
+        table = quaternion_table(matrix)
         for F in PROBE_BLADES:
-            bridged = rotor_to_quaternion(candidate_n3(matrix, SIG30, F).M)
-            assert cands[F].isclose(bridged, 1e-12)
+            assert table[F].isclose(quaternion_candidate(matrix, F), 1e-12)
 
 
 def test_split_candidates_match_bridged_first_order_candidates():
@@ -232,25 +302,23 @@ def test_split_candidates_match_bridged_first_order_candidates():
             coeffs[mask] = 0.4 * rng.uniform(-1.0, 1.0)
         rotor = Rotor(exp_bivector(Multivector(SIG21, coeffs)))
         matrix = forward_map(rotor)
-        cands = so21_to_split_quaternion_candidates(matrix)
+        table = split_table(matrix)
         for F in PROBE_BLADES:
-            bridged = rotor_to_split(candidate_n3(matrix, SIG21, F).M)
-            assert cands[F].isclose(bridged, 1e-12)
+            assert table[F].isclose(split_candidate(matrix, F), 1e-12)
 
 
 def test_select_candidate_prefers_largest_norm():
-    F, q = select_quaternion_candidate(np.diag([1.0, -1.0, -1.0]))
-    assert F == 0b110
-    assert q.isclose(Quaternion(0, 0, 0, -4), 0.0)
-    F, q = select_quaternion_candidate(np.eye(3))
-    assert F == 0
+    cand = select_candidate(np.diag([1.0, -1.0, -1.0]), SIG30, "n3")
+    assert cand.F == 0b110
+    assert rotor_to_quaternion(cand.M).isclose(Quaternion(0, 0, 0, -4), 0.0)
+    assert select_candidate(np.eye(3), SIG30, "n3").F == 0
 
 
 def test_select_split_candidate_requires_positive_norm():
-    # a split candidate is usable only when conj(q) q > 0; the half-turn
-    # diag(1,-1,-1) is outside SO+(2,1) and leaves no usable candidate
+    # the half-turn diag(1,-1,-1) is outside SO+(2,1) and leaves no
+    # candidate with a positive normalizer
     with pytest.raises(NoCandidateError):
-        select_split_candidate(np.diag([1.0, -1.0, -1.0]))
+        so21_to_unit_split_quaternion(np.diag([1.0, -1.0, -1.0]), validate=False)
 
 
 # -- unit extraction ---------------------------------------------------------
@@ -311,6 +379,50 @@ def test_boost_agrees_with_clifford_recovery():
     via_bridge = split_to_rotor(q).canonicalized()
     via_clifford = matrix_to_rotor(matrix, SIG21)
     assert (via_bridge.value - via_clifford.value).max_abs() <= 1e-12
+
+
+def test_split_boost_is_accurate_to_rounding():
+    # the boost of rapidity 8 is covered by cosh 4 - sinh 4 j, up to sign;
+    # the n3 normalizer divides by the e_F coefficient and does not cancel
+    t = 8.0
+    q = so21_to_unit_split_quaternion(boost_13(t))
+    exact = np.array([math.cosh(t / 2.0), 0.0, -math.sinh(t / 2.0), 0.0])
+    assert np.max(np.abs(q.components() - exact)) <= 1e-15 * np.max(np.abs(exact))
+
+
+def has_negative_zero(values: np.ndarray) -> bool:
+    flat = np.asarray(values).view(float) if np.iscomplexobj(values) else np.asarray(values, float)
+    return bool(np.any((flat == 0.0) & np.signbit(flat)))
+
+
+def test_unit_elements_have_no_negative_zeros():
+    for matrix in (np.diag([-1.0, -1.0, 1.0]), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0])):
+        q = so3_to_unit_quaternion(matrix)
+        assert not has_negative_zero(q.components())
+        assert not has_negative_zero(quaternion_to_su2(q))
+    s = so21_to_unit_split_quaternion(np.diag([-1.0, -1.0, 1.0]))
+    assert not has_negative_zero(s.components())
+    assert not has_negative_zero(split_to_su11(s))
+
+
+def test_unit_quaternion_selects_and_assembles_once(monkeypatch):
+    selections, assemblies = [], []
+    select, assemble = covering.select_candidate, covering.candidate_n3
+
+    def counting_select(*args, **kwargs):
+        selections.append(args[1])
+        return select(*args, **kwargs)
+
+    def counting_assemble(*args, **kwargs):
+        assemblies.append(args[2])
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(covering, "select_candidate", counting_select)
+    monkeypatch.setattr(covering, "candidate_n3", counting_assemble)
+    so3_to_unit_quaternion(rotation_z(0.4))
+    assert selections == [SIG30] and len(assemblies) == 1
+    so21_to_unit_split_quaternion(boost_13(0.8))
+    assert selections == [SIG30, SIG21] and len(assemblies) == 2
 
 
 # -- 2x2 complex images -------------------------------------------------------
