@@ -297,13 +297,13 @@ class Multivector:
         """The n grade-1 coefficients, in generator order."""
         return self._coeffs[1 << np.arange(self.sig.n)].copy()
 
-    def terms(self, threshold: float = ZERO_THRESHOLD) -> Iterator[tuple[int, float]]:
-        """(mask, coefficient) pairs above threshold, in (grade, mask) order."""
+    def terms(self) -> Iterator[tuple[int, float]]:
+        """(mask, coefficient) pairs above ZERO_THRESHOLD, in (grade, mask) order."""
         grades = _grades(self.sig.n)
         order = np.lexsort((np.arange(self.sig.dim), grades))
         for mask in order:
             value = self._coeffs[mask]
-            if abs(value) > threshold:
+            if abs(value) > ZERO_THRESHOLD:
                 yield int(mask), float(value)
 
     def max_abs(self) -> float:

@@ -11,12 +11,15 @@ Recovery probes the matrix with an even-grade blade F, assembling
     M_F = sum over k = 0..n, over row k-subsets B and column k-subsets A,
           of minor(P, B, A) * e_B e_F e^A
 
-which is always proportional to the sought rotor. For n = 3 the sum
-collapses to the cheaper first-order candidate
+which is always proportional to the sought rotor. The minors come grade
+by grade, each grade one Laplace step from the one below
+(matrix_group.batched_minors). For n = 3 the same sum cut after grade 1
+is the first-order candidate
 
     L_F = e_F + sum over a, b of p_a^b e_b e_F e^a
 
-with M_F = 2 L_F.
+with M_F = 2 L_F, so the n3 form is the general assembly over the
+grade 0 and 1 tables.
 
 The candidate is M_F = 2^n eps_F s_F S, where eps_F is the sign of
 reverse(e_F) e_F and s_F the e_F coefficient of S, so it vanishes exactly
@@ -27,8 +30,8 @@ so the e_F coefficient
 
 is a Walsh-Hadamard transform of the 2^n principal minors. One transform
 ranks every probe by w_F = eps_F <M_F>_F = 2^n s_F^2, and only the
-candidate with the largest w_F is assembled. The rotor is
-M_F / sqrt(2^n eps_F <M_F>_F), up to sign. The reverse-norm
+candidate with the largest w_F is assembled; no other probe is tried.
+The rotor is M_F / sqrt(2^n eps_F <M_F>_F), up to sign. The reverse-norm
 reverse(M_F) M_F = 4^n s_F^2 would give the same divisor in exact
 arithmetic, but for q > 0 it is an indefinite sum of squares that
 cancels catastrophically on large boosts, so it only tests that the
@@ -64,13 +67,20 @@ from .matrix_group import (
 
 Method = Literal["general", "n3"]
 
+#: Minor tables of grades 0, 1, ..., as returned by batched_minors.
+_Tables = list[tuple[np.ndarray, np.ndarray]]
+
 #: Candidates with reverse-norm at or below RELATIVE_THRESHOLD x (2^n)^2
 #: (scaled by 1/4 for the n=3 form) count as zero.
 RELATIVE_THRESHOLD = 1e-18
 
 
 class NoCandidateError(RuntimeError):
-    """No probe blade produced a usable candidate (all reverse-norms ~ 0)."""
+    """The candidate of the largest-weight probe is unusable.
+
+    Either its reverse-norm is ~ 0 or its normalizer is not positive; no
+    matrix in SO+(p,q) gives either, and no other probe is tried.
+    """
 
 
 def _size(value: Multivector) -> float:
@@ -260,19 +270,24 @@ def forward_map(rotor: Rotor | Multivector, tol: float = DEFAULT_TOLERANCE) -> n
 # Inverse direction: matrix -> rotor
 # ---------------------------------------------------------------------------
 
-def _subset_mask_vector(subsets: list[tuple[int, ...]]) -> np.ndarray:
-    return np.array([sum(1 << i for i in s) for s in subsets], dtype=np.int64)
-
-
-def _minor_tables(arr: np.ndarray, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    tables = []
-    for k in range(n + 1):
-        subsets, dets = batched_minors(arr, k)
-        tables.append((_subset_mask_vector(subsets), dets))
+def _minor_tables(arr: np.ndarray, sig: Signature, method: Method) -> _Tables:
+    # Grades 0..n for the general sum and 0..1 for the n3 form, the same
+    # sum cut after grade 1; each grade is one Laplace step from the last.
+    if method == "n3":
+        if sig.n != 3:
+            raise ValueError(f"method 'n3' needs n = 3, got n = {sig.n}")
+        top = 1
+    elif method == "general":
+        top = sig.n
+    else:
+        raise ValueError(f"unknown method {method!r}; expected 'general' or 'n3'")
+    tables = [batched_minors(arr, 0, None)]
+    for k in range(1, top + 1):
+        tables.append(batched_minors(arr, k, tables[-1]))
     return tables
 
 
-def _assemble_general(sig: Signature, tables: list[tuple[np.ndarray, np.ndarray]], F: int) -> Multivector:
+def _assemble_general(sig: Signature, tables: _Tables, F: int) -> Multivector:
     # One bincount per grade accumulates every minor(P,B,A) e_B e_F e^A term:
     # sign(e_B e_F) * sign(e_{B^F} e_A) * sign(e_A e_A) at mask B ^ F ^ A.
     # Only the middle sign needs the pair grid.
@@ -290,33 +305,25 @@ def _assemble_general(sig: Signature, tables: list[tuple[np.ndarray, np.ndarray]
     return Multivector(sig, total)
 
 
-def _candidate_from(sig: Signature, F: int, M: Multivector) -> CandidateElement:
+def _candidate(sig: Signature, tables: _Tables, F: int) -> CandidateElement:
+    M = _assemble_general(sig, tables, F)
     return CandidateElement(F, M, squared_norm(M))
+
+
+def _probe_candidate(matrix: object, sig: Signature, F: int, method: Method) -> CandidateElement:
+    if blade_grade(F) % 2:
+        raise ValueError(f"probe blade {blade_name(F)} has odd grade")
+    return _candidate(sig, _minor_tables(_entries(matrix, sig), sig, method), F)
 
 
 def candidate_general(matrix: object, sig: Signature, F: int) -> CandidateElement:
     """Full-grade-sum candidate M_F for an even probe blade F."""
-    if blade_grade(F) % 2:
-        raise ValueError(f"probe blade {blade_name(F)} has odd grade")
-    arr = _entries(matrix, sig)
-    M = _assemble_general(sig, _minor_tables(arr, sig.n), F)
-    return _candidate_from(sig, F, M)
+    return _probe_candidate(matrix, sig, F, "general")
 
 
 def candidate_n3(matrix: object, sig: Signature, F: int) -> CandidateElement:
-    """First-order candidate L_F, valid only for n = 3; M_F = 2 L_F."""
-    if sig.n != 3:
-        raise ValueError(f"the first-order candidate needs n = 3, got n = {sig.n}")
-    if blade_grade(F) % 2:
-        raise ValueError(f"probe blade {blade_name(F)} has odd grade")
-    arr = _entries(matrix, sig)
-    masks = np.int64(1) << np.arange(3, dtype=np.int64)
-    b = masks[:, None]
-    a = masks[None, :]
-    signs = blade_signs(sig, b, F) * blade_signs(sig, b ^ F, a) * blade_signs(sig, a, a)
-    coeffs = np.bincount(((b ^ F) ^ a).ravel(), weights=(arr * signs).ravel(), minlength=sig.dim)
-    coeffs[F] += 1.0
-    return _candidate_from(sig, F, Multivector(sig, coeffs))
+    """First-order candidate L_F, the sum cut after grade 1; n = 3 only, where M_F = 2 L_F."""
+    return _probe_candidate(matrix, sig, F, "n3")
 
 
 def even_blades(n: int) -> Iterator[int]:
@@ -326,31 +333,12 @@ def even_blades(n: int) -> Iterator[int]:
             yield int(mask)
 
 
-def _principal_minors(
-    arr: np.ndarray, sig: Signature, method: Method
-) -> tuple[list[tuple[np.ndarray, np.ndarray]] | None, np.ndarray]:
-    """Minor tables (general only) and d with d[A] = det P[A, A], d[0] = 1.
-
-    The n3 form sees only the first-order terms: d = (1, p11, p22, p33) on
-    masks 0, 1, 2, 4 and zero elsewhere.
-    """
+def _probe_weights(sig: Signature, tables: _Tables) -> np.ndarray:
+    # w_F = eps_F sum_A (-1)^|A & F| det P[A, A] over the grades in tables;
+    # the n3 form sees d = (1, p11, p22, p33) on masks 0, 1, 2, 4.
     d = np.zeros(sig.dim)
-    if method == "n3":
-        if sig.n != 3:
-            raise ValueError(f"method 'n3' needs n = 3, got n = {sig.n}")
-        d[0] = 1.0
-        d[[1, 2, 4]] = np.diagonal(arr)
-        return None, d
-    if method != "general":
-        raise ValueError(f"unknown method {method!r}; expected 'general' or 'n3'")
-    tables = _minor_tables(arr, sig.n)
     for masks, dets in tables:
         d[masks] = np.diagonal(dets)
-    return tables, d
-
-
-def _probe_weights(sig: Signature, d: np.ndarray) -> np.ndarray:
-    # w_F = eps_F sum_A (-1)^|A & F| d_A.
     return _reverse_norm_signs(sig.p, sig.q) * _walsh_hadamard(d)
 
 
@@ -361,57 +349,32 @@ def probe_weights(matrix: object, sig: Signature, method: Method = "general") ->
     e_F coefficient of S (2^(n-1) s_F^2 for the n3 form). Only the even
     masks name probes.
     """
-    return _probe_weights(sig, _principal_minors(_entries(matrix, sig), sig, method)[1])
+    return _probe_weights(sig, _minor_tables(_entries(matrix, sig), sig, method))
 
 
-def iter_candidates(matrix: object, sig: Signature, method: Method = "general") -> Iterator[CandidateElement]:
-    """Candidates for the even probe blades, assembled lazily, largest w_F first.
+def select_candidate(matrix: object, sig: Signature, method: Method = "general") -> CandidateElement:
+    """The candidate of the probe F with the largest w_F from probe_weights.
 
-    The order comes from probe_weights; exact ties keep ascending
-    (grade, mask) order.
+    Exact ties go to the first even blade in (grade, mask) order. Only this
+    one candidate is assembled: for a matrix in SO+(p,q) it is the probe
+    with the largest s_F^2, and since the s_F^2 over the even blades sum to
+    at least 1 that candidate cannot vanish.
+
+    Raises NoCandidateError, naming the candidate, when its reverse-norm is
+    not above RELATIVE_THRESHOLD x (2^n)^2 (x 1/4 for the n3 form); no
+    other probe is tried.
     """
     arr = _entries(matrix, sig)
-    tables, d = _principal_minors(arr, sig, method)
+    tables = _minor_tables(arr, sig, method)
     evens = np.fromiter(even_blades(sig.n), dtype=np.int64)
-    weights = _probe_weights(sig, d)[evens]
-    for F in evens[np.argsort(-weights, kind="stable")].tolist():
-        if tables is None:
-            yield candidate_n3(arr, sig, F)
-        else:
-            yield _candidate_from(sig, F, _assemble_general(sig, tables, F))
-
-
-def select_candidate(
-    matrix: object,
-    sig: Signature,
-    method: Method = "general",
-    threshold: float | None = None,
-) -> CandidateElement:
-    """The first candidate from iter_candidates whose reverse-norm exceeds threshold.
-
-    For a matrix in SO+(p,q) that is the first one, the probe with the
-    largest s_F^2, so exactly one candidate is assembled. A matrix outside
-    the group (validation skipped or loosened) can give a vanishing first
-    candidate; the later ones are then tried in turn.
-
-    Raises NoCandidateError, naming the candidate with the largest
-    reverse-norm, when none exceeds threshold.
-    """
-    scale = 4.0 if method == "n3" else 1.0
-    if threshold is None:
-        threshold = RELATIVE_THRESHOLD * float(sig.dim) ** 2 / scale
-    best: CandidateElement | None = None
-    for cand in iter_candidates(matrix, sig, method):
-        if cand.normsq > threshold:
-            return cand
-        if best is None or cand.normsq > best.normsq:
-            best = cand
-    assert best is not None
-    arr = _entries(matrix, sig)
-    raise NoCandidateError(
-        f"no nonzero covering candidate: best reverse-norm {best.normsq:.6g} at "
-        f"F = {best.blade} (threshold {threshold:.6g}) for matrix\n{np.array2string(arr)}"
-    )
+    cand = _candidate(sig, tables, int(evens[np.argmax(_probe_weights(sig, tables)[evens])]))
+    threshold = RELATIVE_THRESHOLD * float(sig.dim) ** 2 / (4.0 if method == "n3" else 1.0)
+    if not cand.normsq > threshold:
+        raise NoCandidateError(
+            f"no nonzero covering candidate: best reverse-norm {cand.normsq:.6g} at "
+            f"F = {cand.blade} (threshold {threshold:.6g}) for matrix\n{np.array2string(arr)}"
+        )
+    return cand
 
 
 def rotor_from_candidate(cand: CandidateElement, method: Method = "general") -> Rotor:

@@ -3,8 +3,9 @@
 A matrix P lies in O(p,q) when P^T eta P = eta. The subgroup handled here is
 SO+(p,q): determinant +1 and orthochronous, meaning the leading p x p minor
 stays >= 1 (it cannot drop below 1 on the identity component). Membership is
-decided numerically against a tolerance, and minors of P feed the covering
-construction.
+decided numerically against a tolerance. The minors of P feed the covering
+construction; batched_minors builds all of one size from the next smaller
+size by one Laplace step.
 
 Orientation convention used throughout the package: entries[b][a] (0-based)
 is the coordinate over generator b+1 of the image of generator a+1, so the
@@ -14,12 +15,12 @@ image coordinates of one generator fill one column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .clifford_core import Signature
+from .clifford_core import Signature, grade_masks
 
 #: Default tolerance for membership residuals.
 DEFAULT_TOLERANCE = 1e-9
@@ -27,21 +28,31 @@ DEFAULT_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class MembershipReport:
-    """Residuals of the three membership conditions, with the verdict."""
+    """Residuals of the three membership conditions, with the verdict.
+
+    The metric residual and |det - 1| are held to tolerance * scale, where
+    scale = max(1, max |P_ij|)^2 is the size of their rounding; the
+    orthochronous minor must reach 1 - tolerance.
+    """
 
     sig: Signature
     metric_residual: float
     determinant: float
     orientation_minor: float
     tolerance: float
+    scale: float = 1.0
+
+    @property
+    def bound(self) -> float:
+        return self.tolerance * self.scale
 
     @property
     def is_pseudo_orthogonal(self) -> bool:
-        return self.metric_residual <= self.tolerance
+        return self.metric_residual <= self.bound
 
     @property
     def has_unit_determinant(self) -> bool:
-        return abs(self.determinant - 1.0) <= self.tolerance
+        return abs(self.determinant - 1.0) <= self.bound
 
     @property
     def is_orthochronous(self) -> bool:
@@ -56,10 +67,10 @@ class MembershipReport:
         if not self.is_pseudo_orthogonal:
             out.append(
                 f"not pseudo-orthogonal: max |P^T eta P - eta| = {self.metric_residual:.3e} "
-                f"exceeds {self.tolerance:.3e}"
+                f"exceeds {self.bound:.3e}"
             )
         if not self.has_unit_determinant:
-            out.append(f"determinant {self.determinant:.12g} is not 1 within {self.tolerance:.3e}")
+            out.append(f"determinant {self.determinant:.12g} is not 1 within {self.bound:.3e}")
         if not self.is_orthochronous:
             out.append(
                 f"orthochronous condition failed: leading {self.sig.p}x{self.sig.p} minor "
@@ -96,7 +107,11 @@ def as_square_matrix(matrix: object, n: int) -> np.ndarray:
 
 
 def check_membership(matrix: object, sig: Signature, tol: float = DEFAULT_TOLERANCE) -> MembershipReport:
-    """Measure how far a matrix is from SO+(p,q); never raises on failure."""
+    """Measure how far a matrix is from SO+(p,q); never raises on failure.
+
+    The metric and determinant residuals are judged relative to
+    max(1, max |P_ij|)^2, so a correctly rounded large boost passes.
+    """
     arr = as_square_matrix(matrix, sig.n)
     eta = metric_matrix(sig)
     residual = float(np.max(np.abs(arr.T @ eta @ arr - eta)))
@@ -105,7 +120,8 @@ def check_membership(matrix: object, sig: Signature, tol: float = DEFAULT_TOLERA
         orient = 1.0
     else:
         orient = float(np.linalg.det(arr[: sig.p, : sig.p]))
-    return MembershipReport(sig, residual, det, orient, tol)
+    scale = max(1.0, float(np.max(np.abs(arr)))) ** 2
+    return MembershipReport(sig, residual, det, orient, tol, scale)
 
 
 def require_membership(matrix: object, sig: Signature, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
@@ -186,8 +202,8 @@ def minor(matrix: object, rows: Sequence[int], cols: Sequence[int]) -> float:
     """Determinant of the submatrix on the given rows and columns (1-based).
 
     Indices must be strictly ascending; empty index lists give 1.0. Accepts
-    an OrthoMatrix or any square array. Sizes up to 3 use closed forms, the
-    rest LU.
+    an OrthoMatrix or any square array. The value is the last of the
+    submatrix's batched_minors tables, C(2k, k) minors in all for k indices.
     """
     if isinstance(matrix, OrthoMatrix):
         matrix = matrix.entries
@@ -196,61 +212,61 @@ def minor(matrix: object, rows: Sequence[int], cols: Sequence[int]) -> float:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if len(rows) != len(cols):
         raise ValueError(f"minor needs equally many rows and columns, got {len(rows)} and {len(cols)}")
-    if not rows:
-        return 1.0
-    return float(_determinants(_submatrix(arr, rows, cols, arr.shape[0])))
+    sub = _submatrix(arr, rows, cols, arr.shape[0])
+    table = batched_minors(sub, 0, None)
+    for k in range(1, len(rows) + 1):
+        table = batched_minors(sub, k, table)
+    return float(table[1][0, 0])
 
 
-def batched_minors(matrix: np.ndarray, k: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """All k x k minors of an n x n matrix at once.
+def batched_minors(
+    matrix: np.ndarray, k: int, lower: tuple[np.ndarray, np.ndarray] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """All k x k minors of an n x n matrix, from its (k-1) x (k-1) minors.
 
-    Returns the list of k-subsets of range(n) (0-based, lexicographic) and a
-    square array whose [i, j] entry is the minor on rows subsets[i] and
-    columns subsets[j]. Sizes up to 3 use closed forms; larger sizes go
-    through batched LU determinant calls on slabs of at most
-    _SLAB_ENTRIES gathered entries each.
+    Returns (masks, dets): masks holds the grade-k blade masks in ascending
+    order, bit i standing for 0-based row or column i, and dets[i, j] is the
+    minor on rows masks[i] and columns masks[j]. lower is the table returned
+    for grade k - 1; grade 0 needs none and is ([0], [[1]]). Every minor is
+    one first-row Laplace step,
+
+        det P[B, A] = sum over j of (-1)^j p[b_1, a_j] det P[B - b_1, A - a_j]
+
+    with b_1 the lowest row in B and a_j the j-th lowest column in A (from
+    j = 0), summed in order of j: for k <= 3 this is the arithmetic of the
+    closed-form 1x1, 2x2 and 3x3 determinants, term for term.
     """
     n = matrix.shape[0]
-    subsets = list(combinations(range(n), k))
+    masks = grade_masks(n, k)
     if k == 0:
-        return subsets, np.ones((1, 1))
-    rows = np.array(subsets)
-    if k >= 4:
-        return subsets, _slab_determinants(matrix, rows)
-    return subsets, _determinants(matrix[rows[:, None, :, None], rows[None, :, None, :]])
+        return masks, np.ones((1, 1))
+    bits, cols = _laplace_indices(n, k)
+    # B - b_1 is A - a_0 for A = B, so the rows reuse the j = 0 columns.
+    first, rows = bits[0][:, None], cols[0][:, None]
+    lower_dets = lower[1]
+    for j in range(k):
+        term = lower_dets[rows, cols[j]]
+        term *= matrix[first, bits[j]]
+        if j == 0:
+            dets = term
+        elif j % 2:
+            dets -= term
+        else:
+            dets += term
+    return masks, dets
 
 
-def _determinants(blocks: np.ndarray) -> np.ndarray:
-    # Determinants over the last two axes: closed forms up to 3 x 3, LU above.
-    k = blocks.shape[-1]
-    if k == 1:
-        return blocks[..., 0, 0].copy()
-    if k == 2:
-        return blocks[..., 0, 0] * blocks[..., 1, 1] - blocks[..., 0, 1] * blocks[..., 1, 0]
-    if k == 3:
-        return (
-            blocks[..., 0, 0] * (blocks[..., 1, 1] * blocks[..., 2, 2] - blocks[..., 1, 2] * blocks[..., 2, 1])
-            - blocks[..., 0, 1] * (blocks[..., 1, 0] * blocks[..., 2, 2] - blocks[..., 1, 2] * blocks[..., 2, 0])
-            + blocks[..., 0, 2] * (blocks[..., 1, 0] * blocks[..., 2, 1] - blocks[..., 1, 1] * blocks[..., 2, 0])
-        )
-    return np.linalg.det(blocks)
-
-
-#: Largest number of matrix entries batched_minors gathers for one LU call:
-#: 512 KB of float64.
-_SLAB_ENTRIES = 1 << 16
-
-
-def _slab_determinants(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # One gather of every block holds m^2 k^2 floats, 12.7 MB for n = 10 and
-    # k = 5. Whether the malloc heap keeps or returns freed arrays that size
-    # depends on its layout, which moved a process's peak RSS by MB from one
-    # run to the next. Slabs of rows bound each gather; every block's LU,
-    # and so every minor, is the same as in one stacked call.
-    m, k = rows.shape
-    dets = np.empty((m, m))
-    step = max(1, _SLAB_ENTRIES // (m * k * k))
-    for start in range(0, m, step):
-        slab = rows[start:start + step]
-        dets[start:start + step] = _determinants(matrix[slab[:, None, :, None], rows[None, :, None, :]])
-    return dets
+@lru_cache(maxsize=None)
+def _laplace_indices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    # (k, m) arrays over the grade-k masks A: bits[j] is a_j, the j-th
+    # lowest bit of A, and cols[j] the index of A - a_j among the grade
+    # k - 1 masks.
+    masks = grade_masks(n, k)
+    position = np.zeros(1 << n, dtype=np.int64)
+    lower = grade_masks(n, k - 1)
+    position[lower] = np.arange(lower.size)
+    bits = np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(-1, k).T.copy()
+    cols = position[masks ^ (1 << bits)]
+    for index in (bits, cols):
+        index.setflags(write=False)
+    return bits, cols

@@ -258,7 +258,7 @@ def test_quaternion_method_prints_no_negative_zero(payload, capsys):
 
 def test_quaternion_method_selects_and_assembles_once(monkeypatch, capsys):
     selections, assemblies = [], []
-    select, assemble = cli.select_candidate, covering.candidate_n3
+    select, assemble = cli.select_candidate, covering._assemble_general
 
     def counting_select(*args, **kwargs):
         selections.append(kwargs["method"])
@@ -269,7 +269,7 @@ def test_quaternion_method_selects_and_assembles_once(monkeypatch, capsys):
         return assemble(*args, **kwargs)
 
     monkeypatch.setattr(cli, "select_candidate", counting_select)
-    monkeypatch.setattr(covering, "candidate_n3", counting_assemble)
+    monkeypatch.setattr(covering, "_assemble_general", counting_assemble)
     assert main(["rotor-from-matrix", "--method", "quaternion", str(FIXTURES / "quat_rot.json")]) == EXIT_OK
     assert "quaternion" in json.loads(capsys.readouterr().out)
     assert selections == ["n3"] and assemblies == [0]

@@ -25,9 +25,9 @@ from spincover.covering import (
     conjugated_generators,
     even_blades,
     forward_map,
-    iter_candidates,
     matrix_to_rotor,
     probe_weights,
+    rotor_from_candidate,
     rotor_from_frames,
     select_candidate,
 )
@@ -235,15 +235,16 @@ def test_candidates_are_even_exactly():
     rng = np.random.default_rng(5)
     for sig in (SIG30, SIG21, Signature(2, 2)):
         matrix = forward_map(random_rotor(sig, rng))
-        for cand in iter_candidates(matrix, sig):
-            assert cand.M.odd_part_max() == 0.0
+        for F in even_blades(sig.n):
+            assert candidate_general(matrix, sig, F).M.odd_part_max() == 0.0
 
 
 def test_candidate_reverse_norm_is_scalar():
     rng = np.random.default_rng(6)
     for sig in (SIG30, SIG21):
         matrix = forward_map(random_rotor(sig, rng))
-        for cand in iter_candidates(matrix, sig):
+        for F in even_blades(sig.n):
+            cand = candidate_general(matrix, sig, F)
             gram = cand.M.reverse() * cand.M
             assert abs(gram.scalar_part() - cand.normsq) <= 1e-9 * max(1.0, abs(cand.normsq))
             scale = max(1.0, cand.M.max_abs() ** 2)
@@ -309,11 +310,6 @@ def test_select_candidate_examples():
     half_turn = np.array([[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
     assert select_candidate(half_turn, SIG30).F == 0b101
     assert select_candidate(half_turn, SIG30, method="n3").F == 0b101
-
-
-def test_select_candidate_threshold_override():
-    with pytest.raises(NoCandidateError, match="no nonzero covering candidate"):
-        select_candidate(np.eye(3), SIG30, threshold=1e6)
 
 
 def test_select_candidate_rejects_all_zero():
@@ -413,9 +409,9 @@ def test_cli_rotor_from_matrix_computes_each_minor_grade_once(monkeypatch, capsy
     grades = []
     original = covering.batched_minors
 
-    def counting(matrix, k):
+    def counting(matrix, k, lower):
         grades.append(k)
-        return original(matrix, k)
+        return original(matrix, k, lower)
 
     monkeypatch.setattr(covering, "batched_minors", counting)
     monkeypatch.setattr(matrix_group, "batched_minors", counting)
@@ -494,9 +490,23 @@ def test_matrix_to_rotor_no_candidate_error():
 
 
 def test_matrix_to_rotor_non_positive_normalizer_is_no_candidate():
-    # det -1: the e12 probe has reverse-norm 4 but a zero e12 coefficient
+    # det -1: both probe weights are 0, and the scalar probe picked on the
+    # tie has reverse-norm -4
+    matrix = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sig = Signature(1, 1)
+    with pytest.raises(NoCandidateError, match="best reverse-norm -4 at F = 1"):
+        matrix_to_rotor(matrix, sig, validate=False)
+    # the e12 probe has reverse-norm 4 but a zero e12 coefficient
     with pytest.raises(NoCandidateError, match="normalizer"):
-        matrix_to_rotor(np.array([[0.0, 1.0], [1.0, 0.0]]), Signature(1, 1), validate=False)
+        rotor_from_candidate(candidate_general(matrix, sig, 0b11))
+
+
+def test_matrix_to_rotor_tries_no_second_probe():
+    # outside the group: the scalar probe wins the tie w = 1 and its
+    # candidate has reverse-norm -3; the e12 probe would give 1 - 0.5 e12,
+    # which does not cover the matrix, so no fallback is taken
+    with pytest.raises(NoCandidateError, match="best reverse-norm -3 at F = 1"):
+        matrix_to_rotor(np.array([[0.0, 1.0], [1.0, 1.0]]), Signature(1, 1), validate=False)
 
 
 @pytest.mark.parametrize("method", ["general", "n3"])

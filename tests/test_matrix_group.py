@@ -19,7 +19,7 @@ from spincover.matrix_group import (
     require_membership,
 )
 
-from oracles import naive_minor
+from oracles import mask_to_blade, naive_minor
 
 SIG21 = Signature(2, 1)
 SIG30 = Signature(3, 0)
@@ -65,6 +65,24 @@ def test_check_membership_accepts_boost():
     report = check_membership(boost_11(1.3), Signature(1, 1))
     assert report.ok
     assert report.is_orthochronous
+
+
+@pytest.mark.parametrize("sig", [Signature(1, 1), Signature(3, 1)], ids=["1,1", "3,1"])
+@pytest.mark.parametrize("rapidity", [10.0, -10.0])
+def test_check_membership_scales_with_entries(sig, rapidity):
+    # cosh(10)^2 ~ 1.2e8: rounding the boost leaves a metric residual of
+    # 2.9e-8 and det - 1 of 8.6e-9, inside 1e-9 * max|P|^2; a 1e-6 relative
+    # error in one entry leaves ~2.4e2 and stays rejected
+    boost = np.eye(sig.n)
+    boost[0, 0] = boost[-1, -1] = math.cosh(rapidity)
+    boost[0, -1] = boost[-1, 0] = math.sinh(rapidity)
+    report = check_membership(boost, sig)
+    assert report.ok, report.failures()
+    assert report.metric_residual > 1e-9
+    boost[0, -1] *= 1.0 + 1e-6
+    report = check_membership(boost, sig)
+    assert not report.is_pseudo_orthogonal
+    assert not report.has_unit_determinant
 
 
 def test_check_membership_rejects_reflection():
@@ -220,40 +238,64 @@ def test_cauchy_binet_on_group_elements():
             assert abs(minor(product, rows, rows) - minor(eta, rows, rows)) <= 1e-10
 
 
+def _minor_tables(m: np.ndarray) -> list:
+    tables = [batched_minors(m, 0, None)]
+    for k in range(1, m.shape[0] + 1):
+        tables.append(batched_minors(m, k, tables[-1]))
+    return tables
+
+
+def _closed_form_determinants(blocks: np.ndarray) -> np.ndarray:
+    # Determinants over the last two axes by the explicit 1x1, 2x2 and 3x3
+    # formulas, which batched_minors used for these sizes before it
+    # computed every size by a Laplace step.
+    k = blocks.shape[-1]
+    if k == 1:
+        return blocks[..., 0, 0].copy()
+    if k == 2:
+        return blocks[..., 0, 0] * blocks[..., 1, 1] - blocks[..., 0, 1] * blocks[..., 1, 0]
+    return (
+        blocks[..., 0, 0] * (blocks[..., 1, 1] * blocks[..., 2, 2] - blocks[..., 1, 2] * blocks[..., 2, 1])
+        - blocks[..., 0, 1] * (blocks[..., 1, 0] * blocks[..., 2, 2] - blocks[..., 1, 2] * blocks[..., 2, 0])
+        + blocks[..., 0, 2] * (blocks[..., 1, 0] * blocks[..., 2, 1] - blocks[..., 1, 1] * blocks[..., 2, 0])
+    )
+
+
 def test_batched_minors_match_single_minor():
     rng = np.random.default_rng(23)
-    m = rng.uniform(-1, 1, (6, 6))
-    for k in range(0, 7):
-        subsets, dets = batched_minors(m, k)
-        count = math.comb(6, k)
-        assert len(subsets) == count
-        assert dets.shape == (count, count)
-        for i, rows in enumerate(subsets):
-            for j, cols in enumerate(subsets):
-                one_based_rows = tuple(r + 1 for r in rows)
-                one_based_cols = tuple(c + 1 for c in cols)
-                ref = minor(m, one_based_rows, one_based_cols)
-                assert abs(dets[i, j] - ref) <= 1e-10
-
-
-def test_batched_minors_slabs_match_one_stacked_call():
-    # n = 10 spreads every size from 4 to 9 over several slabs; each minor
-    # is the same LU, so the values agree exactly.
-    rng = np.random.default_rng(29)
     m = rng.uniform(-1, 1, (10, 10))
-    for k in range(4, 10):
-        subsets, dets = batched_minors(m, k)
-        rows = np.array(subsets)
-        full = np.linalg.det(m[rows[:, None, :, None], rows[None, :, None, :]])
-        assert np.array_equal(dets, full)
+    for k, (masks, dets) in enumerate(_minor_tables(m)):
+        count = math.comb(10, k)
+        assert masks.shape == (count,)
+        assert dets.shape == (count, count)
+        picks = rng.choice(count, size=min(count, 12), replace=False)
+        for i in picks:
+            for j in picks:
+                rows = [r - 1 for r in mask_to_blade(int(masks[i]))]
+                cols = [c - 1 for c in mask_to_blade(int(masks[j]))]
+                assert abs(dets[i, j] - np.linalg.det(m[np.ix_(rows, cols)])) <= 1e-10
+
+
+def test_batched_minors_up_to_three_are_the_closed_forms():
+    # the grade-by-grade Laplace step does the closed forms' arithmetic,
+    # so the tables for k <= 3 match them bit for bit
+    rng = np.random.default_rng(37)
+    for n in (3, 4, 6):
+        m = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3, (n, n))
+        for k, (masks, dets) in enumerate(_minor_tables(m)[1:4], start=1):
+            rows = np.array([[i for i in range(n) if mask >> i & 1] for mask in masks.tolist()])
+            blocks = m[rows[:, None, :, None], rows[None, :, None, :]]
+            assert np.array_equal(dets, _closed_form_determinants(blocks))
 
 
 def test_batched_minors_bound_their_temporaries():
-    # One gather of all 252^2 blocks of 5 x 5 would trace 12.7 MB.
+    # One gather of all 252^2 blocks of 5 x 5 would trace 12.7 MB; one
+    # Laplace step holds a few 252 x 252 arrays.
     m = np.random.default_rng(31).uniform(-1, 1, (10, 10))
+    lower = _minor_tables(m)[4]
     tracemalloc.start()
     try:
-        batched_minors(m, 5)
+        batched_minors(m, 5, lower)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -261,7 +303,6 @@ def test_batched_minors_bound_their_temporaries():
 
 
 def test_batched_minors_subsets_are_lexicographic():
-    subsets, _ = batched_minors(np.eye(4), 2)
-    assert subsets[0] == (0, 1)
-    assert subsets[-1] == (2, 3)
-    assert list(subsets) == sorted(subsets)
+    # keyed by blade masks in ascending order: subset (0, 1) first, (2, 3) last
+    masks, _ = _minor_tables(np.eye(4))[2]
+    assert masks.tolist() == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
