@@ -31,7 +31,8 @@ class MembershipReport:
     """Residuals of the three membership conditions, with the verdict.
 
     The metric residual and |det - 1| are held to tolerance * scale, where
-    scale = max(1, max |P_ij|)^2 is the size of their rounding; the
+    scale = max(1, max |P_ij|)^2 is the size of their rounding; |det - 1| is
+    never allowed more than 1, so a determinant near -1 never passes. The
     orthochronous minor must reach 1 - tolerance.
     """
 
@@ -40,11 +41,15 @@ class MembershipReport:
     determinant: float
     orientation_minor: float
     tolerance: float
-    scale: float = 1.0
+    scale: float
 
     @property
     def bound(self) -> float:
         return self.tolerance * self.scale
+
+    @property
+    def determinant_bound(self) -> float:
+        return min(self.bound, 1.0)
 
     @property
     def is_pseudo_orthogonal(self) -> bool:
@@ -52,7 +57,7 @@ class MembershipReport:
 
     @property
     def has_unit_determinant(self) -> bool:
-        return abs(self.determinant - 1.0) <= self.bound
+        return abs(self.determinant - 1.0) <= self.determinant_bound
 
     @property
     def is_orthochronous(self) -> bool:
@@ -70,7 +75,7 @@ class MembershipReport:
                 f"exceeds {self.bound:.3e}"
             )
         if not self.has_unit_determinant:
-            out.append(f"determinant {self.determinant:.12g} is not 1 within {self.bound:.3e}")
+            out.append(f"determinant {self.determinant:.12g} is not 1 within {self.determinant_bound:.3e}")
         if not self.is_orthochronous:
             out.append(
                 f"orthochronous condition failed: leading {self.sig.p}x{self.sig.p} minor "
@@ -110,7 +115,8 @@ def check_membership(matrix: object, sig: Signature, tol: float = DEFAULT_TOLERA
     """Measure how far a matrix is from SO+(p,q); never raises on failure.
 
     The metric and determinant residuals are judged relative to
-    max(1, max |P_ij|)^2, so a correctly rounded large boost passes.
+    max(1, max |P_ij|)^2, so a correctly rounded large boost passes; the
+    determinant bound never exceeds 1, so its sign is never lost.
     """
     arr = as_square_matrix(matrix, sig.n)
     eta = metric_matrix(sig)
@@ -203,7 +209,7 @@ def minor(matrix: object, rows: Sequence[int], cols: Sequence[int]) -> float:
 
     Indices must be strictly ascending; empty index lists give 1.0. Accepts
     an OrthoMatrix or any square array. The value is the last of the
-    submatrix's batched_minors tables, C(2k, k) minors in all for k indices.
+    submatrix's batched_minors suffix tables, 2^k minors in all for k indices.
     """
     if isinstance(matrix, OrthoMatrix):
         matrix = matrix.entries
@@ -215,12 +221,12 @@ def minor(matrix: object, rows: Sequence[int], cols: Sequence[int]) -> float:
     sub = _submatrix(arr, rows, cols, arr.shape[0])
     table = batched_minors(sub, 0, None)
     for k in range(1, len(rows) + 1):
-        table = batched_minors(sub, k, table)
+        table = batched_minors(sub, k, table, suffix=True)
     return float(table[1][0, 0])
 
 
 def batched_minors(
-    matrix: np.ndarray, k: int, lower: tuple[np.ndarray, np.ndarray] | None
+    matrix: np.ndarray, k: int, lower: tuple[np.ndarray, np.ndarray] | None, suffix: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """All k x k minors of an n x n matrix, from its (k-1) x (k-1) minors.
 
@@ -235,14 +241,21 @@ def batched_minors(
     with b_1 the lowest row in B and a_j the j-th lowest column in A (from
     j = 0), summed in order of j: for k <= 3 this is the arithmetic of the
     closed-form 1x1, 2x2 and 3x3 determinants, term for term.
+
+    With suffix, only the row set B of the last k rows is expanded: dets has
+    that one row, and lower must be the suffix table of grade k - 1. Such
+    tables up to grade n give one n x n determinant from 2^n minors.
     """
     n = matrix.shape[0]
     masks = grade_masks(n, k)
     if k == 0:
         return masks, np.ones((1, 1))
     bits, cols = _laplace_indices(n, k)
-    # B - b_1 is A - a_0 for A = B, so the rows reuse the j = 0 columns.
-    first, rows = bits[0][:, None], cols[0][:, None]
+    if suffix:
+        first, rows = np.array([[n - k]]), np.array([[0]])
+    else:
+        # B - b_1 is A - a_0 for A = B, so the rows reuse the j = 0 columns.
+        first, rows = bits[0][:, None], cols[0][:, None]
     lower_dets = lower[1]
     for j in range(k):
         term = lower_dets[rows, cols[j]]

@@ -85,6 +85,23 @@ def test_check_membership_scales_with_entries(sig, rapidity):
     assert not report.has_unit_determinant
 
 
+@pytest.mark.parametrize("sig", [Signature(1, 1), Signature(3, 1)], ids=["1,1", "3,1"])
+@pytest.mark.parametrize("rapidity, tol", [(12.0, 1e-9), (8.0, 1e-6)])
+def test_check_membership_keeps_determinant_sign_for_large_entries(sig, rapidity, tol):
+    # an improper boost meets the metric exactly with det -1; once
+    # tol * max|P|^2 passes 2, a bound on |det - 1| alone would accept it
+    improper = np.eye(sig.n)
+    improper[0, 0], improper[0, -1] = math.cosh(rapidity), -math.sinh(rapidity)
+    improper[-1, 0], improper[-1, -1] = math.sinh(rapidity), -math.cosh(rapidity)
+    report = check_membership(improper, sig, tol)
+    assert report.bound > 2.0
+    assert report.is_pseudo_orthogonal and report.is_orthochronous
+    assert not report.has_unit_determinant
+    assert not report.ok
+    with pytest.raises(MembershipError):
+        require_membership(improper, sig, tol)
+
+
 def test_check_membership_rejects_reflection():
     bad = np.diag([1.0, 1.0, -1.0])
     report = check_membership(bad, SIG30)
@@ -207,6 +224,26 @@ def test_minor_matches_naive_oracle():
         got = minor(m, rows, cols)
         ref = naive_minor([list(r) for r in m], list(rows), list(cols))
         assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+def test_minor_expands_only_the_row_suffix(monkeypatch):
+    # one 12 x 12 minor needs the minors on its last j rows against every
+    # j-column subset, sum over j of C(12, j) = 2^12 values in all, not the
+    # C(24, 12) ~ 2.7e6 of every full table
+    import spincover.matrix_group as matrix_group
+
+    computed = []
+
+    def counting(matrix, k, lower, suffix=False):
+        masks, dets = batched_minors(matrix, k, lower, suffix)
+        computed.append(dets.size)
+        return masks, dets
+
+    monkeypatch.setattr(matrix_group, "batched_minors", counting)
+    m = np.random.default_rng(41).uniform(-1, 1, (12, 12))
+    index = tuple(range(1, 13))
+    assert abs(minor(m, index, index) - np.linalg.det(m)) <= 1e-12 * np.prod(np.linalg.norm(m, axis=0))
+    assert sum(computed) == 2**12
 
 
 def test_minor_accepts_ortho_matrix():
