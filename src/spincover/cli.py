@@ -85,11 +85,15 @@ def _fail(code: int, message: str, report: MembershipReport | None = None) -> in
 
 
 def _report_dict(report: MembershipReport) -> dict:
+    # JSON has no inf or nan: a value that overflowed prints as null.
+    def number(value: float) -> float | None:
+        return value if math.isfinite(value) else None
+
     return {
-        "metric_residual": report.metric_residual,
-        "determinant": report.determinant,
-        "orientation_minor": report.orientation_minor,
-        "tolerance": report.tolerance,
+        "metric_residual": number(report.metric_residual),
+        "determinant": number(report.determinant),
+        "orientation_minor": number(report.orientation_minor),
+        "tolerance": number(report.tolerance),
         "ok": report.ok,
         "failures": report.failures(),
     }
@@ -191,7 +195,7 @@ def cmd_rotor_from_matrix(args: argparse.Namespace) -> int:
     method = "n3" if args.method == "quaternion" else args.method
     try:
         cand = select_candidate(arr, sig, method=method)
-        rotor = rotor_from_candidate(cand, method)
+        rotor = rotor_from_candidate(cand)
     except NoCandidateError as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
 

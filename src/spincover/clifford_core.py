@@ -124,28 +124,13 @@ def blade_from_name(name: str, n: int) -> int:
     return mask
 
 
-def _transposition_parity(a: int, b: int) -> int:
-    # Number of pairs (i in a, j in b) with i > j, i.e. the swaps needed to
-    # interleave the concatenated index lists into ascending order.
-    count = 0
-    a >>= 1
-    while a:
-        count += (a & b).bit_count()
-        a >>= 1
-    return count & 1
-
-
 def blade_product(a: int, b: int, sig: Signature) -> tuple[int, int]:
     """Product of two basis blades: (sign, mask) with e_a e_b = sign * e_mask.
 
-    The mask is the symmetric difference a ^ b; the sign combines the
-    transposition parity of interleaving with the metric squares of the
-    shared generators.
+    The mask is the symmetric difference a ^ b and the sign that of
+    blade_signs, the one sign rule of the package.
     """
-    sign = -1 if _transposition_parity(a, b) else 1
-    if (a & b & sig.negative_mask).bit_count() & 1:
-        sign = -sign
-    return sign, a ^ b
+    return int(blade_signs(sig, a, b)), a ^ b
 
 
 def blade_inverse(a: int, sig: Signature) -> tuple[int, int]:

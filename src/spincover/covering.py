@@ -61,7 +61,6 @@ from .matrix_group import (
     OrthoMatrix,
     as_square_matrix,
     batched_minors,
-    project_to_group,
     require_membership,
 )
 
@@ -70,8 +69,8 @@ Method = Literal["general", "n3"]
 #: Minor tables of grades 0, 1, ..., as returned by batched_minors.
 _Tables = list[tuple[np.ndarray, np.ndarray]]
 
-#: Candidates with reverse-norm at or below RELATIVE_THRESHOLD x (2^n)^2
-#: (scaled by 1/4 for the n=3 form) count as zero.
+#: Candidates with reverse-norm at or below RELATIVE_THRESHOLD x scale^2
+#: count as zero, scale being the candidate's 2^n (2^(n-1) for the n3 form).
 RELATIVE_THRESHOLD = 1e-18
 
 
@@ -130,25 +129,30 @@ class Rotor:
 
         The unit residual is held to tol relative to the rotor's size,
         tol * max(1, sum of squared coefficients): rounding in reverse(S) S
-        grows with that sum, which for q > 0 exceeds the reverse-norm 1.
+        grows with that sum, which for q > 0 exceeds the reverse-norm 1; a
+        sum that overflows fails.
         """
         if value.odd_part_max() != 0.0:
             raise ValueError("rotor has odd-grade coefficients")
         rotor = cls(value)
         residual = rotor.unit_residual()
         bound = tol * _size(value)
-        if residual > bound:
+        if not residual <= bound < math.inf:
             raise ValueError(f"reverse(S)*S deviates from 1 by {residual:.3e} (tolerance {bound:.3e})")
         return rotor
 
 
 @dataclass(frozen=True)
 class CandidateElement:
-    """Unnormalized covering candidate for one probe blade F."""
+    """Unnormalized candidate M = scale eps_F s_F S for one probe blade F.
+
+    scale is 2^n for the general sum and 2^(n-1) for the n3 form.
+    """
 
     F: int
     M: Multivector
     normsq: float
+    scale: float
 
     @property
     def blade(self) -> str:
@@ -177,13 +181,10 @@ class Frame:
         return np.column_stack([b.vector_components() for b in self.beta])
 
     def gram_matrix(self) -> np.ndarray:
-        """Symmetric matrix of scalar parts of beta_a beta_b."""
-        n = self.sig.n
-        gram = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                gram[i, j] = gram[j, i] = (self.beta[i] * self.beta[j]).scalar_part()
-        return gram
+        """Scalar parts of beta_a beta_b: sum over A of sign(e_A e_A) beta_a[A] beta_b[A]."""
+        rows = np.stack([b.coeffs for b in self.beta])
+        every = np.arange(self.sig.dim)
+        return (rows * blade_signs(self.sig, every, every)) @ rows.T
 
 
 # ---------------------------------------------------------------------------
@@ -246,20 +247,20 @@ def forward_map(rotor: Rotor | Multivector, tol: float = DEFAULT_TOLERANCE) -> n
     ValueError when reverse(S) S is not 1 or when some conjugated
     generator picks up non-grade-1 components, checked over every
     coefficient of every image; both tests allow tol relative to the
-    rotor's size, as in Rotor.checked.
+    rotor's size, as in Rotor.checked, and fail when it overflows.
     """
     value = rotor.value if isinstance(rotor, Rotor) else rotor
     sig = value.sig
     norm = squared_norm(value)
     bound = tol * _size(value)
-    if abs(norm - 1.0) > bound:
+    if not abs(norm - 1.0) <= bound < math.inf:
         raise ValueError(f"rotor norm reverse(S)*S = {norm:.12g} is not 1 within {bound:.3e}")
     images = conjugated_generators(value, value.reverse())
     vectors = 1 << np.arange(sig.n)
     matrix = images[:, vectors].T.copy()
     images[:, vectors] = 0.0
     worst = float(np.max(np.abs(images)))
-    if worst > bound:
+    if not worst <= bound:
         raise ValueError(
             f"conjugation does not preserve grade 1 (residual {worst:.3e}); not a rotor"
         )
@@ -270,21 +271,22 @@ def forward_map(rotor: Rotor | Multivector, tol: float = DEFAULT_TOLERANCE) -> n
 # Inverse direction: matrix -> rotor
 # ---------------------------------------------------------------------------
 
-def _minor_tables(arr: np.ndarray, sig: Signature, method: Method) -> _Tables:
+def _minor_tables(arr: np.ndarray, sig: Signature, method: Method) -> tuple[_Tables, float]:
     # Grades 0..n for the general sum and 0..1 for the n3 form, the same
     # sum cut after grade 1; each grade is one Laplace step from the last.
+    # The scale is the candidate's factor 2^n, halved by the n = 3 cut.
     if method == "n3":
         if sig.n != 3:
             raise ValueError(f"method 'n3' needs n = 3, got n = {sig.n}")
-        top = 1
+        top, scale = 1, sig.dim / 2.0
     elif method == "general":
-        top = sig.n
+        top, scale = sig.n, float(sig.dim)
     else:
         raise ValueError(f"unknown method {method!r}; expected 'general' or 'n3'")
     tables = [batched_minors(arr, 0, None)]
     for k in range(1, top + 1):
         tables.append(batched_minors(arr, k, tables[-1]))
-    return tables
+    return tables, scale
 
 
 def _assemble_general(sig: Signature, tables: _Tables, F: int) -> Multivector:
@@ -305,15 +307,15 @@ def _assemble_general(sig: Signature, tables: _Tables, F: int) -> Multivector:
     return Multivector(sig, total)
 
 
-def _candidate(sig: Signature, tables: _Tables, F: int) -> CandidateElement:
+def _candidate(sig: Signature, tables: _Tables, scale: float, F: int) -> CandidateElement:
     M = _assemble_general(sig, tables, F)
-    return CandidateElement(F, M, squared_norm(M))
+    return CandidateElement(F, M, squared_norm(M), scale)
 
 
 def _probe_candidate(matrix: object, sig: Signature, F: int, method: Method) -> CandidateElement:
     if blade_grade(F) % 2:
         raise ValueError(f"probe blade {blade_name(F)} has odd grade")
-    return _candidate(sig, _minor_tables(_entries(matrix, sig), sig, method), F)
+    return _candidate(sig, *_minor_tables(_entries(matrix, sig), sig, method), F)
 
 
 def candidate_general(matrix: object, sig: Signature, F: int) -> CandidateElement:
@@ -349,7 +351,7 @@ def probe_weights(matrix: object, sig: Signature, method: Method = "general") ->
     e_F coefficient of S (2^(n-1) s_F^2 for the n3 form). Only the even
     masks name probes.
     """
-    return _probe_weights(sig, _minor_tables(_entries(matrix, sig), sig, method))
+    return _probe_weights(sig, _minor_tables(_entries(matrix, sig), sig, method)[0])
 
 
 def select_candidate(matrix: object, sig: Signature, method: Method = "general") -> CandidateElement:
@@ -361,14 +363,13 @@ def select_candidate(matrix: object, sig: Signature, method: Method = "general")
     at least 1 that candidate cannot vanish.
 
     Raises NoCandidateError, naming the candidate, when its reverse-norm is
-    not above RELATIVE_THRESHOLD x (2^n)^2 (x 1/4 for the n3 form); no
-    other probe is tried.
+    not above RELATIVE_THRESHOLD x scale^2; no other probe is tried.
     """
     arr = _entries(matrix, sig)
-    tables = _minor_tables(arr, sig, method)
+    tables, scale = _minor_tables(arr, sig, method)
     evens = np.fromiter(even_blades(sig.n), dtype=np.int64)
-    cand = _candidate(sig, tables, int(evens[np.argmax(_probe_weights(sig, tables)[evens])]))
-    threshold = RELATIVE_THRESHOLD * float(sig.dim) ** 2 / (4.0 if method == "n3" else 1.0)
+    cand = _candidate(sig, tables, scale, int(evens[np.argmax(_probe_weights(sig, tables)[evens])]))
+    threshold = RELATIVE_THRESHOLD * scale**2
     if not cand.normsq > threshold:
         raise NoCandidateError(
             f"no nonzero covering candidate: best reverse-norm {cand.normsq:.6g} at "
@@ -377,15 +378,15 @@ def select_candidate(matrix: object, sig: Signature, method: Method = "general")
     return cand
 
 
-def rotor_from_candidate(cand: CandidateElement, method: Method = "general") -> Rotor:
-    """The sign-canonicalized rotor M_F / sqrt(2^n eps_F <M_F>_F).
+def rotor_from_candidate(cand: CandidateElement) -> Rotor:
+    """The sign-canonicalized rotor M_F / sqrt(scale eps_F <M_F>_F).
 
-    The scale is 2^(n-1) for the n3 form. NoCandidateError is raised when
-    the radicand is not positive, which no SO+(p,q) matrix gives.
+    NoCandidateError is raised when the radicand is not positive, which no
+    SO+(p,q) matrix gives. Membership is not checked here; matrix_to_rotor
+    is the validated call.
     """
     sig = cand.M.sig
-    scale = 2.0 ** (sig.n - 1 if method == "n3" else sig.n)
-    weight = scale * _reverse_norm_signs(sig.p, sig.q)[cand.F] * cand.M.coeffs[cand.F]
+    weight = cand.scale * _reverse_norm_signs(sig.p, sig.q)[cand.F] * cand.M.coeffs[cand.F]
     if not weight > 0.0:
         raise NoCandidateError(
             f"candidate at F = {cand.blade} has non-positive normalizer {weight:.6g}; "
@@ -399,23 +400,17 @@ def matrix_to_rotor(
     sig: Signature,
     method: Method = "general",
     tol: float = DEFAULT_TOLERANCE,
-    validate: bool = True,
-    project: bool = False,
 ) -> Rotor:
     """One of the two rotors covering the given SO+(p,q) matrix.
 
     The result is sign-canonicalized; the other preimage is its negation.
-    With validate (the default) the matrix must pass membership first;
-    project applies the polar-type group projection before validating.
-    The candidate comes from select_candidate and its normalization from
-    rotor_from_candidate.
+    The matrix must pass membership at tol (MembershipError otherwise);
+    call project_to_group first to repair a noisy input. The candidate
+    comes from select_candidate and its normalization from
+    rotor_from_candidate, which together are the unvalidated recovery.
     """
-    arr = _entries(matrix, sig)
-    if project:
-        arr = project_to_group(arr, sig)
-    if validate:
-        require_membership(arr, sig, tol)
-    return rotor_from_candidate(select_candidate(arr, sig, method=method), method)
+    arr = require_membership(_entries(matrix, sig), sig, tol)
+    return rotor_from_candidate(select_candidate(arr, sig, method))
 
 
 def rotor_from_frames(
@@ -425,13 +420,11 @@ def rotor_from_frames(
 ) -> Rotor:
     """Rotor sending each generator e_a to the frame vector beta_a.
 
-    The frame's coordinate matrix must pass SO+(p,q) membership; a frame
-    whose Gram matrix deviates from the metric fails the pseudo-orthogonality
-    condition there.
+    The frame's coordinate matrix must pass SO+(p,q) membership in
+    matrix_to_rotor; a frame whose Gram matrix deviates from the metric
+    fails the pseudo-orthogonality condition there.
     """
-    matrix = frame.coordinate_matrix()
-    require_membership(matrix, frame.sig, tol)
-    return matrix_to_rotor(matrix, frame.sig, method=method, validate=False)
+    return matrix_to_rotor(frame.coordinate_matrix(), frame.sig, method, tol)
 
 
 def _entries(matrix: object, sig: Signature) -> np.ndarray:

@@ -8,7 +8,7 @@ split-quaternions, via
 Unit quaternions double-cover SO(3) and unit split-quaternions SO+(2,1).
 The four quaternion candidates are the n3 candidates L_F read through this
 bridge, so the unit elements come from the n3 rotor of matrix_to_rotor:
-one probe selection and one normalizer, by the e_F coefficient, for both
+one membership check, one probe selection and one normalizer for both
 algebras. Both algebras also get their 2x2 complex representations
 (SU(2), SU(1,1)).
 
@@ -116,8 +116,8 @@ def sqmul(x: SplitQuaternion, y: SplitQuaternion) -> SplitQuaternion:
 # Unit elements covering a matrix: the n3 rotor read through the bridge
 # ---------------------------------------------------------------------------
 
-def _unit_element(cls, sig: Signature, matrix: object, tol: float, validate: bool, project: bool):
-    rotor = matrix_to_rotor(matrix, sig, method="n3", tol=tol, validate=validate, project=project)
+def _unit_element(cls, sig: Signature, matrix: object, tol: float):
+    rotor = matrix_to_rotor(matrix, sig, "n3", tol)
     components = np.array(_bridge_components(rotor.value, sig))
     lead = int(np.argmax(np.abs(components)))
     if components[lead] < 0:
@@ -126,12 +126,7 @@ def _unit_element(cls, sig: Signature, matrix: object, tol: float, validate: boo
     return cls(*components)
 
 
-def so3_to_unit_quaternion(
-    matrix: object,
-    tol: float = DEFAULT_TOLERANCE,
-    validate: bool = True,
-    project: bool = False,
-) -> Quaternion:
+def so3_to_unit_quaternion(matrix: object, tol: float = DEFAULT_TOLERANCE) -> Quaternion:
     """One of the two unit quaternions covering P in SO(3).
 
     The n3 rotor of matrix_to_rotor read through the bridge, then
@@ -139,22 +134,17 @@ def so3_to_unit_quaternion(
     this can differ by a global sign from the canonical Cl(3,0) rotor,
     because the bridge flips the k component.
     """
-    return _unit_element(Quaternion, SIG_30, matrix, tol, validate, project)
+    return _unit_element(Quaternion, SIG_30, matrix, tol)
 
 
-def so21_to_unit_split_quaternion(
-    matrix: object,
-    tol: float = DEFAULT_TOLERANCE,
-    validate: bool = True,
-    project: bool = False,
-) -> SplitQuaternion:
+def so21_to_unit_split_quaternion(matrix: object, tol: float = DEFAULT_TOLERANCE) -> SplitQuaternion:
     """One of the two unit split-quaternions covering P in SO+(2,1).
 
     The n3 rotor of matrix_to_rotor read through the bridge, with the same
     sign rule as so3_to_unit_quaternion. NoCandidateError is raised when
     no probe gives a usable candidate, which no SO+(2,1) matrix does.
     """
-    return _unit_element(SplitQuaternion, SIG_21, matrix, tol, validate, project)
+    return _unit_element(SplitQuaternion, SIG_21, matrix, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ image coordinates of one generator fill one column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -32,7 +33,8 @@ class MembershipReport:
 
     The metric residual and |det - 1| are held to tolerance * scale, where
     scale = max(1, max |P_ij|)^2 is the size of their rounding; |det - 1| is
-    never allowed more than 1, so a determinant near -1 never passes. The
+    never allowed more than 1, so a determinant near -1 never passes. A
+    scale or residual that overflows fails the metric condition. The
     orthochronous minor must reach 1 - tolerance.
     """
 
@@ -53,7 +55,7 @@ class MembershipReport:
 
     @property
     def is_pseudo_orthogonal(self) -> bool:
-        return self.metric_residual <= self.bound
+        return self.metric_residual <= self.bound < math.inf
 
     @property
     def has_unit_determinant(self) -> bool:
@@ -126,7 +128,7 @@ def check_membership(matrix: object, sig: Signature, tol: float = DEFAULT_TOLERA
         orient = 1.0
     else:
         orient = float(np.linalg.det(arr[: sig.p, : sig.p]))
-    scale = max(1.0, float(np.max(np.abs(arr)))) ** 2
+    scale = max(1.0, float(np.max(np.square(arr))))
     return MembershipReport(sig, residual, det, orient, tol, scale)
 
 
@@ -152,20 +154,8 @@ class OrthoMatrix:
     tol: float
 
     @classmethod
-    def validate(
-        cls,
-        matrix: object,
-        sig: Signature,
-        tol: float = DEFAULT_TOLERANCE,
-        project: bool = False,
-    ) -> OrthoMatrix:
-        arr = as_square_matrix(matrix, sig.n)
-        if project:
-            arr = project_to_group(arr, sig)
-        report = check_membership(arr, sig, tol)
-        if not report.ok:
-            raise MembershipError(report)
-        arr = arr.copy()
+    def validate(cls, matrix: object, sig: Signature, tol: float = DEFAULT_TOLERANCE) -> OrthoMatrix:
+        arr = require_membership(matrix, sig, tol).copy()
         arr.setflags(write=False)
         return cls(sig, arr, tol)
 

@@ -139,7 +139,7 @@ def _round_trip_suite(sig: Signature, trials: int, seed: int) -> float:
     worst = 0.0
     for t in range(trials):
         rotor = sample_rotor(sig, seed + t)
-        recovered = matrix_to_rotor(forward_map(rotor), sig, validate=False)
+        recovered = matrix_to_rotor(forward_map(rotor), sig)
         worst = max(worst, rotor_distance(rotor, recovered))
     return worst
 
@@ -155,8 +155,8 @@ def _method_agreement_suite(sig: Signature, trials: int, seed: int) -> float:
         worst = max(
             worst,
             rotor_distance(
-                matrix_to_rotor(matrix, sig, method="general", validate=False),
-                matrix_to_rotor(matrix, sig, method="n3", validate=False),
+                matrix_to_rotor(matrix, sig, "general"),
+                matrix_to_rotor(matrix, sig, "n3"),
             ),
         )
     return worst

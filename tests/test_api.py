@@ -1,5 +1,6 @@
 """The public API matches README: exports resolve, removed names stay gone."""
 
+import argparse
 import inspect
 import re
 from pathlib import Path
@@ -66,3 +67,11 @@ def test_readme_removed_names_are_gone():
             assert entry not in spincover.__all__
             for module in MODULES:
                 assert not hasattr(module, entry), f"{module.__name__}.{entry} still exists"
+
+
+def test_readme_cli_flags_match_the_parser():
+    paragraph = re.search(r"^Flags:.*?(?=\n\n)", README, re.S | re.M).group()
+    documented = set(re.findall(r"`(--[\w-]+)", paragraph))
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {flag for action in commands.choices["rotor-from-matrix"]._actions for flag in action.option_strings}
+    assert documented == options - {"-h", "--help"}

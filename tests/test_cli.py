@@ -159,6 +159,21 @@ def test_matrix_from_rotor_rejects_non_unit(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["check", "rotor-from-matrix"])
+def test_overflowing_matrix_is_rejected(command, capsys):
+    payload = '{"p": 2, "q": 0, "matrix": [[1e160, 0], [0, 1e-160]]}'
+    assert main([command, payload]) == EXIT_REJECTED
+    doc = json.loads(capsys.readouterr().out)
+    report = doc if command == "check" else doc["report"]
+    assert report["ok"] is False and report["metric_residual"] is None
+    assert any("pseudo-orthogonal" in f for f in report["failures"])
+
+
+def test_matrix_from_rotor_rejects_overflowing_rotor(capsys):
+    assert main(["matrix-from-rotor", '{"p": 2, "q": 0, "rotor": {"1": 1e160}}']) == EXIT_REJECTED
+    assert "deviates" in json.loads(capsys.readouterr().out)["error"]
+
+
 def test_check_command_reports_and_exits(capsys):
     ok = main(["check", '{"p": 2, "q": 0, "matrix": [[0, -1], [1, 0]]}'])
     doc = json.loads(capsys.readouterr().out)

@@ -31,8 +31,8 @@ from spincover.covering import (
     rotor_from_frames,
     select_candidate,
 )
-from spincover.matrix_group import MembershipError, check_membership
-from spincover.oracle import frame_from_rotor
+from spincover.matrix_group import MembershipError, check_membership, project_to_group
+from spincover.oracle import frame_from_rotor, sample_matrix
 
 from oracles import coeffs_to_dict, dict_to_coeffs, naive_product
 
@@ -79,6 +79,16 @@ def test_rotor_checked_rejects_odd_part():
 def test_rotor_checked_rejects_non_unit():
     with pytest.raises(ValueError, match="deviates"):
         Rotor.checked(Multivector.scalar(SIG30, 2.0))
+
+
+def test_rotor_checks_fail_when_the_size_overflows():
+    # 1e160^2 overflows, so the bound tol * sum of squares is inf; an inf
+    # residual must not pass it
+    value = Multivector.scalar(SIG20, 1e160)
+    with pytest.raises(ValueError, match="deviates"):
+        Rotor.checked(value)
+    with pytest.raises(ValueError, match="is not 1"):
+        forward_map(value)
 
 
 def test_rotor_inverse_is_reversion():
@@ -468,10 +478,11 @@ def test_matrix_to_rotor_validates_membership():
     reflection = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(MembershipError):
         matrix_to_rotor(reflection, SIG30)
-    # skipping validation reaches candidate selection, where a determinant -1
-    # matrix legitimately has no preimage and every candidate vanishes
+    # the unvalidated recovery reaches candidate selection, where a
+    # determinant -1 matrix legitimately has no preimage and every
+    # candidate vanishes
     with pytest.raises(NoCandidateError):
-        matrix_to_rotor(reflection, SIG30, validate=False)
+        rotor_from_candidate(select_candidate(reflection, SIG30))
 
 
 def test_matrix_to_rotor_projection_repairs_noise():
@@ -480,13 +491,13 @@ def test_matrix_to_rotor_projection_repairs_noise():
     noisy = clean + 1e-6 * rng.standard_normal((3, 3))
     with pytest.raises(MembershipError):
         matrix_to_rotor(noisy, SIG30)
-    rotor = matrix_to_rotor(noisy, SIG30, project=True)
+    rotor = matrix_to_rotor(project_to_group(noisy, SIG30), SIG30)
     assert np.max(np.abs(forward_map(rotor) - clean)) <= 1e-5
 
 
 def test_matrix_to_rotor_no_candidate_error():
     with pytest.raises(NoCandidateError):
-        matrix_to_rotor(np.diag([-1.0, -1.0]), Signature(1, 1), validate=False)
+        rotor_from_candidate(select_candidate(np.diag([-1.0, -1.0]), Signature(1, 1)))
 
 
 def test_matrix_to_rotor_non_positive_normalizer_is_no_candidate():
@@ -495,7 +506,7 @@ def test_matrix_to_rotor_non_positive_normalizer_is_no_candidate():
     matrix = np.array([[0.0, 1.0], [1.0, 0.0]])
     sig = Signature(1, 1)
     with pytest.raises(NoCandidateError, match="best reverse-norm -4 at F = 1"):
-        matrix_to_rotor(matrix, sig, validate=False)
+        rotor_from_candidate(select_candidate(matrix, sig))
     # the e12 probe has reverse-norm 4 but a zero e12 coefficient
     with pytest.raises(NoCandidateError, match="normalizer"):
         rotor_from_candidate(candidate_general(matrix, sig, 0b11))
@@ -506,7 +517,19 @@ def test_matrix_to_rotor_tries_no_second_probe():
     # candidate has reverse-norm -3; the e12 probe would give 1 - 0.5 e12,
     # which does not cover the matrix, so no fallback is taken
     with pytest.raises(NoCandidateError, match="best reverse-norm -3 at F = 1"):
-        matrix_to_rotor(np.array([[0.0, 1.0], [1.0, 1.0]]), Signature(1, 1), validate=False)
+        rotor_from_candidate(select_candidate(np.array([[0.0, 1.0], [1.0, 1.0]]), Signature(1, 1)))
+
+
+@pytest.mark.parametrize("sig", [SIG30, SIG21], ids=["3,0", "2,1"])
+@pytest.mark.parametrize("method, scale", [("general", 8.0), ("n3", 4.0)])
+def test_candidate_carries_its_normalizer(sig, method, scale):
+    # the unvalidated pair needs no method restated, and for a member it
+    # is the validated call's rotor, bit for bit
+    for seed in range(5):
+        matrix = sample_matrix(sig, 70 + seed)
+        cand = select_candidate(matrix, sig, method)
+        assert cand.scale == scale
+        assert np.array_equal(rotor_from_candidate(cand).coeffs, matrix_to_rotor(matrix, sig, method).coeffs)
 
 
 @pytest.mark.parametrize("method", ["general", "n3"])
@@ -590,5 +613,5 @@ def test_rotor_from_frames_rejects_degenerate_frame():
 
 
 def test_candidate_element_blade_names():
-    cand = CandidateElement(0b110, Multivector.zero(SIG30), 0.0)
+    cand = CandidateElement(0b110, Multivector.zero(SIG30), 0.0, 8.0)
     assert cand.blade == "e23"

@@ -14,6 +14,7 @@ from spincover.covering import (
     candidate_n3,
     forward_map,
     matrix_to_rotor,
+    rotor_from_candidate,
     select_candidate,
 )
 from spincover.division_algebras import (
@@ -33,7 +34,7 @@ from spincover.division_algebras import (
     su11_defect,
     su2_defect,
 )
-from spincover.matrix_group import MembershipError
+from spincover.matrix_group import MembershipError, project_to_group
 
 SIG30 = Signature(3, 0)
 SIG21 = Signature(2, 1)
@@ -318,7 +319,7 @@ def test_select_split_candidate_requires_positive_norm():
     # the half-turn diag(1,-1,-1) is outside SO+(2,1) and leaves no
     # candidate with a positive normalizer
     with pytest.raises(NoCandidateError):
-        so21_to_unit_split_quaternion(np.diag([1.0, -1.0, -1.0]), validate=False)
+        rotor_from_candidate(select_candidate(np.diag([1.0, -1.0, -1.0]), SIG21, "n3"))
 
 
 # -- unit extraction ---------------------------------------------------------
@@ -369,7 +370,7 @@ def test_unit_extraction_with_projection():
     noisy = rotation_z(0.3) + 1e-6 * rng.standard_normal((3, 3))
     with pytest.raises(MembershipError):
         so3_to_unit_quaternion(noisy)
-    q = so3_to_unit_quaternion(noisy, project=True)
+    q = so3_to_unit_quaternion(project_to_group(noisy, SIG30))
     assert abs(q.norm_squared() - 1.0) <= 1e-12
 
 

@@ -102,6 +102,15 @@ def test_check_membership_keeps_determinant_sign_for_large_entries(sig, rapidity
         require_membership(improper, sig, tol)
 
 
+def test_check_membership_fails_when_the_scale_overflows():
+    # max |P_ij|^2 = 1e320 overflows: the inf residual must not pass the
+    # inf bound, and no OverflowError is raised
+    report = check_membership(np.diag([1e160, 1e-160]), Signature(2, 0))
+    assert report.bound == math.inf
+    assert not report.is_pseudo_orthogonal
+    assert not report.ok
+
+
 def test_check_membership_rejects_reflection():
     bad = np.diag([1.0, 1.0, -1.0])
     report = check_membership(bad, SIG30)
@@ -165,7 +174,7 @@ def test_ortho_matrix_validate_with_projection():
     noisy = rotation_z(0.4) + 1e-6 * np.ones((3, 3))
     with pytest.raises(MembershipError):
         OrthoMatrix.validate(noisy, SIG30)
-    mat = OrthoMatrix.validate(noisy, SIG30, project=True)
+    mat = OrthoMatrix.validate(project_to_group(noisy, SIG30), SIG30)
     assert check_membership(mat.entries, SIG30).ok
 
 
