@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Literal
 
 import numpy as np
@@ -73,6 +74,12 @@ _Tables = list[tuple[np.ndarray, np.ndarray]]
 #: count as zero, scale being the candidate's 2^n (2^(n-1) for the n3 form).
 RELATIVE_THRESHOLD = 1e-18
 
+#: Operator entries built at a time in _operator_products, so that a row
+#: block's temporaries stay in cache and the 32 MB n = 12 operator is never
+#: held whole. It leaves at least 128 rows per block, which with OpenBLAS
+#: reproduce the unblocked product bit for bit (32 or 64 rows do not).
+_BLOCK = 1 << 18
+
 
 class NoCandidateError(RuntimeError):
     """The candidate of the largest-weight probe is unusable.
@@ -84,7 +91,7 @@ class NoCandidateError(RuntimeError):
 
 def _size(value: Multivector) -> float:
     # max(1, sum of squared coefficients): the scale of the rounding in
-    # reverse(S) S and in S e_a reverse(S).
+    # S reverse(S) and in S e_a reverse(S).
     return max(1.0, float(np.dot(value.coeffs, value.coeffs)))
 
 
@@ -116,29 +123,56 @@ class Rotor:
         """Reversion, which inverts unit rotors."""
         return self.value.reverse()
 
+    @cached_property
+    def action(self) -> np.ndarray:
+        """Read-only (n + 1, 2^n) conjugation product, built once per rotor.
+
+        Row a holds S e_{a+1} reverse(S) and row n holds e_1 S reverse(S),
+        all from one right-multiplication operator for reverse(S).
+        """
+        products = _operator_products(self.value, self.value.reverse())
+        products.setflags(write=False)
+        return products
+
     def unit_residual(self) -> float:
-        """Distance of reverse(S) * S from 1, over all components."""
-        gram = self.value.reverse() * self.value
-        scalar_defect = abs(gram.scalar_part() - 1.0)
-        rest = (gram - gram.grade_projection(0)).max_abs()
-        return max(scalar_defect, rest)
+        """Distance of S reverse(S) from 1, over all components.
+
+        Read from the last row of action, e_1 S reverse(S): multiplying by
+        e_1 signs and permutes coefficients exactly, so the largest
+        |row - e_1| is the largest |S reverse(S) - 1|. In a
+        finite-dimensional algebra S reverse(S) = 1 exactly when
+        reverse(S) S = 1.
+        """
+        row = self.action[-1].copy()
+        row[1] -= 1.0
+        return float(np.max(np.abs(row)))
+
+    def _require_unit(self, tol: float) -> float:
+        # The unit residual is held to tol * max(1, sum of squared
+        # coefficients), the size of its rounding; returns that bound.
+        bound = tol * _size(self.value)
+        residual = self.unit_residual()
+        if not residual <= bound < math.inf:
+            raise ValueError(
+                f"rotor norm S*reverse(S) is not 1: it deviates by {residual:.3e} "
+                f"(tolerance {bound:.3e})"
+            )
+        return bound
 
     @classmethod
     def checked(cls, value: Multivector, tol: float = DEFAULT_TOLERANCE) -> Rotor:
         """Wrap a multivector after verifying evenness and unit norm.
 
         The unit residual is held to tol relative to the rotor's size,
-        tol * max(1, sum of squared coefficients): rounding in reverse(S) S
+        tol * max(1, sum of squared coefficients): rounding in S reverse(S)
         grows with that sum, which for q > 0 exceeds the reverse-norm 1; a
-        sum that overflows fails.
+        sum that overflows fails. The residual comes from action, which
+        forward_map then reuses.
         """
         if value.odd_part_max() != 0.0:
             raise ValueError("rotor has odd-grade coefficients")
         rotor = cls(value)
-        residual = rotor.unit_residual()
-        bound = tol * _size(value)
-        if not residual <= bound < math.inf:
-            raise ValueError(f"reverse(S)*S deviates from 1 by {residual:.3e} (tolerance {bound:.3e})")
+        rotor._require_unit(tol)
         return rotor
 
 
@@ -223,6 +257,17 @@ def conjugated_generators(value: Multivector, right: Multivector) -> np.ndarray:
     are the union of the supports of the n left factors and its rows the
     masks that those factors can reach in a product with right.
     """
+    return _operator_products(value, right)[:-1]
+
+
+def _operator_products(value: Multivector, right: Multivector) -> np.ndarray:
+    # Rows value e_a right for a = 1..n, then e_1 value right, all through
+    # one right-multiplication operator (see conjugated_generators), built
+    # and applied in row blocks of about _BLOCK entries; e_1 value is
+    # supported on value's support ^ e_1, which the columns already hold.
+    # The last row sums separately rounded products, with no fused
+    # multiply-add, so that an exactly unit rotor such as cos t + sin t I
+    # reads S reverse(S) = 1 exactly.
     value._check_sig(right)
     sig = value.sig
     bits = (np.int64(1) << np.arange(sig.n, dtype=np.int64))[:, None]
@@ -231,32 +276,35 @@ def conjugated_generators(value: Multivector, right: Multivector) -> np.ndarray:
     cols = np.nonzero(occupied)[0]
     shifted = cols ^ bits
     left = blade_signs(sig, shifted, bits) * value.coeffs[shifted]
+    unit_left = blade_signs(sig, 1, shifted[0]) * value.coeffs[shifted[0]]
     rows = _reachable(sig, cols, np.nonzero(right.coeffs)[0])
-    partner = rows[:, None] ^ cols
-    operator = blade_signs(sig, cols, partner) * right.coeffs[partner]
-    images = np.zeros((sig.n, sig.dim))
-    images[:, rows] = (operator @ left.T).T
-    return images
+    products = np.zeros((sig.n + 1, sig.dim))
+    step = _BLOCK // max(1, cols.size)
+    for start in range(0, rows.size, step):
+        block = rows[start : start + step]
+        partner = block[:, None] ^ cols
+        operator = blade_signs(sig, cols, partner) * right.coeffs[partner]
+        products[:-1, block] = (operator @ left.T).T
+        operator *= unit_left
+        products[-1, block] = np.add.reduce(operator, axis=1)
+    return products
 
 
 def forward_map(rotor: Rotor | Multivector, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
     """Matrix of the conjugation action: column a holds S e_a S^-1.
 
-    S^-1 is reverse(S), and all n images come from one
-    conjugated_generators call, so no geometric product runs. Raises
-    ValueError when reverse(S) S is not 1 or when some conjugated
-    generator picks up non-grade-1 components, checked over every
-    coefficient of every image; both tests allow tol relative to the
+    S^-1 is reverse(S). The images and the unit residual are rows of the
+    rotor's cached Rotor.action (a Multivector is wrapped in an unchecked
+    Rotor), so after Rotor.checked no further operator is built and no
+    geometric product runs. Raises ValueError when S reverse(S) is not 1
+    or when some conjugated generator picks up non-grade-1 components,
+    checked over every coefficient; both tests allow tol relative to the
     rotor's size, as in Rotor.checked, and fail when it overflows.
     """
-    value = rotor.value if isinstance(rotor, Rotor) else rotor
-    sig = value.sig
-    norm = squared_norm(value)
-    bound = tol * _size(value)
-    if not abs(norm - 1.0) <= bound < math.inf:
-        raise ValueError(f"rotor norm reverse(S)*S = {norm:.12g} is not 1 within {bound:.3e}")
-    images = conjugated_generators(value, value.reverse())
-    vectors = 1 << np.arange(sig.n)
+    rotor = rotor if isinstance(rotor, Rotor) else Rotor(rotor)
+    bound = rotor._require_unit(tol)
+    images = rotor.action[:-1].copy()
+    vectors = 1 << np.arange(rotor.sig.n)
     matrix = images[:, vectors].T.copy()
     images[:, vectors] = 0.0
     worst = float(np.max(np.abs(images)))

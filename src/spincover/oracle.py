@@ -26,7 +26,6 @@ from .covering import (
     Rotor,
     candidate_general,
     candidate_n3,
-    conjugated_generators,
     even_blades,
     forward_map,
     matrix_to_rotor,
@@ -113,10 +112,10 @@ def verify_covering(rotor: Rotor | Multivector, matrix: object) -> CoveringRepor
 
 
 def frame_from_rotor(rotor: Rotor | Multivector) -> Frame:
-    """The frame of conjugated generators beta_a = S e_a reverse(S)."""
-    value = rotor.value if isinstance(rotor, Rotor) else rotor
-    images = conjugated_generators(value, value.reverse())
-    return Frame(value.sig, tuple(Multivector(value.sig, row).grade_projection(1) for row in images))
+    """The frame of conjugated generators beta_a = S e_a reverse(S), read from Rotor.action."""
+    rotor = rotor if isinstance(rotor, Rotor) else Rotor(rotor)
+    images = rotor.action[:-1]
+    return Frame(rotor.sig, tuple(Multivector(rotor.sig, row).grade_projection(1) for row in images))
 
 
 # ---------------------------------------------------------------------------

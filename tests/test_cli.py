@@ -174,6 +174,24 @@ def test_matrix_from_rotor_rejects_overflowing_rotor(capsys):
     assert "deviates" in json.loads(capsys.readouterr().out)["error"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check", '{"p": 2, "q": 0, "matrix": [[1e160, 0], [0, 1e-160]]}'),
+        ("rotor-from-matrix", '{"p": 2, "q": 0, "matrix": [[1e160, 0], [0, 1e-160]]}'),
+        ("matrix-from-rotor", '{"p": 2, "q": 0, "rotor": {"1": 1e160}}'),
+    ],
+    ids=lambda args: args[0],
+)
+def test_overflow_rejection_prints_no_numpy_warning(cli_env, args):
+    # The overflowed residuals fail their conditions quietly: stderr holds
+    # the failure message and nothing else.
+    result = run_cli(cli_env, *args)
+    assert result.returncode == EXIT_REJECTED
+    assert "RuntimeWarning" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+
+
 def test_check_command_reports_and_exits(capsys):
     ok = main(["check", '{"p": 2, "q": 0, "matrix": [[0, -1], [1, 0]]}'])
     doc = json.loads(capsys.readouterr().out)

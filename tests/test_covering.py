@@ -161,6 +161,55 @@ def test_forward_map_rejects_unit_rotor_that_mixes_grades():
         forward_map(value)
 
 
+def test_forward_map_rejects_unit_scalar_norm_that_is_not_a_rotor():
+    # S = (1 + e1234)/sqrt(2) has scalar part of reverse(S) S equal to 1,
+    # but S reverse(S) = 1 + e1234 and every S e_a reverse(S) is 0.
+    sig = Signature(4, 0)
+    value = Multivector.from_terms(sig, {0: 1.0, 0b1111: 1.0}) / math.sqrt(2.0)
+    assert abs(squared_norm(value) - 1.0) <= 1e-15
+    assert abs(Rotor(value).unit_residual() - 1.0) <= 1e-15
+    with pytest.raises(ValueError, match="norm"):
+        forward_map(value)
+    with pytest.raises(ValueError, match="is not 1"):
+        Rotor.checked(value)
+
+
+def plane_chain_rotor(sig: Signature) -> Multivector:
+    # The product of exp(t_a e_a e_{a+1}) over a = 1..n-1 covers every even
+    # mask, so it is a dense rotor; planes with one negative generator boost.
+    value = Multivector.scalar(sig)
+    for a in range(sig.n - 1):
+        plane = Multivector.basis(sig, 0b11 << a, 0.3 + 0.05 * a)
+        value = geometric_product(value, exp_bivector(plane))
+    return value
+
+
+def direct_unit_residual(left: Multivector, right: Multivector) -> float:
+    gram = geometric_product(left, right)
+    return (gram - Multivector.scalar(left.sig)).max_abs()
+
+
+SIGS_UP_TO_6 = [Signature(p, n - p) for n in range(1, 7) for p in range(n + 1)]
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("sig", SIGS_UP_TO_6 + [Signature(8, 4), Signature(4, 8)], ids=lambda s: f"{s.p}_{s.q}")
+def test_unit_residual_matches_the_direct_product(sig):
+    # The residual read from the conjugation product is max |S reverse(S) - 1|.
+    # On a unit rotor it agrees with max |reverse(S) S - 1|, the residual of
+    # the direct product, and off the group, after an even perturbation,
+    # with the direct S reverse(S).
+    rng = np.random.default_rng(60 + 13 * sig.p + sig.q)
+    value = plane_chain_rotor(sig) if sig.n > 6 else random_rotor(sig, rng).value
+    fused = Rotor(value).unit_residual()
+    assert abs(fused - direct_unit_residual(value.reverse(), value)) <= 8 * EPS * covering._size(value)
+    even = clifford_core._grades(sig.n) % 2 == 0
+    for shift in (1e-9, 1e-3):
+        off = value + Multivector(sig, np.where(even, shift * rng.uniform(-1.0, 1.0, sig.dim), 0.0))
+        fused = Rotor(off).unit_residual()
+        assert abs(fused - direct_unit_residual(off, off.reverse())) <= 8 * EPS * covering._size(off)
+
+
 SIGS_UP_TO_4 = [Signature(p, n - p) for n in range(1, 5) for p in range(n + 1)]
 
 
@@ -185,6 +234,21 @@ def test_conjugated_generators_match_naive_products(sig):
                 assert np.max(np.abs(got[a] - dict_to_coeffs(ref, sig.n))) <= 1e-14
 
 
+@pytest.mark.parametrize("sig", [Signature(3, 2), Signature(1, 4)], ids=lambda s: f"{s.p}_{s.q}")
+def test_operator_row_blocks_match_naive_products(sig, monkeypatch):
+    # Blocks of two rows split the operator into many pieces; every row,
+    # e_1 value right included, must still match the naive products.
+    monkeypatch.setattr(covering, "_BLOCK", 2 * sig.dim)
+    rng = np.random.default_rng(50 + sig.q)
+    value, right = rng.uniform(-1.0, 1.0, (2, sig.dim))
+    got = covering._operator_products(Multivector(sig, value), Multivector(sig, right))
+    lefts = [naive_product(coeffs_to_dict(value), {(a + 1,): 1.0}, sig.p, sig.q) for a in range(sig.n)]
+    lefts.append(naive_product({(1,): 1.0}, coeffs_to_dict(value), sig.p, sig.q))
+    for row, left in zip(got, lefts):
+        ref = dict_to_coeffs(naive_product(left, coeffs_to_dict(right), sig.p, sig.q), sig.n)
+        assert np.max(np.abs(row - ref)) <= 1e-14
+
+
 def test_conjugated_generators_of_zero_is_zero():
     sig = Signature(2, 1)
     zero = Multivector.zero(sig)
@@ -192,24 +256,52 @@ def test_conjugated_generators_of_zero_is_zero():
     assert not conjugated_generators(Multivector.scalar(sig), zero).any()
 
 
+def count_forward_work(monkeypatch) -> tuple[list, list]:
+    """Record geometric products and conjugation-operator builds."""
+    products, builds = [], []
+    product, build = clifford_core.geometric_product, covering._operator_products
+
+    def counting_product(u, v):
+        products.append(u.sig)
+        return product(u, v)
+
+    def counting_build(value, right):
+        builds.append(value.sig)
+        return build(value, right)
+
+    monkeypatch.setattr(clifford_core, "geometric_product", counting_product)
+    monkeypatch.setattr(covering, "_operator_products", counting_build)
+    return products, builds
+
+
 def test_forward_direction_makes_no_geometric_product(monkeypatch):
-    calls = []
-    original = clifford_core.geometric_product
-
-    def counting(u, v):
-        calls.append(u.sig)
-        return original(u, v)
-
-    monkeypatch.setattr(clifford_core, "geometric_product", counting)
+    # Rotor.checked, forward_map and frame_from_rotor share one operator
+    # build, the rotor's action, and no geometric product runs at all.
+    products, builds = count_forward_work(monkeypatch)
     rng = np.random.default_rng(41)
     for sig in (SIG30, SIG21, Signature(3, 3), Signature(2, 5)):
-        rotor = random_rotor(sig, rng)
-        calls.clear()
+        value = random_rotor(sig, rng).value
+        products.clear()
+        builds.clear()
+        rotor = Rotor.checked(value)
         forward_map(rotor)
         frame_from_rotor(rotor)
-        assert calls == []
-        Rotor.checked(rotor.value)
-        assert len(calls) == 1
+        assert products == []
+        assert builds == [sig]
+        forward_map(value)
+        assert products == []
+        assert builds == [sig, sig]
+
+
+def test_cli_matrix_from_rotor_builds_one_operator(monkeypatch, capsys):
+    rotor = random_rotor(Signature(3, 2), np.random.default_rng(42))
+    terms = {clifford_core.blade_name(m): float(c) for m, c in enumerate(rotor.coeffs) if c != 0.0}
+    payload = json.dumps({"p": 3, "q": 2, "rotor": terms})
+    products, builds = count_forward_work(monkeypatch)
+    assert cli.main(["matrix-from-rotor", payload]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["membership"]["ok"] is True
+    assert products == []
+    assert builds == [Signature(3, 2)]
 
 
 def test_sign_table_is_gone():
