@@ -30,10 +30,11 @@ from .covering import NoCandidateError, Rotor, forward_map, rotor_from_candidate
 from .division_algebras import SIG_30, quaternion_to_su2, rotor_to_quaternion, rotor_to_split, split_to_su11
 from .matrix_group import (
     DEFAULT_TOLERANCE,
+    MembershipError,
     MembershipReport,
-    as_square_matrix,
     check_membership,
     project_to_group,
+    require_membership,
 )
 from .oracle import run_selfcheck, verify_covering
 
@@ -132,27 +133,44 @@ def _load_json(source: str) -> dict:
     return obj
 
 
+def _number(value: object, what: str) -> float:
+    # A JSON int or float, finite as a float64; numpy would take bools and strings.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite")
+    return number
+
+
+def tolerance(text: str) -> float:
+    """argparse type of --tol, a finite non-negative float; argparse exits 2 on ValueError."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(text)
+    return value
+
+
 def _parse_signature(obj: dict) -> Signature:
     for key in ("p", "q"):
         if key not in obj:
             raise ValueError(f'missing "{key}" in input')
         if not isinstance(obj[key], int) or isinstance(obj[key], bool):
             raise ValueError(f'"{key}" must be an integer, got {obj[key]!r}')
-    try:
-        return Signature(obj["p"], obj["q"])
-    except ValueError as exc:
-        raise ValueError(str(exc)) from exc
+    return Signature(obj["p"], obj["q"])
 
 
 def _parse_matrix_input(obj: dict) -> tuple[Signature, np.ndarray]:
     sig = _parse_signature(obj)
     if "matrix" not in obj:
         raise ValueError('missing "matrix" in input')
-    try:
-        arr = as_square_matrix(obj["matrix"], sig.n)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"bad matrix: {exc}") from exc
-    return sig, arr
+    cells = np.asarray(obj["matrix"], dtype=object)
+    if cells.shape != (sig.n, sig.n):
+        raise ValueError(f"bad matrix: expected a {sig.n}x{sig.n} matrix, got shape {cells.shape}")
+    return sig, np.array([[_number(x, "matrix entry") for x in row] for row in cells])
 
 
 def _parse_rotor_input(obj: dict) -> tuple[Signature, Multivector]:
@@ -162,12 +180,7 @@ def _parse_rotor_input(obj: dict) -> tuple[Signature, Multivector]:
         raise ValueError('missing or empty "rotor" object in input')
     coeffs = np.zeros(sig.dim)
     for name, value in table.items():
-        mask = blade_from_name(name, sig.n)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"coefficient of {name} must be a number, got {value!r}")
-        if not math.isfinite(float(value)):
-            raise ValueError(f"coefficient of {name} must be finite")
-        coeffs[mask] += float(value)
+        coeffs[blade_from_name(name, sig.n)] += _number(value, f"coefficient of {name}")
     return sig, Multivector(sig, coeffs)
 
 
@@ -187,9 +200,10 @@ def cmd_rotor_from_matrix(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
 
-    report = check_membership(arr, sig, args.tol)
-    if not report.ok:
-        return _fail(EXIT_REJECTED, str(report), report)
+    try:
+        arr = require_membership(arr, sig, args.tol)
+    except MembershipError as exc:
+        return _fail(EXIT_REJECTED, str(exc), exc.report)
 
     # The (split-)quaternion is the n3 rotor read through the bridge.
     method = "n3" if args.method == "quaternion" else args.method
@@ -284,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     rfm = sub.add_parser("rotor-from-matrix", help="recover the rotor pair for a matrix")
     rfm.add_argument("input", nargs="?", default="-", help='file path, inline JSON, or "-" for stdin')
     rfm.add_argument("--method", choices=["general", "n3", "quaternion"], default="general")
-    rfm.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE, help="membership tolerance")
+    rfm.add_argument("--tol", type=tolerance, default=DEFAULT_TOLERANCE, help="membership tolerance")
     rfm.add_argument(
         "--project",
         action="store_true",
@@ -294,12 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     mfr = sub.add_parser("matrix-from-rotor", help="apply the covering map to a rotor")
     mfr.add_argument("input", nargs="?", default="-")
-    mfr.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE, help="rotor invariant tolerance")
+    mfr.add_argument("--tol", type=tolerance, default=DEFAULT_TOLERANCE, help="rotor invariant tolerance")
     mfr.set_defaults(func=cmd_matrix_from_rotor)
 
     chk = sub.add_parser("check", help="report SO+(p,q) membership residuals")
     chk.add_argument("input", nargs="?", default="-")
-    chk.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
+    chk.add_argument("--tol", type=tolerance, default=DEFAULT_TOLERANCE)
     chk.set_defaults(func=cmd_check)
 
     sc = sub.add_parser("selfcheck", help="run the verification suites")

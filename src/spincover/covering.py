@@ -59,7 +59,6 @@ from .clifford_core import (
 )
 from .matrix_group import (
     DEFAULT_TOLERANCE,
-    OrthoMatrix,
     as_square_matrix,
     batched_minors,
     require_membership,
@@ -363,7 +362,7 @@ def _candidate(sig: Signature, tables: _Tables, scale: float, F: int) -> Candida
 def _probe_candidate(matrix: object, sig: Signature, F: int, method: Method) -> CandidateElement:
     if blade_grade(F) % 2:
         raise ValueError(f"probe blade {blade_name(F)} has odd grade")
-    return _candidate(sig, *_minor_tables(_entries(matrix, sig), sig, method), F)
+    return _candidate(sig, *_minor_tables(as_square_matrix(matrix, sig.n), sig, method), F)
 
 
 def candidate_general(matrix: object, sig: Signature, F: int) -> CandidateElement:
@@ -399,7 +398,7 @@ def probe_weights(matrix: object, sig: Signature, method: Method = "general") ->
     e_F coefficient of S (2^(n-1) s_F^2 for the n3 form). Only the even
     masks name probes.
     """
-    return _probe_weights(sig, _minor_tables(_entries(matrix, sig), sig, method)[0])
+    return _probe_weights(sig, _minor_tables(as_square_matrix(matrix, sig.n), sig, method)[0])
 
 
 def select_candidate(matrix: object, sig: Signature, method: Method = "general") -> CandidateElement:
@@ -413,7 +412,7 @@ def select_candidate(matrix: object, sig: Signature, method: Method = "general")
     Raises NoCandidateError, naming the candidate, when its reverse-norm is
     not above RELATIVE_THRESHOLD x scale^2; no other probe is tried.
     """
-    arr = _entries(matrix, sig)
+    arr = as_square_matrix(matrix, sig.n)
     tables, scale = _minor_tables(arr, sig, method)
     evens = np.fromiter(even_blades(sig.n), dtype=np.int64)
     cand = _candidate(sig, tables, scale, int(evens[np.argmax(_probe_weights(sig, tables)[evens])]))
@@ -457,8 +456,7 @@ def matrix_to_rotor(
     comes from select_candidate and its normalization from
     rotor_from_candidate, which together are the unvalidated recovery.
     """
-    arr = require_membership(_entries(matrix, sig), sig, tol)
-    return rotor_from_candidate(select_candidate(arr, sig, method))
+    return rotor_from_candidate(select_candidate(require_membership(matrix, sig, tol), sig, method))
 
 
 def rotor_from_frames(
@@ -474,12 +472,3 @@ def rotor_from_frames(
     """
     return matrix_to_rotor(frame.coordinate_matrix(), frame.sig, method, tol)
 
-
-def _entries(matrix: object, sig: Signature) -> np.ndarray:
-    if isinstance(matrix, OrthoMatrix):
-        if matrix.sig != sig:
-            raise ValueError(
-                f"matrix signature Cl({matrix.sig.p},{matrix.sig.q}) does not match Cl({sig.p},{sig.q})"
-            )
-        return matrix.entries
-    return as_square_matrix(matrix, sig.n)

@@ -133,31 +133,11 @@ def check_membership(matrix: object, sig: Signature, tol: float = DEFAULT_TOLERA
 
 
 def require_membership(matrix: object, sig: Signature, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Return the validated array, or raise MembershipError with the report."""
-    arr = as_square_matrix(matrix, sig.n)
-    report = check_membership(arr, sig, tol)
+    """The float64 array that check_membership validated, or MembershipError."""
+    report = check_membership(matrix, sig, tol)
     if not report.ok:
         raise MembershipError(report)
-    return arr
-
-
-@dataclass(frozen=True)
-class OrthoMatrix:
-    """A matrix validated to lie in SO+(p,q) at construction time.
-
-    `entries` is read-only; column a holds the image coordinates of
-    generator a+1 (see the module docstring).
-    """
-
-    sig: Signature
-    entries: np.ndarray
-    tol: float
-
-    @classmethod
-    def validate(cls, matrix: object, sig: Signature, tol: float = DEFAULT_TOLERANCE) -> OrthoMatrix:
-        arr = require_membership(matrix, sig, tol).copy()
-        arr.setflags(write=False)
-        return cls(sig, arr, tol)
+    return np.asarray(matrix, dtype=np.float64)
 
 
 def project_to_group(matrix: object, sig: Signature) -> np.ndarray:
@@ -197,12 +177,10 @@ def _submatrix(matrix: object, rows: Sequence[int], cols: Sequence[int], n: int)
 def minor(matrix: object, rows: Sequence[int], cols: Sequence[int]) -> float:
     """Determinant of the submatrix on the given rows and columns (1-based).
 
-    Indices must be strictly ascending; empty index lists give 1.0. Accepts
-    an OrthoMatrix or any square array. The value is the last of the
-    submatrix's batched_minors suffix tables, 2^k minors in all for k indices.
+    Indices must be strictly ascending; empty index lists give 1.0. The
+    value is the last of the submatrix's batched_minors suffix tables, 2^k
+    minors in all for k indices.
     """
-    if isinstance(matrix, OrthoMatrix):
-        matrix = matrix.entries
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")

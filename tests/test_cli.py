@@ -137,6 +137,65 @@ def test_malformed_rotor_inputs(payload, capsys):
     capsys.readouterr()
 
 
+HUGE = str(10**400)
+
+
+def assert_bad_input_without_traceback(result: subprocess.CompletedProcess) -> None:
+    assert result.returncode == EXIT_BAD_INPUT, result.stderr
+    assert "Traceback" not in result.stderr
+    if result.stdout:
+        assert json.loads(result.stdout)["exit_code"] == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check", '{"p": 1, "q": 0, "matrix": [[%s]]}' % HUGE),
+        ("rotor-from-matrix", '{"p": 1, "q": 0, "matrix": [[%s]]}' % HUGE),
+        ("matrix-from-rotor", '{"p": 1, "q": 0, "rotor": {"1": %s}}' % HUGE),
+    ],
+    ids=lambda args: args[0],
+)
+def test_integer_too_large_for_a_float_is_bad_input(cli_env, args):
+    assert_bad_input_without_traceback(run_cli(cli_env, *args))
+
+
+@pytest.mark.parametrize("matrix", ["[[true, false], [false, true]]", '[["1", "0"], ["0", "1"]]'])
+def test_matrix_entries_must_be_json_numbers(cli_env, matrix):
+    result = run_cli(cli_env, "rotor-from-matrix", '{"p": 2, "q": 0, "matrix": %s}' % matrix)
+    assert_bad_input_without_traceback(result)
+    assert "matrix entry must be a number" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check", "nan", '{"p": 1, "q": 0, "matrix": [[1]]}'),
+        ("rotor-from-matrix", "-1", '{"p": 1, "q": 0, "matrix": [[1]]}'),
+        ("matrix-from-rotor", "inf", '{"p": 1, "q": 0, "rotor": {"1": 1}}'),
+    ],
+    ids=lambda args: args[0],
+)
+def test_tolerance_must_be_finite_and_non_negative(cli_env, args):
+    command, tol, payload = args
+    result = run_cli(cli_env, command, "--tol", tol, payload)
+    assert_bad_input_without_traceback(result)
+    assert "--tol" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("check", '{"p": 1, "q": 0, "matrix": [[1]]}'),
+        ("rotor-from-matrix", '{"p": 2, "q": 0, "matrix": [[0, -1], [1, 0]]}'),
+        ("matrix-from-rotor", '{"p": 1, "q": 0, "rotor": {"1": 1}}'),
+    ],
+)
+def test_zero_tolerance_is_accepted(command, payload, capsys):
+    assert main([command, "--tol", "0", payload]) == EXIT_OK
+    capsys.readouterr()
+
+
 def test_quaternion_method_needs_three_generators(capsys):
     code = main(
         ["rotor-from-matrix", "--method", "quaternion", '{"p": 2, "q": 0, "matrix": [[1, 0], [0, 1]]}']

@@ -527,6 +527,29 @@ def test_cli_rotor_from_matrix_computes_each_minor_grade_once(monkeypatch, capsy
 
 # -- matrix_to_rotor -----------------------------------------------------------
 
+def test_matrix_to_rotor_validates_the_matrix_once(monkeypatch):
+    # check_membership coerces and validates the input for
+    # require_membership; select_candidate coerces it once more.
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    coerce = counting("as_square_matrix", matrix_group.as_square_matrix)
+    monkeypatch.setattr(matrix_group, "as_square_matrix", coerce)
+    monkeypatch.setattr(covering, "as_square_matrix", coerce)
+    monkeypatch.setattr(matrix_group, "check_membership", counting("check_membership", check_membership))
+    monkeypatch.setattr(covering, "select_candidate", counting("select_candidate", select_candidate))
+    for sig, seed in ((SIG21, 302), (Signature(3, 1), 303)):
+        calls.clear()
+        matrix = sample_matrix(sig, seed)
+        assert forward_map(matrix_to_rotor(matrix.tolist(), sig)) == pytest.approx(matrix, abs=1e-12)
+        assert sorted(calls) == ["as_square_matrix"] * 2 + ["check_membership", "select_candidate"]
+
 def test_matrix_to_rotor_plane_rotation():
     angle = 0.7
     rotor = matrix_to_rotor(rotation_matrix(angle), SIG20)

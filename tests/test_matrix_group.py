@@ -9,7 +9,6 @@ import pytest
 from spincover.clifford_core import Signature
 from spincover.matrix_group import (
     MembershipError,
-    OrthoMatrix,
     as_square_matrix,
     batched_minors,
     check_membership,
@@ -161,23 +160,6 @@ def test_require_membership_raises_with_report():
     assert isinstance(out, np.ndarray)
 
 
-def test_ortho_matrix_validate():
-    mat = OrthoMatrix.validate(rotation_z(1.0), SIG30)
-    assert mat.sig == SIG30
-    with pytest.raises(ValueError):
-        mat.entries[0, 0] = 7.0
-    with pytest.raises(MembershipError):
-        OrthoMatrix.validate(np.diag([1.0, 1.0, -1.0]), SIG30)
-
-
-def test_ortho_matrix_validate_with_projection():
-    noisy = rotation_z(0.4) + 1e-6 * np.ones((3, 3))
-    with pytest.raises(MembershipError):
-        OrthoMatrix.validate(noisy, SIG30)
-    mat = OrthoMatrix.validate(project_to_group(noisy, SIG30), SIG30)
-    assert check_membership(mat.entries, SIG30).ok
-
-
 def test_project_to_group_repairs_noise():
     rng = np.random.default_rng(2)
     for sig in (SIG30, Signature(1, 1), Signature(2, 2)):
@@ -253,11 +235,6 @@ def test_minor_expands_only_the_row_suffix(monkeypatch):
     index = tuple(range(1, 13))
     assert abs(minor(m, index, index) - np.linalg.det(m)) <= 1e-12 * np.prod(np.linalg.norm(m, axis=0))
     assert sum(computed) == 2**12
-
-
-def test_minor_accepts_ortho_matrix():
-    mat = OrthoMatrix.validate(rotation_z(0.3), SIG30)
-    assert abs(minor(mat, (1, 2, 3), (1, 2, 3)) - 1.0) <= 1e-12
 
 
 def test_so3_complementary_minor_identity():
