@@ -35,6 +35,7 @@ from .matrix_group import (
     check_membership,
     project_to_group,
     require_membership,
+    require_tolerance,
 )
 from .oracle import run_selfcheck, verify_covering
 
@@ -148,10 +149,7 @@ def _number(value: object, what: str) -> float:
 
 def tolerance(text: str) -> float:
     """argparse type of --tol, a finite non-negative float; argparse exits 2 on ValueError."""
-    value = float(text)
-    if not 0.0 <= value < math.inf:
-        raise ValueError(text)
-    return value
+    return require_tolerance(float(text))
 
 
 def _parse_signature(obj: dict) -> Signature:

@@ -34,6 +34,9 @@ MAX_DIMENSION = 12
 #: Coefficients at or below this magnitude are dropped by display/serialization.
 ZERO_THRESHOLD = 1e-12
 
+#: Coefficient pairs summed per block in geometric_product.
+_PAIRS = 1 << 18
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -375,17 +378,19 @@ class Multivector:
 
 
 def geometric_product(u: Multivector, v: Multivector) -> Multivector:
-    """Bilinear extension of the blade product; associative, unit is 1."""
+    """Bilinear extension of the blade product (associative, unit 1), in blocks of _PAIRS pairs."""
     u._check_sig(v)
     sig = u.sig
     ia = np.nonzero(u.coeffs)[0]
     ib = np.nonzero(v.coeffs)[0]
-    if ia.size == 0 or ib.size == 0:
-        return Multivector.zero(sig)
-    signs = blade_signs(sig, ia[:, None], ib[None, :])
-    masks = (ia[:, None] ^ ib[None, :]).ravel()
-    values = (u.coeffs[ia][:, None] * v.coeffs[ib][None, :] * signs).ravel()
-    return Multivector(sig, np.bincount(masks, weights=values, minlength=sig.dim))
+    total = np.zeros(sig.dim)
+    step = _PAIRS // max(1, ib.size)
+    for start in range(0, ia.size, step):
+        rows = ia[start : start + step, None]
+        signs = blade_signs(sig, rows, ib)
+        values = (u.coeffs[rows] * v.coeffs[ib] * signs).ravel()
+        total += np.bincount((rows ^ ib).ravel(), weights=values, minlength=sig.dim)
+    return Multivector(sig, total)
 
 
 def squared_norm(u: Multivector) -> float:

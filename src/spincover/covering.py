@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Literal
 
 import numpy as np
@@ -61,7 +60,9 @@ from .matrix_group import (
     DEFAULT_TOLERANCE,
     as_square_matrix,
     batched_minors,
+    metric_matrix,
     require_membership,
+    require_tolerance,
 )
 
 Method = Literal["general", "n3"]
@@ -72,12 +73,6 @@ _Tables = list[tuple[np.ndarray, np.ndarray]]
 #: Candidates with reverse-norm at or below RELATIVE_THRESHOLD x scale^2
 #: count as zero, scale being the candidate's 2^n (2^(n-1) for the n3 form).
 RELATIVE_THRESHOLD = 1e-18
-
-#: Operator entries built at a time in _operator_products, so that a row
-#: block's temporaries stay in cache and the 32 MB n = 12 operator is never
-#: held whole. It leaves at least 128 rows per block, which with OpenBLAS
-#: reproduce the unblocked product bit for bit (32 or 64 rows do not).
-_BLOCK = 1 << 18
 
 
 class NoCandidateError(RuntimeError):
@@ -122,57 +117,37 @@ class Rotor:
         """Reversion, which inverts unit rotors."""
         return self.value.reverse()
 
-    @cached_property
-    def action(self) -> np.ndarray:
-        """Read-only (n + 1, 2^n) conjugation product, built once per rotor.
-
-        Row a holds S e_{a+1} reverse(S) and row n holds e_1 S reverse(S),
-        all from one right-multiplication operator for reverse(S).
-        """
-        products = _operator_products(self.value, self.value.reverse())
-        products.setflags(write=False)
-        return products
-
     def unit_residual(self) -> float:
-        """Distance of S reverse(S) from 1, over all components.
-
-        Read from the last row of action, e_1 S reverse(S): multiplying by
-        e_1 signs and permutes coefficients exactly, so the largest
-        |row - e_1| is the largest |S reverse(S) - 1|. In a
-        finite-dimensional algebra S reverse(S) = 1 exactly when
-        reverse(S) S = 1.
-        """
-        row = self.action[-1].copy()
-        row[1] -= 1.0
-        return float(np.max(np.abs(row)))
-
-    def _require_unit(self, tol: float) -> float:
-        # The unit residual is held to tol * max(1, sum of squared
-        # coefficients), the size of its rounding; returns that bound.
-        bound = tol * _size(self.value)
-        residual = self.unit_residual()
-        if not residual <= bound < math.inf:
-            raise ValueError(
-                f"rotor norm S*reverse(S) is not 1: it deviates by {residual:.3e} "
-                f"(tolerance {bound:.3e})"
-            )
-        return bound
+        """max |S reverse(S) - 1| over all components (0 iff reverse(S) S = 1), by one product."""
+        gram = (self.value * self.value.reverse()).coeffs.copy()
+        gram[0] -= 1.0
+        return float(np.max(np.abs(gram)))
 
     @classmethod
     def checked(cls, value: Multivector, tol: float = DEFAULT_TOLERANCE) -> Rotor:
         """Wrap a multivector after verifying evenness and unit norm.
 
-        The unit residual is held to tol relative to the rotor's size,
-        tol * max(1, sum of squared coefficients): rounding in S reverse(S)
-        grows with that sum, which for q > 0 exceeds the reverse-norm 1; a
-        sum that overflows fails. The residual comes from action, which
-        forward_map then reuses.
+        unit_residual is held to tol * max(1, sum of squared coefficients),
+        the size of its rounding (for q > 0 above the reverse-norm 1); a sum
+        that overflows fails. A closed-form bound (see forward_map) within a
+        quarter of that passes without a geometric product.
         """
+        bound = require_tolerance(tol) * _size(value)
         if value.odd_part_max() != 0.0:
             raise ValueError("rotor has odd-grade coefficients")
-        rotor = cls(value)
-        rotor._require_unit(tol)
-        return rotor
+        if not _closed_form(value)[1] <= bound / 4.0 < math.inf:
+            _require_unit(value, bound)
+        return cls(value)
+
+
+def _require_unit(value: Multivector, bound: float) -> float:
+    residual = Rotor(value).unit_residual()
+    if not residual <= bound < math.inf:
+        raise ValueError(
+            f"rotor norm S*reverse(S) is not 1: it deviates by {residual:.3e} "
+            f"(tolerance {bound:.3e})"
+        )
+    return residual
 
 
 @dataclass(frozen=True)
@@ -235,82 +210,66 @@ def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
     return w
 
 
-def _reachable(sig: Signature, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    # Masks A ^ B over A in left and B in right: where the xor-convolution
-    # of the two support indicators, a transform of the product of their
-    # transforms, is nonzero.
-    spectrum = np.ones(sig.dim)
-    for support in (left, right):
-        indicator = np.zeros(sig.dim)
-        indicator[support] = 1.0
-        spectrum *= _walsh_hadamard(indicator)
-    return np.nonzero(_walsh_hadamard(spectrum) > 0.0)[0]
+def _shifts(value: Multivector) -> tuple[np.ndarray, np.ndarray]:
+    # (n, 2^n) rows value e_a and e_a value, each a signed permutation of value.
+    sig = value.sig
+    bits = (1 << np.arange(sig.n))[:, None]
+    partner = np.arange(sig.dim) ^ bits
+    moved = value.coeffs[partner]
+    return blade_signs(sig, partner, bits) * moved, blade_signs(sig, bits, partner) * moved
 
 
 def conjugated_generators(value: Multivector, right: Multivector) -> np.ndarray:
-    """(n, 2^n) coefficients whose row a is the product value e_a right.
-
-    Each value e_a is a signed permutation of value, so the n products
-    with right are one matrix product with the right-multiplication
-    operator, operator[C, A] = sign(e_A e_{A^C}) right[A^C]. Its columns
-    are the union of the supports of the n left factors and its rows the
-    masks that those factors can reach in a product with right.
-    """
-    return _operator_products(value, right)[:-1]
-
-
-def _operator_products(value: Multivector, right: Multivector) -> np.ndarray:
-    # Rows value e_a right for a = 1..n, then e_1 value right, all through
-    # one right-multiplication operator (see conjugated_generators), built
-    # and applied in row blocks of about _BLOCK entries; e_1 value is
-    # supported on value's support ^ e_1, which the columns already hold.
-    # The last row sums separately rounded products, with no fused
-    # multiply-add, so that an exactly unit rotor such as cos t + sin t I
-    # reads S reverse(S) = 1 exactly.
+    """(n, 2^n) coefficients whose row a is value e_a right, one product each."""
     value._check_sig(right)
+    return np.array([(Multivector(value.sig, row) * right).coeffs for row in _shifts(value)[0]])
+
+
+def _closed_form(value: Multivector, unit: float | None = None) -> tuple[np.ndarray, float]:
+    # P[b, a] = eta_bb <(S e_a)(reverse(S) e_b)>_0, the e_b coordinate of
+    # S e_a reverse(S), is one product, as reverse(S) e_b reverses e_b S. The
+    # float bounds max |D|, D = S reverse(S) - 1 (or builds on unit, max |D|
+    # by product), and every non-grade-1 coefficient of S e_a reverse(S)
+    # = v_a + v_a D + R_a reverse(S), v_a = P e_a, R_a = S e_a - v_a S. With
+    # u_b = eta P^T eta e_b and R'_b = e_b S - S u_b, e_b D - D e_b = R'_b
+    # reverse(S) - S reverse(R'_b); D off its centre (grades 0 and odd n) is
+    # the mean of D - e_A D e_A^-1, at most |S|_2 sum_b |R'_b|_2 as no U V
+    # coefficient exceeds |U|_2 |V|_2. R alone bounds neither: S (1 + d e1234),
+    # S a rapidity-12 boost in Cl(4,1), has |R| ~ 2d and |D| ~ 800 d.
     sig = value.sig
-    bits = (np.int64(1) << np.arange(sig.n, dtype=np.int64))[:, None]
-    occupied = np.zeros(sig.dim, dtype=bool)
-    occupied[np.nonzero(value.coeffs)[0] ^ bits] = True
-    cols = np.nonzero(occupied)[0]
-    shifted = cols ^ bits
-    left = blade_signs(sig, shifted, bits) * value.coeffs[shifted]
-    unit_left = blade_signs(sig, 1, shifted[0]) * value.coeffs[shifted[0]]
-    rows = _reachable(sig, cols, np.nonzero(right.coeffs)[0])
-    products = np.zeros((sig.n + 1, sig.dim))
-    step = _BLOCK // max(1, cols.size)
-    for start in range(0, rows.size, step):
-        block = rows[start : start + step]
-        partner = block[:, None] ^ cols
-        operator = blade_signs(sig, cols, partner) * right.coeffs[partner]
-        products[:-1, block] = (operator @ left.T).T
-        operator *= unit_left
-        products[-1, block] = np.add.reduce(operator, axis=1)
-    return products
+    right, left = _shifts(value)
+    eta = np.diag(metric_matrix(sig))
+    matrix = eta[:, None] * ((left * _reverse_norm_signs(sig.p, sig.q)) @ right.T)
+    norm = math.sqrt(float(np.dot(value.coeffs, value.coeffs)))
+    if unit is None:
+        unit = abs(squared_norm(value) - 1.0)
+        if sig.n % 2:
+            every = np.arange(sig.dim)
+            unit += abs(np.dot(blade_signs(sig, every, every[::-1]) * value.coeffs, value.reverse().coeffs[::-1]))
+        unit += norm * np.sum(np.linalg.norm(left - (eta[:, None] * matrix * eta) @ right, axis=1))
+    slip = np.linalg.norm(right - matrix.T @ left, axis=1)
+    return matrix, float(unit + np.max(np.sum(np.abs(matrix), axis=0) * unit + slip * norm))
 
 
 def forward_map(rotor: Rotor | Multivector, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Matrix of the conjugation action: column a holds S e_a S^-1.
+    """Matrix of the conjugation action: column a holds S e_a S^-1 = S e_a reverse(S).
 
-    S^-1 is reverse(S). The images and the unit residual are rows of the
-    rotor's cached Rotor.action (a Multivector is wrapped in an unchecked
-    Rotor), so after Rotor.checked no further operator is built and no
-    geometric product runs. Raises ValueError when S reverse(S) is not 1
-    or when some conjugated generator picks up non-grade-1 components,
-    checked over every coefficient; both tests allow tol relative to the
-    rotor's size, as in Rotor.checked, and fail when it overflows.
+    P is read from signed permutations of S. ValueError unless S reverse(S)
+    is 1 and every S e_a reverse(S) grade 1, over all coefficients, to tol
+    relative to the size as in Rotor.checked. Geometric products run only
+    when a closed-form bound is not within a quarter of that (_closed_form).
     """
-    rotor = rotor if isinstance(rotor, Rotor) else Rotor(rotor)
-    bound = rotor._require_unit(tol)
-    images = rotor.action[:-1].copy()
-    vectors = 1 << np.arange(rotor.sig.n)
-    matrix = images[:, vectors].T.copy()
-    images[:, vectors] = 0.0
-    worst = float(np.max(np.abs(images)))
-    if not worst <= bound:
-        raise ValueError(
-            f"conjugation does not preserve grade 1 (residual {worst:.3e}); not a rotor"
-        )
+    value = rotor.value if isinstance(rotor, Rotor) else rotor
+    bound = require_tolerance(tol) * _size(value)
+    matrix, residual = _closed_form(value)
+    if not residual <= bound / 4.0 < math.inf:
+        unit = _require_unit(value, bound)
+        if not _closed_form(value, unit)[1] <= bound / 4.0:
+            images = conjugated_generators(value, value.reverse())
+            images[:, 1 << np.arange(value.sig.n)] = 0.0
+            worst = float(np.max(np.abs(images)))
+            if not worst <= bound:
+                raise ValueError(f"conjugation does not preserve grade 1 (residual {worst:.3e}); not a rotor")
     return matrix
 
 

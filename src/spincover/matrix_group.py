@@ -103,9 +103,19 @@ def metric_matrix(sig: Signature) -> np.ndarray:
     return np.diag(np.array([1.0] * sig.p + [-1.0] * sig.q))
 
 
+def require_tolerance(tol: float) -> float:
+    """tol itself when it is finite and non-negative, else ValueError."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+    return tol
+
+
 def as_square_matrix(matrix: object, n: int) -> np.ndarray:
-    """Validate and coerce input to an (n, n) float64 array."""
-    arr = np.asarray(matrix, dtype=np.float64)
+    """Validate an (n, n) input of real numbers (no bools, strings or complex) as float64."""
+    arr = np.asarray(matrix)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"matrix entries must be real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(np.float64, copy=False)
     if arr.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -120,6 +130,7 @@ def check_membership(matrix: object, sig: Signature, tol: float = DEFAULT_TOLERA
     max(1, max |P_ij|)^2, so a correctly rounded large boost passes; the
     determinant bound never exceeds 1, so its sign is never lost.
     """
+    require_tolerance(tol)
     arr = as_square_matrix(matrix, sig.n)
     eta = metric_matrix(sig)
     residual = float(np.max(np.abs(arr.T @ eta @ arr - eta)))

@@ -24,12 +24,14 @@ from .clifford_core import (
 from .covering import (
     Frame,
     Rotor,
+    _closed_form,
     candidate_general,
     candidate_n3,
     even_blades,
     forward_map,
     matrix_to_rotor,
 )
+from .matrix_group import as_square_matrix
 
 _MASK64 = (1 << 64) - 1
 
@@ -99,9 +101,7 @@ def verify_covering(rotor: Rotor | Multivector, matrix: object) -> CoveringRepor
     """Residual of the covering relation for each generator."""
     value = rotor.value if isinstance(rotor, Rotor) else rotor
     sig = value.sig
-    arr = np.asarray(matrix, dtype=np.float64)
-    if arr.shape != (sig.n, sig.n):
-        raise ValueError(f"expected a {sig.n}x{sig.n} matrix, got shape {arr.shape}")
+    arr = as_square_matrix(matrix, sig.n)
     inverse = value.reverse() / squared_norm(value)
     residuals = []
     for slot in range(sig.n):
@@ -112,10 +112,9 @@ def verify_covering(rotor: Rotor | Multivector, matrix: object) -> CoveringRepor
 
 
 def frame_from_rotor(rotor: Rotor | Multivector) -> Frame:
-    """The frame of conjugated generators beta_a = S e_a reverse(S), read from Rotor.action."""
-    rotor = rotor if isinstance(rotor, Rotor) else Rotor(rotor)
-    images = rotor.action[:-1]
-    return Frame(rotor.sig, tuple(Multivector(rotor.sig, row).grade_projection(1) for row in images))
+    """The unchecked frame beta_a: column a of forward_map's matrix, the grade-1 part of S e_a reverse(S)."""
+    value = rotor.value if isinstance(rotor, Rotor) else rotor
+    return Frame(value.sig, tuple(Multivector.vector(value.sig, col) for col in _closed_form(value)[0].T))
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,10 @@ def test_readme_removed_names_are_gone():
             for attr in path.split("."):
                 function = getattr(function, attr)
             assert parameter not in inspect.signature(function).parameters, entry
+        elif "." in entry:
+            assert re.fullmatch(r"\w+\.\w+", entry), f"unreadable entry {entry!r}"
+            owner, attribute = entry.split(".")
+            assert not hasattr(getattr(spincover, owner), attribute), entry
         else:
             assert re.fullmatch(r"\w+", entry), f"unreadable entry {entry!r}"
             assert entry not in spincover.__all__

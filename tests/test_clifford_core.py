@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spincover import clifford_core
 from spincover.clifford_core import (
     MAX_DIMENSION,
     Multivector,
@@ -212,6 +213,18 @@ def test_geometric_product_n5_against_oracle():
         naive_product(coeffs_to_dict(u.coeffs), coeffs_to_dict(v.coeffs), sig.p, sig.q), sig.n
     )
     assert np.max(np.abs((u * v).coeffs - np.array(ref))) <= 1e-12
+
+
+def test_geometric_product_row_blocks_match_one_block(monkeypatch):
+    # Blocks of 64 pairs split an n = 5 grid into 16 bincounts of two rows;
+    # the sum is the one-block product up to the order of its additions.
+    rng = np.random.default_rng(12)
+    sig = Signature(3, 2)
+    u, v = random_mv(sig, rng), random_mv(sig, rng)
+    whole = geometric_product(u, v).coeffs
+    monkeypatch.setattr(clifford_core, "_PAIRS", 64)
+    assert np.max(np.abs(geometric_product(u, v).coeffs - whole)) <= 1e-14
+    assert geometric_product(u, Multivector.zero(sig)).max_abs() == 0.0
 
 
 def test_product_unit_and_zero():

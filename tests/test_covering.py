@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,10 +196,9 @@ EPS = np.finfo(float).eps
 
 @pytest.mark.parametrize("sig", SIGS_UP_TO_6 + [Signature(8, 4), Signature(4, 8)], ids=lambda s: f"{s.p}_{s.q}")
 def test_unit_residual_matches_the_direct_product(sig):
-    # The residual read from the conjugation product is max |S reverse(S) - 1|.
-    # On a unit rotor it agrees with max |reverse(S) S - 1|, the residual of
-    # the direct product, and off the group, after an even perturbation,
-    # with the direct S reverse(S).
+    # unit_residual is max |S reverse(S) - 1|. On a unit rotor it agrees
+    # with max |reverse(S) S - 1|, and off the group, after an even
+    # perturbation, with S reverse(S) from the test's own products.
     rng = np.random.default_rng(60 + 13 * sig.p + sig.q)
     value = plane_chain_rotor(sig) if sig.n > 6 else random_rotor(sig, rng).value
     fused = Rotor(value).unit_residual()
@@ -234,21 +234,6 @@ def test_conjugated_generators_match_naive_products(sig):
                 assert np.max(np.abs(got[a] - dict_to_coeffs(ref, sig.n))) <= 1e-14
 
 
-@pytest.mark.parametrize("sig", [Signature(3, 2), Signature(1, 4)], ids=lambda s: f"{s.p}_{s.q}")
-def test_operator_row_blocks_match_naive_products(sig, monkeypatch):
-    # Blocks of two rows split the operator into many pieces; every row,
-    # e_1 value right included, must still match the naive products.
-    monkeypatch.setattr(covering, "_BLOCK", 2 * sig.dim)
-    rng = np.random.default_rng(50 + sig.q)
-    value, right = rng.uniform(-1.0, 1.0, (2, sig.dim))
-    got = covering._operator_products(Multivector(sig, value), Multivector(sig, right))
-    lefts = [naive_product(coeffs_to_dict(value), {(a + 1,): 1.0}, sig.p, sig.q) for a in range(sig.n)]
-    lefts.append(naive_product({(1,): 1.0}, coeffs_to_dict(value), sig.p, sig.q))
-    for row, left in zip(got, lefts):
-        ref = dict_to_coeffs(naive_product(left, coeffs_to_dict(right), sig.p, sig.q), sig.n)
-        assert np.max(np.abs(row - ref)) <= 1e-14
-
-
 def test_conjugated_generators_of_zero_is_zero():
     sig = Signature(2, 1)
     zero = Multivector.zero(sig)
@@ -256,52 +241,156 @@ def test_conjugated_generators_of_zero_is_zero():
     assert not conjugated_generators(Multivector.scalar(sig), zero).any()
 
 
-def count_forward_work(monkeypatch) -> tuple[list, list]:
-    """Record geometric products and conjugation-operator builds."""
-    products, builds = [], []
-    product, build = clifford_core.geometric_product, covering._operator_products
+def count_products(monkeypatch) -> list:
+    """Record the signature of every geometric product."""
+    products = []
+    product = clifford_core.geometric_product
 
     def counting_product(u, v):
         products.append(u.sig)
         return product(u, v)
 
-    def counting_build(value, right):
-        builds.append(value.sig)
-        return build(value, right)
-
     monkeypatch.setattr(clifford_core, "geometric_product", counting_product)
-    monkeypatch.setattr(covering, "_operator_products", counting_build)
-    return products, builds
+    return products
 
 
 def test_forward_direction_makes_no_geometric_product(monkeypatch):
-    # Rotor.checked, forward_map and frame_from_rotor share one operator
-    # build, the rotor's action, and no geometric product runs at all.
-    products, builds = count_forward_work(monkeypatch)
+    # Rotor.checked, forward_map and frame_from_rotor read P and its
+    # residual bounds from signed permutations of a valid rotor.
     rng = np.random.default_rng(41)
-    for sig in (SIG30, SIG21, Signature(3, 3), Signature(2, 5)):
-        value = random_rotor(sig, rng).value
-        products.clear()
-        builds.clear()
+    values = [random_rotor(sig, rng).value for sig in (SIG30, SIG21, Signature(3, 3), Signature(2, 5))]
+    products = count_products(monkeypatch)
+    for value in values:
         rotor = Rotor.checked(value)
         forward_map(rotor)
         frame_from_rotor(rotor)
-        assert products == []
-        assert builds == [sig]
         forward_map(value)
         assert products == []
-        assert builds == [sig, sig]
 
 
-def test_cli_matrix_from_rotor_builds_one_operator(monkeypatch, capsys):
+def test_cli_matrix_from_rotor_makes_no_geometric_product(monkeypatch, capsys):
     rotor = random_rotor(Signature(3, 2), np.random.default_rng(42))
     terms = {clifford_core.blade_name(m): float(c) for m, c in enumerate(rotor.coeffs) if c != 0.0}
     payload = json.dumps({"p": 3, "q": 2, "rotor": terms})
-    products, builds = count_forward_work(monkeypatch)
+    products = count_products(monkeypatch)
     assert cli.main(["matrix-from-rotor", payload]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["membership"]["ok"] is True
     assert products == []
-    assert builds == [Signature(3, 2)]
+
+
+def todays_rule(value: Multivector, tol: float, forward: bool) -> str | None:
+    """Verdict of the all-components rule by geometric products: None to
+    accept, else the prefix of the rejection message."""
+    if not forward and value.odd_part_max() != 0.0:
+        return "rotor has odd-grade coefficients"
+    bound = tol * max(1.0, float(np.dot(value.coeffs, value.coeffs)))
+    gram = geometric_product(value, value.reverse()).coeffs.copy()
+    gram[0] -= 1.0
+    if not np.max(np.abs(gram)) <= bound < math.inf:
+        return "rotor norm S*reverse(S) is not 1"
+    if forward:
+        vectors = 1 << np.arange(value.sig.n)
+        for a in vectors:
+            image = geometric_product(value * Multivector.basis(value.sig, a), value.reverse()).coeffs.copy()
+            image[vectors] = 0.0
+            if not np.max(np.abs(image)) <= bound:
+                return "conjugation does not preserve grade 1"
+    return None
+
+
+def assert_verdicts_match(value: Multivector, tol: float = matrix_group.DEFAULT_TOLERANCE) -> None:
+    for call, forward in ((Rotor.checked, False), (forward_map, True)):
+        expected = todays_rule(value, tol, forward)
+        try:
+            call(value, tol)
+        except ValueError as exc:
+            assert expected is not None and str(exc).startswith(expected), (str(exc), expected)
+        else:
+            assert expected is None, expected
+
+
+PERTURBATION_SIZES = [0.0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1e-3]
+
+
+def perturbations(value: Multivector, rng: np.random.Generator):
+    # even, odd, mixed-parity and pseudoscalar perturbations of each size
+    sig = value.sig
+    grades = clifford_core._grades(sig.n)
+    parts = (grades % 2 == 0, grades % 2 == 1, grades >= 0, np.arange(sig.dim) == sig.dim - 1)
+    for part in parts:
+        for size in PERTURBATION_SIZES:
+            yield value + Multivector(sig, np.where(part, size * rng.uniform(-1.0, 1.0, sig.dim), 0.0))
+
+
+@pytest.mark.parametrize("sig", SIGS_UP_TO_6, ids=lambda s: f"{s.p}_{s.q}")
+def test_closed_form_verdicts_match_the_product_rule(sig):
+    # The closed-form bounds only ever accept what the product rule accepts,
+    # and everything else is decided by that rule itself.
+    rng = np.random.default_rng(70 + 11 * sig.p + sig.q)
+    for rotor in (random_rotor(sig, rng), random_rotor(sig, rng, scale=1.5)):
+        for value in perturbations(rotor.value, rng):
+            assert_verdicts_match(value)
+
+
+@pytest.mark.parametrize("sig", [Signature(1, 1), SIG21, Signature(3, 1), Signature(1, 3)],
+                         ids=lambda s: f"{s.p}_{s.q}")
+def test_closed_form_verdicts_match_the_product_rule_on_boosts(sig):
+    rng = np.random.default_rng(80 + sig.p)
+    for rapidity in np.linspace(-12.0, 12.0, 9):
+        boost = exp_bivector(Multivector.basis(sig, 1 | (1 << (sig.n - 1)), rapidity / 2.0))
+        for value in perturbations(boost, rng):
+            assert_verdicts_match(value)
+
+
+@pytest.mark.parametrize("size", [1e-9, 1e-7, 1e-6, 1e-5])
+def test_checked_rejects_what_the_relation_alone_misses(size):
+    # S (1 + d e1234) for a rapidity-12 boost S in Cl(4,1): S e_a = v_a S
+    # holds to ~2d, yet S reverse(S) - 1 ~ 800 d, so the relation within a
+    # quarter of the bound would accept d = 1e-6 and 1e-5.
+    sig = Signature(4, 1)
+    boost = exp_bivector(Multivector.basis(sig, 0b10001, 6.0))
+    turned = geometric_product(boost, Multivector.basis(sig, 0b1111))
+    value = boost + turned * (size / turned.max_abs())
+    assert_verdicts_match(value)
+    assert (todays_rule(value, 1e-9, False) is None) == (size < 1e-6)
+
+
+def test_odd_pseudoscalar_is_held_to_unit_norm():
+    # (1 + e12345)/sqrt(2) in Cl(5,0) is central, so S e_a = e_a S and the
+    # relation holds with P = 1; S reverse(S) = 1 + e12345 is not 1.
+    sig = Signature(5, 0)
+    value = Multivector.from_terms(sig, {0: 1.0, 0b11111: 1.0}) / math.sqrt(2.0)
+    with pytest.raises(ValueError, match="is not 1"):
+        forward_map(value)
+    # (1 + e123)/sqrt(2) in Cl(3,0) has S reverse(S) = 1 and fixes every e_a.
+    value = Multivector.from_terms(SIG30, {0: 1.0, 0b111: 1.0}) / math.sqrt(2.0)
+    assert np.array_equal(forward_map(value), np.eye(3) * np.dot(value.coeffs, value.coeffs))
+
+
+def traced_peak_mb(call) -> float:
+    call()  # warm the per-signature caches
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
+def test_forward_op_at_n12_bounds_its_temporaries():
+    value = plane_chain_rotor(Signature(8, 4))
+    assert traced_peak_mb(lambda: forward_map(Rotor.checked(value))) < 3.0
+
+
+def test_rejecting_a_dense_n12_non_rotor_bounds_its_temporaries():
+    value = plane_chain_rotor(Signature(8, 4)) + Multivector.scalar(Signature(8, 4), 1e-3)
+
+    def reject():
+        with pytest.raises(ValueError, match="is not 1"):
+            forward_map(value)
+
+    assert traced_peak_mb(reject) < 8.0
 
 
 def test_sign_table_is_gone():

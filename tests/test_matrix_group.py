@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spincover.clifford_core import Signature
+from spincover.clifford_core import Multivector, Signature
+from spincover.covering import Rotor, forward_map, matrix_to_rotor
 from spincover.matrix_group import (
     MembershipError,
     as_square_matrix,
@@ -49,6 +50,39 @@ def test_as_square_matrix_validation():
         as_square_matrix([[1, 2], [3, 4]], 3)
     with pytest.raises(ValueError):
         as_square_matrix([[np.nan, 0], [0, 1]], 2)
+    assert np.array_equal(as_square_matrix([[1, 0.5], [0, 1]], 2), [[1.0, 0.5], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[["1", "0"], ["0", "1"]], np.eye(2, dtype=bool), np.eye(2) * (1 + 0.5j)],
+    ids=["strings", "bools", "complex"],
+)
+def test_non_real_entries_are_rejected(matrix):
+    # each of these used to be coerced, to the identity or to its real part
+    with pytest.raises(ValueError, match="real numbers"):
+        as_square_matrix(matrix, 2)
+    with pytest.raises(ValueError, match="real numbers"):
+        matrix_to_rotor(matrix, Signature(2, 0))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), -0.5e-9])
+def test_tolerance_must_be_finite_and_non_negative(tol):
+    with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+        check_membership(np.eye(1), Signature(1, 0), tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        require_membership(np.eye(2), Signature(2, 0), tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        matrix_to_rotor(np.eye(2), Signature(2, 0), tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        forward_map(Multivector.scalar(Signature(2, 0)), tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        Rotor.checked(Multivector.scalar(Signature(2, 0)), tol)
+
+
+def test_zero_tolerance_is_a_tolerance():
+    assert check_membership(np.eye(2), Signature(2, 0), 0.0).ok
+    assert np.array_equal(forward_map(Rotor.checked(Multivector.scalar(SIG30), 0.0), 0.0), np.eye(3))
 
 
 def test_check_membership_accepts_rotation():

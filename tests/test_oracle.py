@@ -1,6 +1,7 @@
 """Deterministic sampling, covering verification, and the selfcheck suites."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,27 @@ def test_verify_covering_flags_perturbation():
     perturbed = matrix.copy()
     perturbed[0, 1] += 1e-3
     assert verify_covering(rotor, perturbed).max_residual >= 1e-4
+
+
+def test_verify_covering_rejects_a_non_finite_matrix():
+    with pytest.raises(ValueError, match="finite"):
+        verify_covering(Rotor(Multivector.scalar(SIG30)), np.full((3, 3), np.nan))
+
+
+def test_verify_covering_at_n12_bounds_its_temporaries():
+    # 12 dense products, each summed in row blocks; a single 4096 x 4096
+    # pair grid traced 68 MB.
+    sig = Signature(8, 4)
+    rotor = sample_rotor(sig, 5)
+    matrix = forward_map(rotor)
+    verify_covering(rotor, matrix)
+    tracemalloc.start()
+    try:
+        assert verify_covering(rotor, matrix).max_residual <= 1e-12
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_verify_covering_sees_both_signs_equally():
