@@ -209,6 +209,17 @@ def grade_masks(n: int, k: int) -> np.ndarray:
     return masks
 
 
+def _real_array(values: object, what: str) -> np.ndarray:
+    """A new float64 array of values, which must be real numbers: bool,
+    string, complex and object entries raise ValueError."""
+    arr = np.array(values)
+    if arr.dtype.char != "d":
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"{what} must be real numbers, got dtype {arr.dtype}")
+        arr = arr.astype(np.float64)
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # Multivectors
 # ---------------------------------------------------------------------------
@@ -219,7 +230,7 @@ class Multivector:
     __slots__ = ("sig", "_coeffs")
 
     def __init__(self, sig: Signature, coeffs: Iterable[float]):
-        arr = np.array(coeffs, dtype=np.float64)
+        arr = _real_array(coeffs, "coefficients")
         if arr.shape != (sig.dim,):
             raise ValueError(f"expected {sig.dim} coefficients for Cl({sig.p},{sig.q}), got {arr.shape}")
         arr.setflags(write=False)

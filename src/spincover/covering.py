@@ -6,20 +6,24 @@ S e_a S^-1 = sum_b p_a^b e_b, and the coordinates p_a^b fill column a of a
 matrix P in SO+(p,q); S and -S give the same P, so the inverse direction
 recovers a pair of rotors.
 
-Recovery probes the matrix with an even-grade blade F, assembling
+Recovery probes the matrix with an even-grade blade F. The full sum
 
     M_F = sum over k = 0..n, over row k-subsets B and column k-subsets A,
           of minor(P, B, A) * e_B e_F e^A
 
-which is always proportional to the sought rotor. The minors come grade
-by grade, each grade one Laplace step from the one below
-(matrix_group.batched_minors). For n = 3 the same sum cut after grade 1
-is the first-order candidate
+is always proportional to the sought rotor. For P in SO(p,q),
+P^-1 = eta P^T eta and det P = 1, so by Jacobi's complementary-minor
+identity the term of (B^c, A^c) equals the term of (B, A) for every even
+F. So M_F = 2 L_F, where the half sum L_F takes the grades k < n/2 in
+full and, for even n, the rows B of grade n/2 that hold e_n; no minor
+above grade n/2 is computed. The minors come grade by grade, each grade
+one Laplace step from the one below (matrix_group.batched_minors). For
+n = 3 the half sum is the first-order candidate
 
     L_F = e_F + sum over a, b of p_a^b e_b e_F e^a
 
-with M_F = 2 L_F, so the n3 form is the general assembly over the
-grade 0 and 1 tables.
+of the paper, so the n3 form is L_F itself and the general candidate is
+exactly 2 L_F.
 
 The candidate is M_F = 2^n eps_F s_F S, where eps_F is the sign of
 reverse(e_F) e_F and s_F the e_F coefficient of S, so it vanishes exactly
@@ -28,20 +32,27 @@ so the e_F coefficient
 
     <M_F>_F = sum over A of (-1)^|A & F| det P[A, A] = 2^n eps_F s_F^2
 
-is a Walsh-Hadamard transform of the 2^n principal minors. One transform
-ranks every probe by w_F = eps_F <M_F>_F = 2^n s_F^2, and only the
-candidate with the largest w_F is assembled; no other probe is tried.
-The rotor is M_F / sqrt(2^n eps_F <M_F>_F), up to sign. The reverse-norm
+is a Walsh-Hadamard transform of the 2^n principal minors, of which the
+half sum holds one of each complementary pair (A and A^c give the same
+minor and the same sign). One transform ranks every probe by
+w_F = eps_F <M_F>_F = 2^n s_F^2, and only the candidate with the largest
+w_F is assembled; no other probe is tried. The rotor is
+M_F / sqrt(2^n eps_F <M_F>_F), up to sign. The reverse-norm
 reverse(M_F) M_F = 4^n s_F^2 would give the same divisor in exact
 arithmetic, but for q > 0 it is an indefinite sum of squares that
 cancels catastrophically on large boosts, so it only tests that the
 chosen candidate is nonzero.
+
+Off the group the halving fails. On an element of O(p,q) the full sum is
+(1 + det P) L_F, which vanishes for det P = -1 while L_F need not, so
+candidate_general and probe_weights assume det P = +1, and
+select_candidate refuses a negative determinant by its sign alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Literal
 
 import numpy as np
@@ -67,7 +78,8 @@ from .matrix_group import (
 
 Method = Literal["general", "n3"]
 
-#: Minor tables of grades 0, 1, ..., as returned by batched_minors.
+#: Minor tables of grades 0..n/2, as returned by batched_minors; a table
+#: with fewer rows than masks holds the row sets of its last masks.
 _Tables = list[tuple[np.ndarray, np.ndarray]]
 
 #: Candidates with reverse-norm at or below RELATIVE_THRESHOLD x scale^2
@@ -94,6 +106,8 @@ class Rotor:
     """One of the two spin-group preimages of a matrix under the covering."""
 
     value: Multivector
+    # (matrix, bound) from _closed_form, kept by checked for forward_map.
+    _closed: tuple[np.ndarray, float] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def sig(self) -> Signature:
@@ -130,14 +144,18 @@ class Rotor:
         unit_residual is held to tol * max(1, sum of squared coefficients),
         the size of its rounding (for q > 0 above the reverse-norm 1); a sum
         that overflows fails. A closed-form bound (see forward_map) within a
-        quarter of that passes without a geometric product.
+        quarter of that passes without a geometric product. The rotor keeps
+        the closed form, so forward_map does not evaluate it again.
         """
         bound = require_tolerance(tol) * _size(value)
         if value.odd_part_max() != 0.0:
             raise ValueError("rotor has odd-grade coefficients")
-        if not _closed_form(value)[1] <= bound / 4.0 < math.inf:
+        closed = _closed_form(value)
+        if not closed[1] <= bound / 4.0 < math.inf:
             _require_unit(value, bound)
-        return cls(value)
+        rotor = cls(value)
+        object.__setattr__(rotor, "_closed", closed)
+        return rotor
 
 
 def _require_unit(value: Multivector, bound: float) -> float:
@@ -257,11 +275,13 @@ def forward_map(rotor: Rotor | Multivector, tol: float = DEFAULT_TOLERANCE) -> n
     P is read from signed permutations of S. ValueError unless S reverse(S)
     is 1 and every S e_a reverse(S) grade 1, over all coefficients, to tol
     relative to the size as in Rotor.checked. Geometric products run only
-    when a closed-form bound is not within a quarter of that (_closed_form).
+    when a closed-form bound is not within a quarter of that (_closed_form);
+    a rotor from Rotor.checked brings its closed form along.
     """
     value = rotor.value if isinstance(rotor, Rotor) else rotor
     bound = require_tolerance(tol) * _size(value)
-    matrix, residual = _closed_form(value)
+    kept = rotor._closed if isinstance(rotor, Rotor) else None
+    matrix, residual = _closed_form(value) if kept is None else (kept[0].copy(), kept[1])
     if not residual <= bound / 4.0 < math.inf:
         unit = _require_unit(value, bound)
         if not _closed_form(value, unit)[1] <= bound / 4.0:
@@ -278,21 +298,24 @@ def forward_map(rotor: Rotor | Multivector, tol: float = DEFAULT_TOLERANCE) -> n
 # ---------------------------------------------------------------------------
 
 def _minor_tables(arr: np.ndarray, sig: Signature, method: Method) -> tuple[_Tables, float]:
-    # Grades 0..n for the general sum and 0..1 for the n3 form, the same
-    # sum cut after grade 1; each grade is one Laplace step from the last.
-    # The scale is the candidate's factor 2^n, halved by the n = 3 cut.
+    # The tables of the half sum L_F (see the module notes), each grade one
+    # Laplace step from the last, and the factor the method applies to
+    # L_F: 2 for the candidate M_F, 1 for the n3 form.
     if method == "n3":
         if sig.n != 3:
             raise ValueError(f"method 'n3' needs n = 3, got n = {sig.n}")
-        top, scale = 1, sig.dim / 2.0
+        factor = 1.0
     elif method == "general":
-        top, scale = sig.n, float(sig.dim)
+        factor = 2.0
     else:
         raise ValueError(f"unknown method {method!r}; expected 'general' or 'n3'")
+    n = sig.n
     tables = [batched_minors(arr, 0, None)]
-    for k in range(1, top + 1):
+    for k in range(1, (n + 1) // 2):
         tables.append(batched_minors(arr, k, tables[-1]))
-    return tables, scale
+    if n % 2 == 0:
+        tables.append(batched_minors(arr, n // 2, tables[-1], math.comb(n - 1, n // 2)))
+    return tables, factor
 
 
 def _assemble_general(sig: Signature, tables: _Tables, F: int) -> Multivector:
@@ -304,7 +327,7 @@ def _assemble_general(sig: Signature, tables: _Tables, F: int) -> Multivector:
     squares = blade_signs(sig, every, every)
     total = np.zeros(sig.dim)
     for masks, dets in tables:
-        b = masks[:, None]
+        b = masks[-len(dets) :, None]
         a = masks[None, :]
         signs = with_probe[b] * blade_signs(sig, b ^ F, a) * squares[a]
         total += np.bincount(
@@ -313,9 +336,9 @@ def _assemble_general(sig: Signature, tables: _Tables, F: int) -> Multivector:
     return Multivector(sig, total)
 
 
-def _candidate(sig: Signature, tables: _Tables, scale: float, F: int) -> CandidateElement:
-    M = _assemble_general(sig, tables, F)
-    return CandidateElement(F, M, squared_norm(M), scale)
+def _candidate(sig: Signature, tables: _Tables, factor: float, F: int) -> CandidateElement:
+    M = factor * _assemble_general(sig, tables, F)
+    return CandidateElement(F, M, squared_norm(M), factor * sig.dim / 2.0)
 
 
 def _probe_candidate(matrix: object, sig: Signature, F: int, method: Method) -> CandidateElement:
@@ -325,12 +348,12 @@ def _probe_candidate(matrix: object, sig: Signature, F: int, method: Method) -> 
 
 
 def candidate_general(matrix: object, sig: Signature, F: int) -> CandidateElement:
-    """Full-grade-sum candidate M_F for an even probe blade F."""
+    """Candidate M_F = 2 L_F for an even probe blade F; assumes det P = +1 (see the module notes)."""
     return _probe_candidate(matrix, sig, F, "general")
 
 
 def candidate_n3(matrix: object, sig: Signature, F: int) -> CandidateElement:
-    """First-order candidate L_F, the sum cut after grade 1; n = 3 only, where M_F = 2 L_F."""
+    """First-order candidate L_F, the half sum at n = 3 (grades 0 and 1); M_F = 2 L_F."""
     return _probe_candidate(matrix, sig, F, "n3")
 
 
@@ -341,13 +364,15 @@ def even_blades(n: int) -> Iterator[int]:
             yield int(mask)
 
 
-def _probe_weights(sig: Signature, tables: _Tables) -> np.ndarray:
-    # w_F = eps_F sum_A (-1)^|A & F| det P[A, A] over the grades in tables;
-    # the n3 form sees d = (1, p11, p22, p33) on masks 0, 1, 2, 4.
+def _probe_weights(sig: Signature, tables: _Tables, factor: float) -> np.ndarray:
+    # w_F = factor eps_F sum_A (-1)^|A & F| det P[A, A] over the principal
+    # minors in tables; |A^c & F| = |A & F| mod 2 for even F, so the A in
+    # the half sum stand for their complements too. The n3 form sees
+    # d = (1, p11, p22, p33) on masks 0, 1, 2, 4.
     d = np.zeros(sig.dim)
     for masks, dets in tables:
-        d[masks] = np.diagonal(dets)
-    return _reverse_norm_signs(sig.p, sig.q) * _walsh_hadamard(d)
+        d[masks[-len(dets) :]] = np.diagonal(dets, masks.size - len(dets))
+    return factor * _reverse_norm_signs(sig.p, sig.q) * _walsh_hadamard(d)
 
 
 def probe_weights(matrix: object, sig: Signature, method: Method = "general") -> np.ndarray:
@@ -355,9 +380,9 @@ def probe_weights(matrix: object, sig: Signature, method: Method = "general") ->
 
     For a matrix in SO+(p,q) covered by +-S, w_F = 2^n s_F^2 with s_F the
     e_F coefficient of S (2^(n-1) s_F^2 for the n3 form). Only the even
-    masks name probes.
+    masks name probes. Like candidate_general, the weights assume det P = +1.
     """
-    return _probe_weights(sig, _minor_tables(as_square_matrix(matrix, sig.n), sig, method)[0])
+    return _probe_weights(sig, *_minor_tables(as_square_matrix(matrix, sig.n), sig, method))
 
 
 def select_candidate(matrix: object, sig: Signature, method: Method = "general") -> CandidateElement:
@@ -365,17 +390,24 @@ def select_candidate(matrix: object, sig: Signature, method: Method = "general")
 
     Exact ties go to the first even blade in (grade, mask) order. Only this
     one candidate is assembled: for a matrix in SO+(p,q) it is the probe
-    with the largest s_F^2, and since the s_F^2 over the even blades sum to
-    at least 1 that candidate cannot vanish.
+    with the largest s_F^2, and since the s_F^2 over the 2^(n-1) even
+    blades sum to at least 1, its w_F is at least 2 and it cannot vanish.
 
-    Raises NoCandidateError, naming the candidate, when its reverse-norm is
-    not above RELATIVE_THRESHOLD x scale^2; no other probe is tried.
+    Raises NoCandidateError when det P < 0 (by its sign only: a large
+    boost rounds it far from 1), where the half sum would not vanish, and,
+    naming the candidate, when its reverse-norm is not above
+    RELATIVE_THRESHOLD x scale^2; no other probe is tried.
     """
     arr = as_square_matrix(matrix, sig.n)
-    tables, scale = _minor_tables(arr, sig, method)
+    det = float(np.linalg.det(arr))
+    if det < 0.0:
+        raise NoCandidateError(
+            f"no covering candidate: determinant {det:.6g} is negative for matrix\n{np.array2string(arr)}"
+        )
+    tables, factor = _minor_tables(arr, sig, method)
     evens = np.fromiter(even_blades(sig.n), dtype=np.int64)
-    cand = _candidate(sig, tables, scale, int(evens[np.argmax(_probe_weights(sig, tables)[evens])]))
-    threshold = RELATIVE_THRESHOLD * scale**2
+    cand = _candidate(sig, tables, factor, int(evens[np.argmax(_probe_weights(sig, tables, factor)[evens])]))
+    threshold = RELATIVE_THRESHOLD * cand.scale**2
     if not cand.normsq > threshold:
         raise NoCandidateError(
             f"no nonzero covering candidate: best reverse-norm {cand.normsq:.6g} at "

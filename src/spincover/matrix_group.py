@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .clifford_core import Signature, grade_masks
+from .clifford_core import Signature, grade_masks, _real_array
 
 #: Default tolerance for membership residuals.
 DEFAULT_TOLERANCE = 1e-9
@@ -112,10 +112,7 @@ def require_tolerance(tol: float) -> float:
 
 def as_square_matrix(matrix: object, n: int) -> np.ndarray:
     """Validate an (n, n) input of real numbers (no bools, strings or complex) as float64."""
-    arr = np.asarray(matrix)
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"matrix entries must be real numbers, got dtype {arr.dtype}")
-    arr = arr.astype(np.float64, copy=False)
+    arr = _real_array(matrix, "matrix entries")
     if arr.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -172,7 +169,7 @@ def project_to_group(matrix: object, sig: Signature) -> np.ndarray:
     return arr
 
 
-def _submatrix(matrix: object, rows: Sequence[int], cols: Sequence[int], n: int) -> np.ndarray:
+def _submatrix(arr: np.ndarray, rows: Sequence[int], cols: Sequence[int], n: int) -> np.ndarray:
     for indices in (rows, cols):
         prev = 0
         for i in indices:
@@ -181,7 +178,6 @@ def _submatrix(matrix: object, rows: Sequence[int], cols: Sequence[int], n: int)
             if i <= prev:
                 raise ValueError(f"indices must be strictly ascending, got {tuple(indices)}")
             prev = i
-    arr = np.asarray(matrix, dtype=np.float64)
     return arr[np.ix_([r - 1 for r in rows], [c - 1 for c in cols])]
 
 
@@ -190,9 +186,10 @@ def minor(matrix: object, rows: Sequence[int], cols: Sequence[int]) -> float:
 
     Indices must be strictly ascending; empty index lists give 1.0. The
     value is the last of the submatrix's batched_minors suffix tables, 2^k
-    minors in all for k indices.
+    minors in all for k indices. Entries must be real numbers, as for
+    as_square_matrix.
     """
-    arr = np.asarray(matrix, dtype=np.float64)
+    arr = _real_array(matrix, "matrix entries")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if len(rows) != len(cols):
@@ -200,12 +197,12 @@ def minor(matrix: object, rows: Sequence[int], cols: Sequence[int]) -> float:
     sub = _submatrix(arr, rows, cols, arr.shape[0])
     table = batched_minors(sub, 0, None)
     for k in range(1, len(rows) + 1):
-        table = batched_minors(sub, k, table, suffix=True)
+        table = batched_minors(sub, k, table, suffix=1)
     return float(table[1][0, 0])
 
 
 def batched_minors(
-    matrix: np.ndarray, k: int, lower: tuple[np.ndarray, np.ndarray] | None, suffix: bool = False
+    matrix: np.ndarray, k: int, lower: tuple[np.ndarray, np.ndarray] | None, suffix: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """All k x k minors of an n x n matrix, from its (k-1) x (k-1) minors.
 
@@ -221,24 +218,26 @@ def batched_minors(
     j = 0), summed in order of j: for k <= 3 this is the arithmetic of the
     closed-form 1x1, 2x2 and 3x3 determinants, term for term.
 
-    With suffix, only the row set B of the last k rows is expanded: dets has
-    that one row, and lower must be the suffix table of grade k - 1. Such
-    tables up to grade n give one n x n determinant from 2^n minors.
+    With suffix = r > 0, only the row sets B of the last r masks are
+    expanded, and dets has those r rows. The rows of lower are counted from
+    its end, so lower may be a suffix table too if it ends with every
+    B - b_1 that these rows reach. suffix = 1 at every grade keeps the last
+    k rows, which reaches the determinant through 2^n minors in all; at
+    grade n/2 the last C(n-1, n/2) masks are the row sets holding row n - 1.
     """
     n = matrix.shape[0]
     masks = grade_masks(n, k)
     if k == 0:
         return masks, np.ones((1, 1))
     bits, cols = _laplace_indices(n, k)
-    if suffix:
-        first, rows = np.array([[n - k]]), np.array([[0]])
-    else:
-        # B - b_1 is A - a_0 for A = B, so the rows reuse the j = 0 columns.
-        first, rows = bits[0][:, None], cols[0][:, None]
-    lower_dets = lower[1]
+    # B - b_1 is A - a_0 for A = B, so the rows reuse the j = 0 columns,
+    # counted from the end of lower (-0: every row). Whole-row and
+    # whole-column takes gather faster than one (row, column) index pair.
+    first = bits[0][-suffix:]
+    below = lower[1].take(cols[0][-suffix:] - lower[0].size, axis=0)
     for j in range(k):
-        term = lower_dets[rows, cols[j]]
-        term *= matrix[first, bits[j]]
+        term = below.take(cols[j], axis=1)
+        term *= matrix.take(bits[j], axis=1).take(first, axis=0)
         if j == 0:
             dets = term
         elif j % 2:

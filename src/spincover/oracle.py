@@ -184,7 +184,18 @@ def center_sum(u: Multivector) -> Multivector:
     return total
 
 
+def _law(difference: Multivector, size: float) -> float:
+    # A law's residual relative to max(1, size), size bounding the sum of
+    # the magnitudes of the terms in any one coefficient: the rounding of
+    # such a sum grows with that sum, not with the result.
+    return difference.max_abs() / max(1.0, size)
+
+
 def _algebra_suite(sig: Signature, trials: int, seed: int) -> float:
+    # Coefficient D of (u v) w or u (v w) sums +-u_A v_B w_C over the pairs
+    # (A, B), C = A ^ B ^ D, at most |u|_1 |v|_1 max |w| in all; one of
+    # u v sums +-u_A v_B, at most |u|_1 max |v|. Coefficient C of
+    # center_sum sums 2^n terms +-u_C, at most 2^n max |u|.
     if anticommutation_defect(sig):
         return float("inf")
     rng = SplitMix64(seed)
@@ -193,9 +204,10 @@ def _algebra_suite(sig: Signature, trials: int, seed: int) -> float:
         u = sample_multivector(sig, rng)
         v = sample_multivector(sig, rng)
         w = sample_multivector(sig, rng)
-        worst = max(worst, ((u * v) * w - u * (v * w)).max_abs())
-        worst = max(worst, ((u * v).reverse() - v.reverse() * u.reverse()).max_abs())
-        worst = max(worst, (center_sum(u) - float(sig.dim) * u.center_projection()).max_abs())
+        nu, nv = float(np.sum(np.abs(u.coeffs))), float(np.sum(np.abs(v.coeffs)))
+        worst = max(worst, _law((u * v) * w - u * (v * w), nu * nv * w.max_abs()))
+        worst = max(worst, _law((u * v).reverse() - v.reverse() * u.reverse(), nu * v.max_abs()))
+        worst = max(worst, _law(center_sum(u) - float(sig.dim) * u.center_projection(), sig.dim * u.max_abs()))
     return worst
 
 

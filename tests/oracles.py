@@ -1,14 +1,17 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here works on index tuples and dicts with explicit bubble-sort
+Everything here shares no code or representation with the package under
+test. Most of it works on index tuples and dicts with explicit bubble-sort
 sign bookkeeping and Laplace-expansion determinants: deliberately naive,
-sharing no code or representation with the package under test. Slow, and
-meant for small n only.
+slow, and meant for small n only. The full-grade covering sum at the end
+uses numpy arrays to reach n = 12.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+import numpy as np
 
 
 def naive_blade_product(
@@ -152,3 +155,76 @@ def dict_to_coeffs(d: dict, n: int) -> list[float]:
     for blade, c in d.items():
         out[blade_to_mask(blade)] += c
     return out
+
+
+# The full-grade covering sum: the minors are numpy's LU determinants of
+# gathered submatrices, and the blade signs come from counting swaps
+# generator by generator.
+
+def _popcounts(n: int) -> list[int]:
+    return [bin(mask).count("1") for mask in range(1 << n)]
+
+
+def vectorized_blade_sign(a, b, n: int, p: int):
+    """Signs of e_a e_b over broadcast mask arrays: each generator j of b
+    moves left past the generators of a above it, and each shared
+    generator above p squares to -1."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    pop = np.array(_popcounts(n))
+    swaps = sum(((b >> j) & 1) * pop[a >> (j + 1)] for j in range(n))
+    negative = pop[a & b & (((1 << n) - 1) ^ ((1 << p) - 1))]
+    return 1 - 2 * ((swaps + negative) & 1)
+
+
+def full_minor_tables(matrix) -> list:
+    """(masks, dets) for every grade 0..n: dets[i, j] = det P[masks[i], masks[j]]."""
+    arr = np.asarray(matrix, dtype=np.float64)
+    n = arr.shape[0]
+    pop = _popcounts(n)
+    tables = []
+    for k in range(n + 1):
+        masks = np.array([m for m in range(1 << n) if pop[m] == k], dtype=np.int64)
+        if k == 0:
+            tables.append((masks, np.ones((1, 1))))
+            continue
+        index = np.array([[i for i in range(n) if m >> i & 1] for m in masks.tolist()])
+        dets = np.empty((masks.size, masks.size))
+        for r, rows in enumerate(index):
+            dets[r] = np.linalg.det(arr[rows][:, index].transpose(1, 0, 2))
+        tables.append((masks, dets))
+    return tables
+
+
+def full_grade_candidate(tables, probe: int, n: int, p: int):
+    """(M_F, T): the coefficients of sum over every grade and every (B, A) of
+    minor(P, B, A) e_B e_F e^A, and per coefficient the sum T of the
+    magnitudes of its terms, the scale of its rounding."""
+    total, size = np.zeros(1 << n), np.zeros(1 << n)
+    for masks, dets in tables:
+        b, a = masks[:, None], masks[None, :]
+        signs = (
+            vectorized_blade_sign(b, probe, n, p)
+            * vectorized_blade_sign(b ^ probe, a, n, p)
+            * vectorized_blade_sign(a, a, n, p)
+        )
+        target = (b ^ probe ^ a).ravel()
+        total += np.bincount(target, weights=(signs * dets).ravel(), minlength=1 << n)
+        size += np.bincount(target, weights=np.abs(dets).ravel(), minlength=1 << n)
+    return total, size
+
+
+def full_grade_weights(tables, n: int, p: int):
+    """(w, T): w_F = eps_F sum over all 2^n masks A of (-1)^|A & F| det P[A, A],
+    the e_F coefficient of M_F times the sign of reverse(e_F) e_F, and T the
+    sum of the magnitudes of its terms, the same for every F."""
+    pop = np.array(_popcounts(n))
+    principal = np.zeros(1 << n)
+    for masks, dets in tables:
+        principal[masks] = np.diagonal(dets)
+    every = np.arange(1 << n)
+    weights = np.empty(1 << n)
+    for start in range(0, 1 << n, 256):
+        probes = every[start : start + 256, None]
+        weights[start : start + 256] = (1 - 2 * (pop[probes & every] & 1)) @ principal
+    negative = ((1 << n) - 1) ^ ((1 << p) - 1)
+    return (1 - 2 * (pop[every & negative] & 1)) * weights, float(np.sum(np.abs(principal)))

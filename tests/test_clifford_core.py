@@ -161,6 +161,16 @@ def test_multivector_construction_and_access():
         Multivector.basis(sig, 8)
 
 
+@pytest.mark.parametrize(
+    "coeffs", [["1", "0"], ["1", True], [True, False], [1 + 0.5j, 0.0]], ids=["strings", "mixed", "bools", "complex"]
+)
+def test_multivector_coefficients_must_be_real(coeffs):
+    # the rule of as_square_matrix; ints and floats still pass
+    with pytest.raises(ValueError, match="real numbers"):
+        Multivector(Signature(1, 0), coeffs)
+    assert Multivector(Signature(1, 0), [1, 0]).coeffs.dtype == np.float64
+
+
 def test_multivector_is_immutable():
     u = Multivector.scalar(Signature(2, 0))
     with pytest.raises(AttributeError):

@@ -35,7 +35,17 @@ from spincover.covering import (
 from spincover.matrix_group import MembershipError, check_membership, project_to_group
 from spincover.oracle import frame_from_rotor, sample_matrix
 
-from oracles import coeffs_to_dict, dict_to_coeffs, naive_product
+from oracles import (
+    coeffs_to_dict,
+    dict_to_coeffs,
+    full_grade_candidate,
+    full_grade_weights,
+    full_minor_tables,
+    mask_to_blade,
+    naive_blade_product,
+    naive_product,
+    vectorized_blade_sign,
+)
 
 SIG20 = Signature(2, 0)
 SIG30 = Signature(3, 0)
@@ -278,6 +288,34 @@ def test_cli_matrix_from_rotor_makes_no_geometric_product(monkeypatch, capsys):
     assert products == []
 
 
+def test_forward_op_evaluates_the_closed_form_once(monkeypatch, capsys):
+    # Rotor.checked keeps the closed form for forward_map, which judges it
+    # against its own tolerance; a caller's edit to the returned matrix
+    # does not reach the next call
+    calls = []
+    original = covering._closed_form
+
+    def counting(*args):
+        calls.append(len(args))
+        return original(*args)
+
+    monkeypatch.setattr(covering, "_closed_form", counting)
+    value = random_rotor(Signature(3, 2), np.random.default_rng(43)).value
+    rotor = Rotor.checked(value)
+    matrix = forward_map(rotor)
+    assert calls == [1]
+    assert np.array_equal(matrix, original(value)[0])
+    matrix[0, 0] += 1.0
+    assert np.array_equal(forward_map(rotor), original(value)[0])
+    with pytest.raises(ValueError, match="is not 1"):
+        forward_map(Rotor.checked(value, tol=1e-3), tol=0.0)
+    terms = {clifford_core.blade_name(m): float(c) for m, c in enumerate(value.coeffs) if c != 0.0}
+    calls.clear()
+    assert cli.main(["matrix-from-rotor", json.dumps({"p": 3, "q": 2, "rotor": terms})]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["membership"]["ok"] is True
+    assert calls == [1]
+
+
 def todays_rule(value: Multivector, tol: float, forward: bool) -> str | None:
     """Verdict of the all-components rule by geometric products: None to
     accept, else the prefix of the rejection message."""
@@ -485,8 +523,9 @@ def test_general_candidate_is_twice_n3_candidate():
         for F in even_blades(3):
             full = candidate_general(matrix, sig, F)
             first_order = candidate_n3(matrix, sig, F)
-            assert (full.M - 2.0 * first_order.M).max_abs() <= 1e-12
-            assert abs(full.normsq - 4.0 * first_order.normsq) <= 1e-10
+            # the same tables, so exactly twice
+            assert np.array_equal(full.M.coeffs, 2.0 * first_order.M.coeffs)
+            assert full.normsq == 4.0 * first_order.normsq
 
 
 def test_even_blades_order():
@@ -597,21 +636,121 @@ def test_general_recovery_assembles_one_candidate(monkeypatch):
 
 
 def test_cli_rotor_from_matrix_computes_each_minor_grade_once(monkeypatch, capsys):
-    grades = []
+    # grades 0..n/2 only, each once; at even n the middle grade expands
+    # only its last C(n-1, n/2) row sets, the ones holding e_n
+    rows = {}
     original = covering.batched_minors
 
-    def counting(matrix, k, lower):
-        grades.append(k)
-        return original(matrix, k, lower)
+    def counting(matrix, k, lower, suffix=0):
+        masks, dets = original(matrix, k, lower, suffix)
+        assert k not in rows
+        rows[k] = len(dets)
+        return masks, dets
 
     monkeypatch.setattr(covering, "batched_minors", counting)
     monkeypatch.setattr(matrix_group, "batched_minors", counting)
-    sig = Signature(3, 2)
-    matrix = forward_map(random_rotor(sig, np.random.default_rng(301)))
-    doc = json.dumps({"p": sig.p, "q": sig.q, "matrix": matrix.tolist()})
-    assert cli.main(["rotor-from-matrix", doc]) == 0
-    assert json.loads(capsys.readouterr().out)["residual"] <= 1e-12
-    assert sorted(grades) == list(range(sig.n + 1))
+    for sig in (Signature(3, 2), Signature(4, 2)):
+        rows.clear()
+        matrix = forward_map(random_rotor(sig, np.random.default_rng(301)))
+        doc = json.dumps({"p": sig.p, "q": sig.q, "matrix": matrix.tolist()})
+        assert cli.main(["rotor-from-matrix", doc]) == 0
+        assert json.loads(capsys.readouterr().out)["residual"] <= 1e-12
+        n = sig.n
+        expected = {k: math.comb(n, k) for k in range((n + 1) // 2)}
+        if n % 2 == 0:
+            expected[n // 2] = math.comb(n - 1, n // 2)
+        assert rows == expected
+
+
+HALF_SUM_SIGNATURES = [Signature(p, n - p) for n in range(1, 9) for p in range(n + 1)] + [
+    Signature(7, 3), Signature(6, 5), Signature(8, 4)
+]
+
+
+def _exact_half_turn(sig: Signature) -> np.ndarray | None:
+    # diag(-1, -1, 1, ...) in a plane of two generators that square alike
+    if sig.p >= 2:
+        plane = [0, 1]
+    elif sig.q >= 2:
+        plane = [sig.n - 2, sig.n - 1]
+    else:
+        return None
+    matrix = np.eye(sig.n)
+    matrix[plane, plane] = -1.0
+    return matrix
+
+
+def test_full_grade_oracle_signs_match_the_naive_product():
+    for p, q in ((2, 1), (1, 3), (2, 2)):
+        n = p + q
+        for a in range(1 << n):
+            for b in range(1 << n):
+                sign, _ = naive_blade_product(mask_to_blade(a), mask_to_blade(b), p, q)
+                assert vectorized_blade_sign(a, b, n, p) == sign
+
+
+@pytest.mark.parametrize("sig", HALF_SUM_SIGNATURES, ids=lambda s: f"{s.p},{s.q}")
+def test_half_sum_matches_the_full_grade_sum(sig):
+    # On SO+(p,q) the half sum over grades <= n/2 is half the sum over
+    # every grade, computed independently in tests/oracles.py, and so are
+    # its probe weights. Each coefficient is held to 1e-12 of the sum of
+    # the magnitudes of its terms plus the product of the row norms of P,
+    # which bounds every minor: a minor is only as exact as that bound,
+    # so terms that cancel to rounding level differ at that level.
+    rng = np.random.default_rng(400 + 16 * sig.p + sig.q)
+    matrices = [forward_map(random_rotor(sig, rng), tol=1e-6)]
+    if sig.n <= 8:
+        half_turn = _exact_half_turn(sig)
+        if half_turn is not None:
+            matrices += [half_turn, forward_map(_half_turn(sig, rng), tol=1e-6)]
+        if sig.p and sig.q:
+            matrices.append(forward_map(_boost(sig, 3.0, rng), tol=1e-6))
+    evens = np.fromiter(even_blades(sig.n), dtype=np.int64)
+    for matrix in matrices:
+        hadamard = np.prod(np.linalg.norm(matrix, axis=1))
+        tables = full_minor_tables(matrix)
+        weights, size = full_grade_weights(tables, sig.n, sig.p)
+        got = probe_weights(matrix, sig)
+        assert np.all(np.abs(got - weights)[evens] <= 1e-12 * (size + hadamard))
+        chosen = select_candidate(matrix, sig)
+        assert chosen.F == evens[np.argmax(weights[evens])]
+        for F in {0, chosen.F, int(evens[-1])}:
+            full, terms = full_grade_candidate(tables, F, sig.n, sig.p)
+            assert np.all(np.abs(candidate_general(matrix, sig, F).M.coeffs - full) <= 1e-12 * (terms + hadamard))
+
+
+def _plane_rotor(sig: Signature, a: int, b: int, angle: float) -> Multivector:
+    # exp(angle/2 e_a e_b) in closed form: a rotation when e_a and e_b
+    # square alike, a boost of rapidity angle otherwise
+    coeffs = np.zeros(sig.dim)
+    alike = (a < sig.p) == (b < sig.p)
+    coeffs[0] = math.cos(angle / 2.0) if alike else math.cosh(angle / 2.0)
+    coeffs[(1 << a) | (1 << b)] = math.sin(angle / 2.0) if alike else math.sinh(angle / 2.0)
+    return Multivector(sig, coeffs)
+
+
+@pytest.mark.parametrize("sig", [Signature(p, n - p) for n in range(2, 9) for p in range(n + 1)]
+                         + [Signature(8, 4)], ids=lambda s: f"{s.p},{s.q}")
+def test_recovery_error_is_bounded_by_the_condition_number(sig):
+    # The accuracy contract: |recovered - S| / max |S| <= eps * kappa(P),
+    # with kappa(P) = |P|_F |P^-1|_F = |P|_F^2 on the group, since
+    # P^-1 = eta P^T eta. S is a product of a boost of rapidity up to 2 in
+    # every timelike plane and two rotations; over n <= 8 and (8,4) the
+    # ratio reads at most 0.29 (2.7 before the half sum).
+    rng = np.random.default_rng(500 + 16 * sig.p + sig.q)
+    eps = np.finfo(np.float64).eps
+    for _ in range(4):
+        value = Multivector.scalar(sig)
+        for a in range(sig.p):
+            for b in range(sig.p, sig.n):
+                value = value * _plane_rotor(sig, a, b, rng.uniform(-2.0, 2.0))
+        for _ in range(2):
+            a, b = sorted(rng.choice(sig.n, 2, replace=False))
+            value = value * _plane_rotor(sig, int(a), int(b), rng.uniform(-math.pi, math.pi))
+        matrix = forward_map(value, tol=1.0)
+        recovered = matrix_to_rotor(matrix, sig)
+        error = rotor_distance(recovered, Rotor(value)) / np.abs(value.coeffs).max()
+        assert error <= eps * np.sum(matrix * matrix)
 
 
 # -- matrix_to_rotor -----------------------------------------------------------
@@ -705,22 +844,25 @@ def test_matrix_to_rotor_no_candidate_error():
 
 
 def test_matrix_to_rotor_non_positive_normalizer_is_no_candidate():
-    # det -1: both probe weights are 0, and the scalar probe picked on the
-    # tie has reverse-norm -4
+    # det -1: no rotor covers the matrix, and selection stops on the sign
+    # of the determinant, since the half sum does not vanish there (the
+    # full sum's scalar probe had reverse-norm -4)
     matrix = np.array([[0.0, 1.0], [1.0, 0.0]])
     sig = Signature(1, 1)
-    with pytest.raises(NoCandidateError, match="best reverse-norm -4 at F = 1"):
+    with pytest.raises(NoCandidateError, match="determinant -1 is negative"):
         rotor_from_candidate(select_candidate(matrix, sig))
-    # the e12 probe has reverse-norm 4 but a zero e12 coefficient
+    # the e12 probe's candidate 2 + 2 e12 has e12 coefficient 2, and
+    # reverse(e12) e12 = -1 in Cl(1,1), so its normalizer 4 * -1 * 2 < 0
     with pytest.raises(NoCandidateError, match="normalizer"):
         rotor_from_candidate(candidate_general(matrix, sig, 0b11))
 
 
 def test_matrix_to_rotor_tries_no_second_probe():
-    # outside the group: the scalar probe wins the tie w = 1 and its
-    # candidate has reverse-norm -3; the e12 probe would give 1 - 0.5 e12,
-    # which does not cover the matrix, so no fallback is taken
-    with pytest.raises(NoCandidateError, match="best reverse-norm -3 at F = 1"):
+    # outside the group with det -1: selection raises on the determinant
+    # before any probe (the full sum's scalar probe had reverse-norm -3);
+    # the e12 probe would give 1 - 0.5 e12, which does not cover the
+    # matrix, so no fallback is taken
+    with pytest.raises(NoCandidateError, match="determinant -1 is negative"):
         rotor_from_candidate(select_candidate(np.array([[0.0, 1.0], [1.0, 1.0]]), Signature(1, 1)))
 
 

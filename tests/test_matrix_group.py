@@ -64,6 +64,8 @@ def test_non_real_entries_are_rejected(matrix):
         as_square_matrix(matrix, 2)
     with pytest.raises(ValueError, match="real numbers"):
         matrix_to_rotor(matrix, Signature(2, 0))
+    with pytest.raises(ValueError, match="real numbers"):
+        minor(matrix, [1, 2], [1, 2])
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), -0.5e-9])
@@ -331,6 +333,24 @@ def test_batched_minors_match_single_minor():
                 rows = [r - 1 for r in mask_to_blade(int(masks[i]))]
                 cols = [c - 1 for c in mask_to_blade(int(masks[j]))]
                 assert abs(dets[i, j] - np.linalg.det(m[np.ix_(rows, cols)])) <= 1e-10
+
+
+def test_batched_minors_suffix_rows_are_the_last_rows():
+    # suffix = r keeps the last r row sets of the full table, bit for bit,
+    # from a full or a suffix table below; at grade n/2 the last
+    # C(n-1, n/2) masks are those holding the top row
+    rng = np.random.default_rng(29)
+    for n in (2, 4, 6, 7):
+        m = rng.uniform(-1, 1, (n, n))
+        full = _minor_tables(m)
+        chain = [full[0]]
+        for k in range(1, n + 1):
+            rows = math.comb(n - 1, k - 1)
+            masks, dets = batched_minors(m, k, full[k - 1], rows)
+            assert np.array_equal(dets, full[k][1][-rows:])
+            assert np.all(masks[-rows:] >> (n - 1) & 1) and not np.any(masks[:-rows] >> (n - 1) & 1)
+            chain.append(batched_minors(m, k, chain[-1], 1))
+            assert np.array_equal(chain[-1][1], full[k][1][-1:])
 
 
 def test_batched_minors_up_to_three_are_the_closed_forms():

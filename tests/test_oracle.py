@@ -1,11 +1,13 @@
 """Deterministic sampling, covering verification, and the selfcheck suites."""
 
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from spincover import cli, clifford_core, oracle
 from spincover.clifford_core import Multivector, Signature, exp_bivector
 from spincover.covering import Rotor, candidate_general, forward_map
 from spincover.matrix_group import check_membership, metric_matrix
@@ -236,6 +238,39 @@ def test_run_selfcheck_structure_and_pass():
         assert suite["ok"]
         assert suite["max_residual"] <= suite["tolerance"]
     assert result["ok"] is True
+
+
+def _single_precision(original):
+    # the right signs, but every product rounded to float32
+    def product(u, v):
+        return Multivector(u.sig, original(u, v).coeffs.astype(np.float32))
+
+    return product
+
+
+def _flipped_top(original):
+    # every product with its top-grade coefficient negated
+    def product(u, v):
+        coeffs = original(u, v).coeffs.copy()
+        coeffs[-1] = -coeffs[-1]
+        return Multivector(u.sig, coeffs)
+
+    return product
+
+
+@pytest.mark.parametrize("sig", [Signature(3, 6), Signature(6, 4)], ids=["3,6", "6,4"])
+def test_algebra_laws_scale_with_their_terms(monkeypatch, capsys, sig):
+    # an absolute 1e-12 failed correct code here: the centre law sums 2^n
+    # terms of size max |u| (seed 1, 3 trials: 1.1e-12 at (3,6), 4.2e-12
+    # at (6,4)); relative to the size of their terms the laws hold, and a
+    # broken product still fails them
+    assert cli.main(["selfcheck", "--p", str(sig.p), "--q", str(sig.q), "--trials", "3", "--seed", "1"]) == 0
+    laws = json.loads(capsys.readouterr().out)["suites"]["algebra_laws"]
+    assert laws["ok"] and laws["max_residual"] <= 1e-13
+    original = clifford_core.geometric_product
+    for broken in (_single_precision(original), _flipped_top(original)):
+        monkeypatch.setattr(clifford_core, "geometric_product", broken)
+        assert not oracle._algebra_suite(sig, 1, 1) <= ALGEBRA_TOLERANCE
 
 
 def test_run_selfcheck_skips_method_agreement_away_from_three():
