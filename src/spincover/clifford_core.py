@@ -188,6 +188,13 @@ def _grades(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _odd_grades(n: int) -> np.ndarray:
+    odd = _grades(n) % 2 == 1
+    odd.setflags(write=False)
+    return odd
+
+
+@lru_cache(maxsize=None)
 def _reverse_norm_signs(p: int, q: int) -> np.ndarray:
     """Per-mask sign of reverse(e_A) e_A, the product of the metric squares."""
     sig = Signature(p, q)
@@ -211,13 +218,20 @@ def grade_masks(n: int, k: int) -> np.ndarray:
 
 def _real_array(values: object, what: str) -> np.ndarray:
     """A new float64 array of values, which must be real numbers: bool,
-    string, complex and object entries raise ValueError."""
+    string, complex and object entries raise ValueError.
+
+    numpy infers a number dtype for a list that mixes bools with numbers,
+    so such input is searched for bool elements; an ndarray is judged by
+    its dtype alone.
+    """
     arr = np.array(values)
-    if arr.dtype.char != "d":
-        if arr.dtype.kind not in "iuf":
-            raise ValueError(f"{what} must be real numbers, got dtype {arr.dtype}")
-        arr = arr.astype(np.float64)
-    return arr
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be real numbers, got dtype {arr.dtype}")
+    if not isinstance(values, np.ndarray) and not {bool, np.bool_}.isdisjoint(
+        map(type, np.array(values, dtype=object).flat)
+    ):
+        raise ValueError(f"{what} must be real numbers, got a bool")
+    return arr if arr.dtype.char == "d" else arr.astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +387,11 @@ class Multivector:
         return Multivector(self.sig, np.where(keep, self._coeffs, 0.0))
 
     def even_projection(self) -> Multivector:
-        return Multivector(self.sig, np.where(_grades(self.sig.n) % 2 == 0, self._coeffs, 0.0))
+        return Multivector(self.sig, np.where(_odd_grades(self.sig.n), 0.0, self._coeffs))
 
     def odd_part_max(self) -> float:
         """Largest absolute odd-grade coefficient."""
-        odd = _grades(self.sig.n) % 2 == 1
+        odd = _odd_grades(self.sig.n)
         if not odd.any():
             return 0.0
         return float(np.max(np.abs(self._coeffs[odd])))

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Literal
 
 import numpy as np
@@ -228,13 +229,30 @@ def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
     return w
 
 
-def _shifts(value: Multivector) -> tuple[np.ndarray, np.ndarray]:
-    # (n, 2^n) rows value e_a and e_a value, each a signed permutation of value.
-    sig = value.sig
+@lru_cache(maxsize=None)
+def _shift_signs(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    # Read-only (n, 2^n) int8 signs of e_B e_a and of e_a e_B, stored at
+    # column B ^ e_a: the signs that make S e_a and e_a S out of S with
+    # the halves of bit a swapped.
+    sig = Signature(p, q)
     bits = (1 << np.arange(sig.n))[:, None]
     partner = np.arange(sig.dim) ^ bits
-    moved = value.coeffs[partner]
-    return blade_signs(sig, partner, bits) * moved, blade_signs(sig, bits, partner) * moved
+    tables = blade_signs(sig, partner, bits), blade_signs(sig, bits, partner)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _shifts(value: Multivector) -> tuple[np.ndarray, np.ndarray]:
+    # (n, 2^n) rows value e_a and e_a value: value with the halves of bit a
+    # swapped, times the cached signs.
+    sig = value.sig
+    right_signs, left_signs = _shift_signs(sig.p, sig.q)
+    moved = np.empty((sig.n, sig.dim))
+    for a in range(sig.n):
+        moved[a].reshape(-1, 2, 1 << a)[...] = value.coeffs.reshape(-1, 2, 1 << a)[:, ::-1]
+    left = left_signs * moved
+    return np.multiply(right_signs, moved, out=moved), left
 
 
 def conjugated_generators(value: Multivector, right: Multivector) -> np.ndarray:
@@ -254,19 +272,31 @@ def _closed_form(value: Multivector, unit: float | None = None) -> tuple[np.ndar
     # the mean of D - e_A D e_A^-1, at most |S|_2 sum_b |R'_b|_2 as no U V
     # coefficient exceeds |U|_2 |V|_2. R alone bounds neither: S (1 + d e1234),
     # S a rapidity-12 boost in Cl(4,1), has |R| ~ 2d and |D| ~ 800 d.
+    # The signs of the shifted copies come from the _shift_signs caches. One
+    # (n, 2^n) work buffer holds in turn left times the reverse-norm signs
+    # for the matrix product, the residuals left - E right (E = eta P eta)
+    # and right - P^T left.
     sig = value.sig
     right, left = _shifts(value)
     eta = np.diag(metric_matrix(sig))
-    matrix = eta[:, None] * ((left * _reverse_norm_signs(sig.p, sig.q)) @ right.T)
+    work = left * _reverse_norm_signs(sig.p, sig.q)
+    matrix = eta[:, None] * (work @ right.T)
     norm = math.sqrt(float(np.dot(value.coeffs, value.coeffs)))
     if unit is None:
         unit = abs(squared_norm(value) - 1.0)
         if sig.n % 2:
             every = np.arange(sig.dim)
             unit += abs(np.dot(blade_signs(sig, every, every[::-1]) * value.coeffs, value.reverse().coeffs[::-1]))
-        unit += norm * np.sum(np.linalg.norm(left - (eta[:, None] * matrix * eta) @ right, axis=1))
-    slip = np.linalg.norm(right - matrix.T @ left, axis=1)
-    return matrix, float(unit + np.max(np.sum(np.abs(matrix), axis=0) * unit + slip * norm))
+        np.subtract(left, np.matmul(eta[:, None] * matrix * eta, right, out=work), out=work)
+        unit += norm * np.sum(_row_norms(work))
+    np.subtract(right, np.matmul(matrix.T, left, out=work), out=work)
+    return matrix, float(unit + np.max(np.sum(np.abs(matrix), axis=0) * unit + _row_norms(work) * norm))
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # Euclidean row norms summed as np.linalg.norm sums them, but squaring
+    # rows in place rather than into a temporary.
+    return np.sqrt(np.add.reduce(np.square(rows, out=rows), axis=1))
 
 
 def forward_map(rotor: Rotor | Multivector, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
@@ -318,22 +348,32 @@ def _minor_tables(arr: np.ndarray, sig: Signature, method: Method) -> tuple[_Tab
     return tables, factor
 
 
+@lru_cache(maxsize=None)
+def _pair_signs(p: int, q: int, k: int, rows: int) -> np.ndarray:
+    # Read-only int8 grid of sign(e_B e_A) sign(e_A e_A) over the last rows
+    # grade-k masks B and every grade-k mask A, the rows of a minor table.
+    sig = Signature(p, q)
+    masks = grade_masks(sig.n, k)
+    signs = blade_signs(sig, masks[-rows:, None], masks) * blade_signs(sig, masks, masks)
+    signs.setflags(write=False)
+    return signs
+
+
 def _assemble_general(sig: Signature, tables: _Tables, F: int) -> Multivector:
     # One bincount per grade accumulates every minor(P,B,A) e_B e_F e^A term:
     # sign(e_B e_F) * sign(e_{B^F} e_A) * sign(e_A e_A) at mask B ^ F ^ A.
-    # Only the middle sign needs the pair grid.
+    # The sign keys are linear in their first mask (clifford_core._sign_keys),
+    # so sign(e_{B^F} e_A) = sign(e_B e_A) sign(e_F e_A): the F-free part is
+    # the cached _pair_signs grid, the rest a row and a column sign. The
+    # terms are binned at B ^ A and the total read at every mask ^ F.
     every = np.arange(sig.dim)
     with_probe = blade_signs(sig, every, F)
-    squares = blade_signs(sig, every, every)
     total = np.zeros(sig.dim)
-    for masks, dets in tables:
+    for k, (masks, dets) in enumerate(tables):
         b = masks[-len(dets) :, None]
-        a = masks[None, :]
-        signs = with_probe[b] * blade_signs(sig, b ^ F, a) * squares[a]
-        total += np.bincount(
-            ((b ^ F) ^ a).ravel(), weights=(dets * signs).ravel(), minlength=sig.dim
-        )
-    return Multivector(sig, total)
+        signs = _pair_signs(sig.p, sig.q, k, len(dets)) * (with_probe[b] * blade_signs(sig, F, masks))
+        total += np.bincount((b ^ masks).ravel(), weights=(dets * signs).ravel(), minlength=sig.dim)
+    return Multivector(sig, total[every ^ F])
 
 
 def _candidate(sig: Signature, tables: _Tables, factor: float, F: int) -> CandidateElement:
@@ -357,11 +397,17 @@ def candidate_n3(matrix: object, sig: Signature, F: int) -> CandidateElement:
     return _probe_candidate(matrix, sig, F, "n3")
 
 
+@lru_cache(maxsize=None)
+def _even_masks(n: int) -> np.ndarray:
+    # Read-only probe masks in (grade, mask) order; ties go to the first.
+    masks = np.concatenate([grade_masks(n, k) for k in range(0, n + 1, 2)])
+    masks.setflags(write=False)
+    return masks
+
+
 def even_blades(n: int) -> Iterator[int]:
     """All even-grade blade masks in ascending (grade, mask) order."""
-    for k in range(0, n + 1, 2):
-        for mask in grade_masks(n, k):
-            yield int(mask)
+    return iter(_even_masks(n).tolist())
 
 
 def _probe_weights(sig: Signature, tables: _Tables, factor: float) -> np.ndarray:
@@ -405,7 +451,7 @@ def select_candidate(matrix: object, sig: Signature, method: Method = "general")
             f"no covering candidate: determinant {det:.6g} is negative for matrix\n{np.array2string(arr)}"
         )
     tables, factor = _minor_tables(arr, sig, method)
-    evens = np.fromiter(even_blades(sig.n), dtype=np.int64)
+    evens = _even_masks(sig.n)
     cand = _candidate(sig, tables, factor, int(evens[np.argmax(_probe_weights(sig, tables, factor)[evens])]))
     threshold = RELATIVE_THRESHOLD * cand.scale**2
     if not cand.normsq > threshold:

@@ -3,12 +3,13 @@
 Everything here shares no code or representation with the package under
 test. Most of it works on index tuples and dicts with explicit bubble-sort
 sign bookkeeping and Laplace-expansion determinants: deliberately naive,
-slow, and meant for small n only. The full-grade covering sum at the end
-uses numpy arrays to reach n = 12.
+slow, and meant for small n only. The full-grade covering sum and the
+gathered closed form at the end use numpy arrays to reach n = 12.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -228,3 +229,31 @@ def full_grade_weights(tables, n: int, p: int):
         weights[start : start + 256] = (1 - 2 * (pop[probes & every] & 1)) @ principal
     negative = ((1 << n) - 1) ^ ((1 << p) - 1)
     return (1 - 2 * (pop[every & negative] & 1)) * weights, float(np.sum(np.abs(principal)))
+
+
+def gathered_closed_form(coeffs, p: int, q: int, unit: float | None = None):
+    """(P, bound) in the arithmetic of covering._closed_form, with the
+    shifted copies S e_a and e_a S gathered through an int64 partner index
+    per call and every sign from vectorized_blade_sign: the matrix and the
+    bound the package must reproduce bit for bit."""
+    n = p + q
+    c = np.asarray(coeffs, dtype=np.float64)
+    pop = np.array(_popcounts(n))
+    every = np.arange(1 << n)
+    bits = (1 << np.arange(n))[:, None]
+    partner = every ^ bits
+    moved = c[partner]
+    right = vectorized_blade_sign(partner, bits, n, p) * moved
+    left = vectorized_blade_sign(bits, partner, n, p) * moved
+    reverse_norm = 1 - 2 * (pop[every & (((1 << n) - 1) ^ ((1 << p) - 1))] & 1)
+    eta = np.array([1.0] * p + [-1.0] * q)
+    matrix = eta[:, None] * ((left * reverse_norm) @ right.T)
+    norm = math.sqrt(float(np.dot(c, c)))
+    if unit is None:
+        unit = abs(float(np.dot(reverse_norm * c, c)) - 1.0)
+        if n % 2:
+            reverse = c * (1 - 2 * ((pop * (pop - 1) // 2) & 1))
+            unit += abs(np.dot(vectorized_blade_sign(every, every[::-1], n, p) * c, reverse[::-1]))
+        unit += norm * np.sum(np.linalg.norm(left - (eta[:, None] * matrix * eta) @ right, axis=1))
+    slip = np.linalg.norm(right - matrix.T @ left, axis=1)
+    return matrix, float(unit + np.max(np.sum(np.abs(matrix), axis=0) * unit + slip * norm))

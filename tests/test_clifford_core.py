@@ -171,6 +171,14 @@ def test_multivector_coefficients_must_be_real(coeffs):
     assert Multivector(Signature(1, 0), [1, 0]).coeffs.dtype == np.float64
 
 
+@pytest.mark.parametrize("coeffs", [[1.0, True], [1, np.bool_(False)], [np.array([True]), np.array([2.5])]])
+def test_multivector_rejects_bools_mixed_with_numbers(coeffs):
+    # numpy infers float64 or int64 for these lists, so the dtype alone passes them
+    with pytest.raises(ValueError, match="got a bool"):
+        Multivector(Signature(1, 0), coeffs)
+    assert Multivector(Signature(1, 0), np.array([1.0, 1.0])).coeffs.tolist() == [1.0, 1.0]
+
+
 def test_multivector_is_immutable():
     u = Multivector.scalar(Signature(2, 0))
     with pytest.raises(AttributeError):

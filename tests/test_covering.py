@@ -41,6 +41,7 @@ from oracles import (
     full_grade_candidate,
     full_grade_weights,
     full_minor_tables,
+    gathered_closed_form,
     mask_to_blade,
     naive_blade_product,
     naive_product,
@@ -50,6 +51,7 @@ from oracles import (
 SIG20 = Signature(2, 0)
 SIG30 = Signature(3, 0)
 SIG21 = Signature(2, 1)
+ALL_SIGNATURES = [Signature(p, n - p) for n in range(1, 7) for p in range(n + 1)]
 
 
 def rotation_matrix(angle: float) -> np.ndarray:
@@ -418,7 +420,7 @@ def traced_peak_mb(call) -> float:
 
 def test_forward_op_at_n12_bounds_its_temporaries():
     value = plane_chain_rotor(Signature(8, 4))
-    assert traced_peak_mb(lambda: forward_map(Rotor.checked(value))) < 3.0
+    assert traced_peak_mb(lambda: forward_map(Rotor.checked(value))) < 1.5
 
 
 def test_rejecting_a_dense_n12_non_rotor_bounds_its_temporaries():
@@ -429,6 +431,55 @@ def test_rejecting_a_dense_n12_non_rotor_bounds_its_temporaries():
             forward_map(value)
 
     assert traced_peak_mb(reject) < 8.0
+
+
+SIGN_CACHE_SIGNATURES = ALL_SIGNATURES + [Signature(8, 4), Signature(4, 8)]
+
+
+@pytest.mark.parametrize("sig", SIGN_CACHE_SIGNATURES, ids=lambda s: f"{s.p},{s.q}")
+def test_sign_caches_are_fresh_blade_signs_and_read_only(sig):
+    bits = (1 << np.arange(sig.n))[:, None]
+    partner = np.arange(sig.dim) ^ bits
+    right, left = covering._shift_signs(sig.p, sig.q)
+    assert np.array_equal(right, clifford_core.blade_signs(sig, partner, bits))
+    assert np.array_equal(left, clifford_core.blade_signs(sig, bits, partner))
+    grids = []
+    for k in range(sig.n // 2 + 1):
+        masks = grade_masks(sig.n, k)
+        for rows in {masks.size, math.comb(sig.n - 1, k)}:
+            b = masks[-rows:, None]
+            expected = clifford_core.blade_signs(sig, b, masks) * clifford_core.blade_signs(sig, masks, masks)
+            grids.append(covering._pair_signs(sig.p, sig.q, k, rows))
+            assert np.array_equal(grids[-1], expected)
+    for table in (right, left, *grids):
+        assert table.dtype == np.int8 and not table.flags.writeable
+
+
+@pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=lambda s: f"{s.p},{s.q}")
+def test_pair_signs_factor_through_the_probe(sig):
+    # sign(e_{B^F} e_A) = sign(e_B e_A) sign(e_F e_A): the sign keys are
+    # linear over GF(2), which lets _assemble_general cache F-free grids.
+    every = np.arange(sig.dim)
+    pairs = clifford_core.blade_signs(sig, every[:, None], every)
+    for F in even_blades(sig.n):
+        with_F = clifford_core.blade_signs(sig, (every ^ F)[:, None], every)
+        assert np.array_equal(with_F, pairs * clifford_core.blade_signs(sig, F, every))
+
+
+PINNED_SIGNATURES = [Signature(*pq) for pq in ((3, 0), (2, 1), (4, 2), (6, 4), (8, 3), (8, 4))]
+
+
+@pytest.mark.parametrize("sig", PINNED_SIGNATURES, ids=lambda s: f"{s.p},{s.q}")
+def test_closed_form_is_bit_for_bit_the_gathered_reference(sig):
+    rng = np.random.default_rng(700 + 16 * sig.p + sig.q)
+    rotors = [random_rotor(sig, rng).value, plane_chain_rotor(sig), _boost(sig, 3.0, rng).value]
+    values = rotors + [rotors[0] + Multivector.scalar(sig, 1e-3), Multivector(sig, rng.normal(size=sig.dim))]
+    for value in values:
+        for unit in (None, 0.25):
+            matrix, bound = covering._closed_form(value, unit)
+            expected, expected_bound = gathered_closed_form(value.coeffs, sig.p, sig.q, unit)
+            assert matrix.tobytes() == expected.tobytes()
+            assert bound == expected_bound
 
 
 def test_sign_table_is_gone():
@@ -583,9 +634,6 @@ def _probe_inputs(sig: Signature, rng: np.random.Generator) -> list[Rotor]:
     if sig.p >= 1 and sig.q >= 1:
         rotors += [_boost(sig, 6.0, rng), _boost(sig, -6.0, rng)]
     return rotors
-
-
-ALL_SIGNATURES = [Signature(p, n - p) for n in range(1, 7) for p in range(n + 1)]
 
 
 @pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=lambda s: f"{s.p},{s.q}")

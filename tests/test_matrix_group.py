@@ -68,6 +68,25 @@ def test_non_real_entries_are_rejected(matrix):
         minor(matrix, [1, 2], [1, 2])
 
 
+MIXED_BOOLS = [[[1.0, False], [False, True]], [[1, 0], [0, np.bool_(True)]]]
+
+
+@pytest.mark.parametrize("matrix", MIXED_BOOLS)
+def test_as_square_matrix_rejects_bools_mixed_with_numbers(matrix):
+    # numpy infers a number dtype here; these used to give the identity rotor
+    with pytest.raises(ValueError, match="got a bool"):
+        as_square_matrix(matrix, 2)
+    with pytest.raises(ValueError, match="got a bool"):
+        matrix_to_rotor(matrix, Signature(2, 0))
+
+
+@pytest.mark.parametrize("matrix", MIXED_BOOLS)
+def test_minor_rejects_bools_mixed_with_numbers(matrix):
+    with pytest.raises(ValueError, match="got a bool"):
+        minor(matrix, [1, 2], [1, 2])
+    assert minor(np.array(matrix, dtype=np.float64), [1, 2], [1, 2]) == 1.0
+
+
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), -0.5e-9])
 def test_tolerance_must_be_finite_and_non_negative(tol):
     with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
