@@ -107,8 +107,8 @@ class Rotor:
     """One of the two spin-group preimages of a matrix under the covering."""
 
     value: Multivector
-    # (matrix, bound) from _closed_form, kept by checked for forward_map.
-    _closed: tuple[np.ndarray, float] | None = field(default=None, init=False, repr=False, compare=False)
+    # (matrix, bound) from _judge, kept by checked for forward_map.
+    _closed: tuple[np.ndarray, float] | None = field(default=None, repr=False, compare=False)
 
     @property
     def sig(self) -> Signature:
@@ -146,27 +146,12 @@ class Rotor:
         the size of its rounding (for q > 0 above the reverse-norm 1); a sum
         that overflows fails. A closed-form bound (see forward_map) within a
         quarter of that passes without a geometric product. The rotor keeps
-        the closed form, so forward_map does not evaluate it again.
+        the closed form, re-based on unit_residual if that ran, for forward_map.
         """
         bound = require_tolerance(tol) * _size(value)
         if value.odd_part_max() != 0.0:
             raise ValueError("rotor has odd-grade coefficients")
-        closed = _closed_form(value)
-        if not closed[1] <= bound / 4.0 < math.inf:
-            _require_unit(value, bound)
-        rotor = cls(value)
-        object.__setattr__(rotor, "_closed", closed)
-        return rotor
-
-
-def _require_unit(value: Multivector, bound: float) -> float:
-    residual = Rotor(value).unit_residual()
-    if not residual <= bound < math.inf:
-        raise ValueError(
-            f"rotor norm S*reverse(S) is not 1: it deviates by {residual:.3e} "
-            f"(tolerance {bound:.3e})"
-        )
-    return residual
+        return cls(value, _judge(value, bound, images=False))
 
 
 @dataclass(frozen=True)
@@ -299,6 +284,27 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(np.square(rows, out=rows), axis=1))
 
 
+def _judge(value: Multivector, bound: float, images: bool) -> tuple[np.ndarray, float]:
+    # The verdict of Rotor.checked and forward_map and the closed form's
+    # (matrix, bound). A bound over a quarter of `bound` is re-based on the
+    # exact S reverse(S) residual, held to `bound`; one still over, with
+    # images, holds the non-grade-1 coefficients of S e_a reverse(S) to it.
+    closed = _closed_form(value)
+    if not closed[1] <= bound / 4.0 < math.inf:
+        residual = Rotor(value).unit_residual()
+        if not residual <= bound < math.inf:
+            raise ValueError(f"rotor norm S*reverse(S) is not 1: it deviates by {residual:.3e} "
+                             f"(tolerance {bound:.3e})")
+        closed = _closed_form(value, residual)
+        if images and not closed[1] <= bound / 4.0:
+            conjugated = conjugated_generators(value, value.reverse())
+            conjugated[:, 1 << np.arange(value.sig.n)] = 0.0
+            worst = float(np.max(np.abs(conjugated)))
+            if not worst <= bound:
+                raise ValueError(f"conjugation does not preserve grade 1 (residual {worst:.3e}); not a rotor")
+    return closed
+
+
 def forward_map(rotor: Rotor | Multivector, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
     """Matrix of the conjugation action: column a holds S e_a S^-1 = S e_a reverse(S).
 
@@ -311,16 +317,9 @@ def forward_map(rotor: Rotor | Multivector, tol: float = DEFAULT_TOLERANCE) -> n
     value = rotor.value if isinstance(rotor, Rotor) else rotor
     bound = require_tolerance(tol) * _size(value)
     kept = rotor._closed if isinstance(rotor, Rotor) else None
-    matrix, residual = _closed_form(value) if kept is None else (kept[0].copy(), kept[1])
-    if not residual <= bound / 4.0 < math.inf:
-        unit = _require_unit(value, bound)
-        if not _closed_form(value, unit)[1] <= bound / 4.0:
-            images = conjugated_generators(value, value.reverse())
-            images[:, 1 << np.arange(value.sig.n)] = 0.0
-            worst = float(np.max(np.abs(images)))
-            if not worst <= bound:
-                raise ValueError(f"conjugation does not preserve grade 1 (residual {worst:.3e}); not a rotor")
-    return matrix
+    if kept is not None and kept[1] <= bound / 4.0 < math.inf:
+        return kept[0].copy()
+    return _judge(value, bound, images=True)[0]
 
 
 # ---------------------------------------------------------------------------

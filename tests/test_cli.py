@@ -22,6 +22,9 @@ from spincover.cli import (
     main,
     render_json,
 )
+from spincover.clifford_core import Signature, blade_name
+from spincover.covering import matrix_to_rotor, select_candidate
+from spincover.oracle import sample_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -346,6 +349,29 @@ def test_quaternion_method_prints_no_negative_zero(payload, capsys):
     assert main(["rotor-from-matrix", "--method", "quaternion", json.dumps(payload)]) == EXIT_OK
     out = capsys.readouterr().out
     assert re.search(r"-0(?![.\d])", out) is None, out
+
+
+CHAIN_CASES = (
+    [(Signature(p, n - p), "general") for n in range(1, 5) for p in range(n + 1)]
+    + [(Signature(p, 3 - p), "n3") for p in range(4)]
+    + [(Signature(3, 0), "quaternion"), (Signature(2, 1), "quaternion")]
+)
+
+
+@pytest.mark.parametrize("sig, method", CHAIN_CASES, ids=[f"{s.p}_{s.q}-{m}" for s, m in CHAIN_CASES])
+def test_rotor_from_matrix_prints_the_library_chain(sig, method, capsys):
+    # F of select_candidate and the rotor of matrix_to_rotor, bit for bit;
+    # the quaternion method prints the n3 rotor.
+    library = "n3" if method == "quaternion" else method
+    for seed in range(3):
+        matrix = sample_matrix(sig, seed)
+        payload = json.dumps({"p": sig.p, "q": sig.q, "matrix": matrix.tolist()})
+        assert main(["rotor-from-matrix", "--method", method, payload]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        rotor = matrix_to_rotor(matrix, sig, library)
+        assert doc["F"] == blade_name(select_candidate(matrix, sig, library).F)
+        assert doc["rotor"] == {blade_name(mask): coeff for mask, coeff in rotor.value.terms()}
+        assert doc["rotor_negated"] == {blade_name(mask): coeff for mask, coeff in (-rotor.value).terms()}
 
 
 def test_quaternion_method_selects_and_assembles_once(monkeypatch, capsys):

@@ -318,6 +318,21 @@ def test_forward_op_evaluates_the_closed_form_once(monkeypatch, capsys):
     assert calls == [1]
 
 
+@pytest.mark.parametrize("sig", [Signature(1, 1), Signature(3, 1)], ids=["1_1", "3_1"])
+def test_forward_op_on_a_large_boost_runs_one_product(monkeypatch, sig):
+    # A rapidity-10 boost misses the closed-form bound, so Rotor.checked runs
+    # S reverse(S) once and keeps the bound re-based on it, which forward_map
+    # accepts with no product of its own; at tol 0 it judges anew and fails.
+    boost = exp_bivector(Multivector.basis(sig, 1 | (1 << (sig.n - 1)), 5.0))
+    products = count_products(monkeypatch)
+    rotor = Rotor.checked(boost)
+    matrix = forward_map(rotor)
+    assert products == [sig]
+    assert np.array_equal(matrix, gathered_closed_form(boost.coeffs, sig.p, sig.q)[0])
+    with pytest.raises(ValueError, match="is not 1"):
+        forward_map(rotor, tol=0.0)
+
+
 def todays_rule(value: Multivector, tol: float, forward: bool) -> str | None:
     """Verdict of the all-components rule by geometric products: None to
     accept, else the prefix of the rejection message."""

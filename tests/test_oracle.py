@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spincover import cli, clifford_core, oracle
-from spincover.clifford_core import Multivector, Signature, exp_bivector
+from spincover.clifford_core import Multivector, Signature, exp_bivector, squared_norm
 from spincover.covering import Rotor, candidate_general, forward_map
 from spincover.matrix_group import check_membership, metric_matrix
 from spincover.oracle import (
@@ -140,6 +140,46 @@ def test_verify_covering_at_n12_bounds_its_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def product_verify_covering(value: Multivector, matrix: np.ndarray) -> tuple[float, ...]:
+    """The covering residuals by basis products: (value e_a) times the inverse, minus P e_a."""
+    sig = value.sig
+    inverse = value.reverse() / squared_norm(value)
+    return tuple(
+        (value * Multivector.basis(sig, 1 << a) * inverse - Multivector.vector(sig, matrix[:, a])).max_abs()
+        for a in range(sig.n)
+    )
+
+
+@pytest.mark.parametrize(
+    "sig",
+    [Signature(p, n - p) for n in range(1, 7) for p in range(n + 1)] + [Signature(7, 3)],
+    ids=lambda s: f"{s.p}_{s.q}",
+)
+def test_verify_covering_is_bit_for_bit_the_product_reference(monkeypatch, sig):
+    # S e_a is a signed permutation of S, so n products give the residuals
+    # of the 2n basis products exactly, for rotors and for scaled values.
+    rng = np.random.default_rng(90 + 11 * sig.p + sig.q)
+    original = clifford_core.geometric_product
+    products = []
+
+    def counting(u, v):
+        products.append(u.sig)
+        return original(u, v)
+
+    for seed in range(2):
+        rotor = sample_rotor(sig, seed)
+        exact = forward_map(rotor)
+        for value in (rotor.value, 1.5 * rotor.value):
+            for matrix in (exact, exact + 1e-9 * rng.uniform(-1.0, 1.0, exact.shape)):
+                want = product_verify_covering(value, matrix)
+                monkeypatch.setattr(clifford_core, "geometric_product", counting)
+                products.clear()
+                got = verify_covering(value, matrix).residuals
+                monkeypatch.setattr(clifford_core, "geometric_product", original)
+                assert len(products) == sig.n
+                assert got == want
 
 
 def test_verify_covering_sees_both_signs_equally():
