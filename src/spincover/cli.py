@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .clifford_core import Multivector, Signature, blade_from_name, blade_name
-from .covering import NoCandidateError, Rotor, forward_map, rotor_from_candidate, select_candidate
+from .covering import NoCandidateError, Rotor, forward_map, matrix_to_rotor
 from .division_algebras import SIG_30, quaternion_to_su2, rotor_to_quaternion, rotor_to_split, split_to_su11
 from .matrix_group import (
     DEFAULT_TOLERANCE,
@@ -35,7 +35,6 @@ from .matrix_group import (
     MembershipReport,
     check_membership,
     project_to_group,
-    require_membership,
     require_tolerance,
 )
 from .oracle import run_selfcheck, verify_covering
@@ -199,18 +198,16 @@ def cmd_rotor_from_matrix(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
 
-    try:
-        arr = require_membership(arr, sig, args.tol)
-    except MembershipError as exc:
-        return _fail(EXIT_REJECTED, str(exc), exc.report)
-
     # The (split-)quaternion is the n3 rotor read through the bridge.
     method = "n3" if args.method == "quaternion" else args.method
     try:
-        cand = select_candidate(arr, sig, method=method)
-        rotor = rotor_from_candidate(cand)
+        rotor = matrix_to_rotor(arr, sig, method, args.tol)
+    except MembershipError as exc:  # a ValueError, so caught first
+        return _fail(EXIT_REJECTED, str(exc), exc.report)
     except NoCandidateError as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
+    except ValueError as exc:  # a method that does not fit the signature
+        return _fail(EXIT_BAD_INPUT, str(exc))
 
     # -rotor conjugates exactly as rotor does, so one residual covers both.
     residual = verify_covering(rotor, arr).max_residual
@@ -218,7 +215,7 @@ def cmd_rotor_from_matrix(args: argparse.Namespace) -> int:
         "p": sig.p,
         "q": sig.q,
         "method": args.method,
-        "F": blade_name(cand.F),
+        "F": blade_name(rotor.probe),
         "rotor": _rotor_dict(rotor.value),
         "rotor_negated": _rotor_dict(-rotor.value),
         "residual": residual,

@@ -94,14 +94,15 @@ def blade_name(mask: int) -> str:
     """Serialization name: "1" for the scalar blade, else e.g. "e12".
 
     Generator indices are concatenated for single-digit indices; two-digit
-    indices (n >= 10) are joined with underscores to stay unambiguous.
+    indices (n >= 10) are joined with underscores to stay unambiguous, and a
+    single two-digit index takes a leading one: "e_10", since "e10" is e1 e0.
     """
     if mask == 0:
         return "1"
     idx = blade_indices(mask)
     if idx[-1] <= 9:
         return "e" + "".join(str(i) for i in idx)
-    return "e" + "_".join(str(i) for i in idx)
+    return ("e_" if len(idx) == 1 else "e") + "_".join(str(i) for i in idx)
 
 
 def blade_from_name(name: str, n: int) -> int:
@@ -111,7 +112,7 @@ def blade_from_name(name: str, n: int) -> int:
     if not name.startswith("e") or len(name) < 2:
         raise ValueError(f"malformed blade name {name!r}")
     body = name[1:]
-    parts = body.split("_") if "_" in body else list(body)
+    parts = body.removeprefix("_").split("_") if "_" in body else list(body)
     mask = 0
     prev = 0
     for part in parts:
@@ -268,7 +269,7 @@ class Multivector:
     @classmethod
     def scalar(cls, sig: Signature, value: float = 1.0) -> Multivector:
         coeffs = np.zeros(sig.dim)
-        coeffs[0] = value
+        coeffs[0] = _real_array(value, "scalar values")
         return cls(sig, coeffs)
 
     @classmethod
@@ -276,13 +277,13 @@ class Multivector:
         if not 0 <= mask < sig.dim:
             raise ValueError(f"blade mask {mask} outside 0..{sig.dim - 1}")
         coeffs = np.zeros(sig.dim)
-        coeffs[mask] = coeff
+        coeffs[mask] = _real_array(coeff, "blade coefficients")
         return cls(sig, coeffs)
 
     @classmethod
     def from_terms(cls, sig: Signature, terms: Mapping[int, float]) -> Multivector:
         coeffs = np.zeros(sig.dim)
-        for mask, value in terms.items():
+        for mask, value in zip(terms, _real_array(list(terms.values()), "term coefficients")):
             if not 0 <= mask < sig.dim:
                 raise ValueError(f"blade mask {mask} outside 0..{sig.dim - 1}")
             coeffs[mask] += value
@@ -291,7 +292,7 @@ class Multivector:
     @classmethod
     def vector(cls, sig: Signature, components: Iterable[float]) -> Multivector:
         """Grade-1 element from n vector components."""
-        comp = np.asarray(list(components), dtype=np.float64)
+        comp = _real_array(list(components), "vector components")
         if comp.shape != (sig.n,):
             raise ValueError(f"expected {sig.n} vector components, got {comp.shape}")
         coeffs = np.zeros(sig.dim)

@@ -62,6 +62,7 @@ from .clifford_core import (
     Multivector,
     Signature,
     _reverse_norm_signs,
+    _reverse_signs,
     blade_grade,
     blade_name,
     blade_signs,
@@ -107,6 +108,8 @@ class Rotor:
     """One of the two spin-group preimages of a matrix under the covering."""
 
     value: Multivector
+    #: Mask of the probe blade F whose candidate this rotor normalizes.
+    probe: int | None = field(default=None, compare=False)
     # (matrix, bound) from _judge, kept by checked for forward_map.
     _closed: tuple[np.ndarray, float] | None = field(default=None, repr=False, compare=False)
 
@@ -119,14 +122,11 @@ class Rotor:
         return self.value.coeffs
 
     def __neg__(self) -> Rotor:
-        return Rotor(-self.value)
+        return Rotor(-self.value, self.probe)
 
     def canonicalized(self) -> Rotor:
         """Fix the sign: largest-magnitude coefficient positive, ties by lowest mask."""
-        lead = int(np.argmax(np.abs(self.value.coeffs)))
-        if self.value.coeffs[lead] < 0:
-            return Rotor(-self.value)
-        return self
+        return -self if self.value.coeffs[np.argmax(np.abs(self.value.coeffs))] < 0 else self
 
     def inverse(self) -> Multivector:
         """Reversion, which inverts unit rotors."""
@@ -151,7 +151,7 @@ class Rotor:
         bound = require_tolerance(tol) * _size(value)
         if value.odd_part_max() != 0.0:
             raise ValueError("rotor has odd-grade coefficients")
-        return cls(value, _judge(value, bound, images=False))
+        return cls(value, _closed=_judge(value, bound, images=False))
 
 
 @dataclass(frozen=True)
@@ -228,6 +228,17 @@ def _shift_signs(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
+@lru_cache(maxsize=None)
+def _pseudoscalar_signs(p: int, q: int) -> np.ndarray:
+    # Read-only int8 signs of e_A reverse(e_{A^c}) at A: the pseudoscalar
+    # coefficient of S reverse(S) is sum_A signs_A s_A s_{A^c}.
+    sig = Signature(p, q)
+    every = np.arange(sig.dim)
+    signs = blade_signs(sig, every, every[::-1]) * _reverse_signs(sig.n)[::-1]
+    signs.setflags(write=False)
+    return signs
+
+
 def _shifts(value: Multivector) -> tuple[np.ndarray, np.ndarray]:
     # (n, 2^n) rows value e_a and e_a value: value with the halves of bit a
     # swapped, times the cached signs.
@@ -270,8 +281,7 @@ def _closed_form(value: Multivector, unit: float | None = None) -> tuple[np.ndar
     if unit is None:
         unit = abs(squared_norm(value) - 1.0)
         if sig.n % 2:
-            every = np.arange(sig.dim)
-            unit += abs(np.dot(blade_signs(sig, every, every[::-1]) * value.coeffs, value.reverse().coeffs[::-1]))
+            unit += abs(np.dot(_pseudoscalar_signs(sig.p, sig.q) * value.coeffs, value.coeffs[::-1]))
         np.subtract(left, np.matmul(eta[:, None] * matrix * eta, right, out=work), out=work)
         unit += norm * np.sum(_row_norms(work))
     np.subtract(right, np.matmul(matrix.T, left, out=work), out=work)
@@ -462,7 +472,7 @@ def select_candidate(matrix: object, sig: Signature, method: Method = "general")
 
 
 def rotor_from_candidate(cand: CandidateElement) -> Rotor:
-    """The sign-canonicalized rotor M_F / sqrt(scale eps_F <M_F>_F).
+    """The sign-canonicalized rotor M_F / sqrt(scale eps_F <M_F>_F), with probe F.
 
     NoCandidateError is raised when the radicand is not positive, which no
     SO+(p,q) matrix gives. Membership is not checked here; matrix_to_rotor
@@ -475,7 +485,7 @@ def rotor_from_candidate(cand: CandidateElement) -> Rotor:
             f"candidate at F = {cand.blade} has non-positive normalizer {weight:.6g}; "
             f"the matrix is not in SO+({sig.p},{sig.q})"
         )
-    return Rotor(cand.M / math.sqrt(weight)).canonicalized()
+    return Rotor(cand.M / math.sqrt(weight), cand.F).canonicalized()
 
 
 def matrix_to_rotor(

@@ -163,6 +163,15 @@ def test_integer_too_large_for_a_float_is_bad_input(cli_env, args):
     assert_bad_input_without_traceback(run_cli(cli_env, *args))
 
 
+@pytest.mark.parametrize("sig", [Signature(1, 0), Signature(1, 1), Signature(3, 1)], ids=lambda s: f"{s.p},{s.q}")
+def test_n3_method_on_another_n_is_bad_input(cli_env, sig):
+    # The matrix passes membership; the method does not fit its n.
+    payload = json.dumps({"p": sig.p, "q": sig.q, "matrix": sample_matrix(sig, 2).tolist()})
+    result = run_cli(cli_env, "rotor-from-matrix", "--method", "n3", payload)
+    assert_bad_input_without_traceback(result)
+    assert json.loads(result.stdout) == {"error": f"method 'n3' needs n = 3, got n = {sig.n}", "exit_code": 2}
+
+
 @pytest.mark.parametrize("matrix", ["[[true, false], [false, true]]", '[["1", "0"], ["0", "1"]]'])
 def test_matrix_entries_must_be_json_numbers(cli_env, matrix):
     result = run_cli(cli_env, "rotor-from-matrix", '{"p": 2, "q": 0, "matrix": %s}' % matrix)
@@ -376,21 +385,37 @@ def test_rotor_from_matrix_prints_the_library_chain(sig, method, capsys):
 
 def test_quaternion_method_selects_and_assembles_once(monkeypatch, capsys):
     selections, assemblies = [], []
-    select, assemble = cli.select_candidate, covering._assemble_general
+    select, assemble = covering.select_candidate, covering._assemble_general
 
     def counting_select(*args, **kwargs):
-        selections.append(kwargs["method"])
+        selections.append(args[2])
         return select(*args, **kwargs)
 
     def counting_assemble(*args, **kwargs):
         assemblies.append(args[2])
         return assemble(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "select_candidate", counting_select)
+    monkeypatch.setattr(covering, "select_candidate", counting_select)
     monkeypatch.setattr(covering, "_assemble_general", counting_assemble)
     assert main(["rotor-from-matrix", "--method", "quaternion", str(FIXTURES / "quat_rot.json")]) == EXIT_OK
     assert "quaternion" in json.loads(capsys.readouterr().out)
     assert selections == ["n3"] and assemblies == [0]
+
+
+def test_rotor_from_matrix_runs_matrix_to_rotor_once(monkeypatch, capsys):
+    calls = []
+    convert = cli.matrix_to_rotor
+
+    def counting_convert(*args):
+        calls.append(args[2:])
+        return convert(*args)
+
+    monkeypatch.setattr(cli, "matrix_to_rotor", counting_convert)
+    assert main(["rotor-from-matrix", "--tol", "1e-8", str(FIXTURES / "quat_rot.json")]) == EXIT_OK
+    capsys.readouterr()
+    assert calls == [("general", 1e-8)]
+    for name in ("require_membership", "select_candidate", "rotor_from_candidate"):
+        assert not hasattr(cli, name)
 
 
 # -- selfcheck --------------------------------------------------------------------

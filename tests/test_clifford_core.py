@@ -72,9 +72,11 @@ def test_blade_names_round_trip():
     assert blade_name(0) == "1"
     assert blade_name(0b11) == "e12"
     assert blade_name(0b10110) == "e235"
-    for n in (3, 6):
-        for mask in range(1 << n):
-            assert blade_from_name(blade_name(mask), n) == mask
+    for n in (3, 6, 10, 11, 12):
+        names = [blade_name(mask) for mask in range(1 << n)]
+        assert len(set(names)) == len(names)
+        for mask, name in enumerate(names):
+            assert blade_from_name(name, n) == mask
 
 
 def test_blade_names_two_digit_indices():
@@ -82,6 +84,16 @@ def test_blade_names_two_digit_indices():
     assert blade_name(mask) == "e1_10_11"
     assert blade_from_name("e1_10_11", 11) == mask
     assert blade_name((1 << 9) - 1) == "e123456789"
+
+
+def test_single_two_digit_index_has_its_own_spelling():
+    # "e10" would read as e1 e0 and "e12" is e1 e2.
+    assert [blade_name(1 << i) for i in (9, 10, 11)] == ["e_10", "e_11", "e_12"]
+    assert blade_from_name("e_12", 12) == 1 << 11
+    assert blade_from_name("e12", 12) == 0b11
+    for bad in ("e_", "e__10", "e_10_", "e_13"):
+        with pytest.raises(ValueError):
+            blade_from_name(bad, 12)
 
 
 def test_blade_from_name_rejects_garbage():
@@ -177,6 +189,43 @@ def test_multivector_rejects_bools_mixed_with_numbers(coeffs):
     with pytest.raises(ValueError, match="got a bool"):
         Multivector(Signature(1, 0), coeffs)
     assert Multivector(Signature(1, 0), np.array([1.0, 1.0])).coeffs.tolist() == [1.0, 1.0]
+
+
+NOT_REAL = pytest.mark.parametrize("bad", [True, np.bool_(False), "2", 1 + 0.5j], ids=["bool", "numpy-bool", "string", "complex"])
+
+
+@NOT_REAL
+def test_scalar_constructor_rejects_non_reals(bad):
+    with pytest.raises(ValueError, match="real numbers"):
+        Multivector.scalar(Signature(3, 0), bad)
+
+
+@NOT_REAL
+def test_basis_constructor_rejects_non_reals(bad):
+    with pytest.raises(ValueError, match="real numbers"):
+        Multivector.basis(Signature(3, 0), 0b11, bad)
+
+
+@NOT_REAL
+def test_from_terms_constructor_rejects_non_reals(bad):
+    with pytest.raises(ValueError, match="real numbers"):
+        Multivector.from_terms(Signature(3, 0), {1: bad, 2: 1.0})
+
+
+@NOT_REAL
+def test_vector_constructor_rejects_non_reals(bad):
+    # a bool among floats, and a complex component, which raised TypeError
+    with pytest.raises(ValueError, match="real numbers"):
+        Multivector.vector(Signature(3, 0), [1.0, bad, 2.0])
+
+
+def test_named_constructors_take_ints_and_floats():
+    sig = Signature(3, 0)
+    assert Multivector.scalar(sig, 2).coeffs.tolist() == [2.0] + [0.0] * 7
+    assert Multivector.basis(sig, 0b11, np.float32(2)).coefficient(0b11) == 2.0
+    assert Multivector.from_terms(sig, {1: 1, 4: 2.5}).vector_components().tolist() == [1.0, 0.0, 2.5]
+    assert Multivector.vector(sig, (x for x in [1, 2.0, np.int64(3)])).vector_components().tolist() == [1.0, 2.0, 3.0]
+    assert Multivector.from_terms(sig, {}).max_abs() == 0.0
 
 
 def test_multivector_is_immutable():

@@ -124,6 +124,38 @@ def test_canonicalized_tie_breaks_on_lowest_mask():
     assert out.value.coefficient(0b11) == -r
 
 
+PROBE_CASES = [(sig, "general") for sig in ALL_SIGNATURES if sig.n <= 5] + [(Signature(8, 4), "general")] + [
+    (Signature(p, 3 - p), "n3") for p in range(4)
+]
+
+
+@pytest.mark.parametrize("sig, method", PROBE_CASES, ids=[f"{s.p},{s.q}-{m}" for s, m in PROBE_CASES])
+def test_rotor_carries_the_probe_that_made_it(sig, method):
+    for seed in range(3 if sig.n <= 5 else 1):
+        matrix = sample_matrix(sig, seed)
+        rotor = matrix_to_rotor(matrix, sig, method)
+        assert rotor.probe == select_candidate(matrix, sig, method).F
+        assert (-rotor).probe == rotor.probe == (-rotor).canonicalized().probe
+
+
+def test_probe_names_the_blade_of_a_half_turn():
+    # S = e12 has s_F = 0 for every probe but e12
+    assert matrix_to_rotor(np.diag([-1.0, -1.0, 1.0]), SIG30).probe == 0b11
+    assert matrix_to_rotor(np.diag([-1.0, -1.0, 1.0]), SIG30, "n3").probe == 0b11
+
+
+def test_rotors_not_recovered_from_a_matrix_have_no_probe():
+    value = exp_bivector(Multivector.basis(SIG30, 0b11, 0.4))
+    assert Rotor.checked(value).probe is None
+    assert Rotor(value).canonicalized().probe is None
+    assert (-Rotor.checked(value)).probe is None
+
+
+def test_probe_does_not_enter_equality():
+    value = Multivector.scalar(SIG30)
+    assert Rotor(value, 0) == Rotor(value) == Rotor(value, 0b11)
+
+
 # -- forward map ---------------------------------------------------------------
 
 def test_forward_map_identity():
