@@ -235,6 +235,11 @@ def _real_array(values: object, what: str) -> np.ndarray:
     return arr if arr.dtype.char == "d" else arr.astype(np.float64)
 
 
+def _is_scalar(value: object) -> bool:
+    """A Python or numpy int or float; bool and numpy.bool_ are not scalars."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # Multivectors
 # ---------------------------------------------------------------------------
@@ -351,17 +356,17 @@ class Multivector:
     def __mul__(self, other: Multivector | float | int) -> Multivector:
         if isinstance(other, Multivector):
             return geometric_product(self, other)
-        if isinstance(other, (int, float)):
+        if _is_scalar(other):
             return Multivector(self.sig, self._coeffs * other)
         return NotImplemented
 
     def __rmul__(self, other: float | int) -> Multivector:
-        if isinstance(other, (int, float)):
+        if _is_scalar(other):
             return Multivector(self.sig, self._coeffs * other)
         return NotImplemented
 
     def __truediv__(self, other: float | int) -> Multivector:
-        if isinstance(other, (int, float)):
+        if _is_scalar(other):
             return Multivector(self.sig, self._coeffs / other)
         return NotImplemented
 
@@ -437,15 +442,16 @@ def exp_bivector(b: Multivector) -> Multivector:
     result is squared h times. The 1-norm bounds the product of two
     multivectors by the product of their norms, so the k-th term is at most
     1/k! and the series has converged. Accuracy target is reverse(R)*R = 1
-    to 1e-12.
+    to 1e-12. A non-finite 1-norm (an inf or NaN coefficient) raises ValueError.
     """
     if np.any(b.coeffs[_grades(b.sig.n) != 2]):
         raise ValueError("exp_bivector requires a pure grade-2 argument")
     norm = float(np.sum(np.abs(b.coeffs)))
-    halvings = 0
-    while norm > 1.0:
-        norm /= 2.0
-        halvings += 1
+    if not math.isfinite(norm):
+        raise ValueError(f"exp_bivector requires a finite argument, got coefficient 1-norm {norm}")
+    # The least h >= 0 with norm <= 2^h: norm = m 2^e with 0.5 <= m < 1.
+    m, e = math.frexp(norm)
+    halvings = max(0, e - (m == 0.5))
     x = b / (1 << halvings) if halvings else b
     result = Multivector.scalar(b.sig)
     term = Multivector.scalar(b.sig)

@@ -7,10 +7,10 @@ split-quaternions, via
 
 Unit quaternions double-cover SO(3) and unit split-quaternions SO+(2,1).
 The four quaternion candidates are the n3 candidates L_F read through this
-bridge, so the unit elements come from the n3 rotor of matrix_to_rotor:
-one membership check, one probe selection and one normalizer for both
-algebras. Both algebras also get their 2x2 complex representations
-(SU(2), SU(1,1)).
+bridge, so the unit elements are the n3 rotor of matrix_to_rotor read
+through it: one membership check, one probe, one normalizer and one sign
+(Rotor.canonicalized) for both algebras. Both algebras also get their 2x2
+complex representations (SU(2), SU(1,1)).
 
 Both are a + bi + cj + dk with i^2 = -1, ij = k and s = j^2 = k^2:
 s = -1 gives the quaternions (ijk = -1) and s = +1 the split-quaternions
@@ -27,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .clifford_core import Multivector, Signature
+from .clifford_core import Multivector, Signature, _real_array
 from .covering import Rotor, matrix_to_rotor
 from .matrix_group import DEFAULT_TOLERANCE
 
@@ -57,8 +57,9 @@ class _FourComponent:
     SQUARE: ClassVar[float]
 
     def __post_init__(self) -> None:
-        for name in "abcd":
-            object.__setattr__(self, name, float(getattr(self, name)))
+        values = _real_array([self.a, self.b, self.c, self.d], "components")
+        for name, value in zip("abcd", values.tolist()):
+            object.__setattr__(self, name, value)
 
     def conjugate(self):
         return type(self)(self.a, -self.b, -self.c, -self.d)
@@ -102,51 +103,6 @@ class SplitQuaternion(_FourComponent):
     SQUARE: ClassVar[float] = 1.0
 
 
-def qmul(x: Quaternion, y: Quaternion) -> Quaternion:
-    """Hamilton product, x * y."""
-    return x * y
-
-
-def sqmul(x: SplitQuaternion, y: SplitQuaternion) -> SplitQuaternion:
-    """Split-quaternion product, x * y."""
-    return x * y
-
-
-# ---------------------------------------------------------------------------
-# Unit elements covering a matrix: the n3 rotor read through the bridge
-# ---------------------------------------------------------------------------
-
-def _unit_element(cls, sig: Signature, matrix: object, tol: float):
-    rotor = matrix_to_rotor(matrix, sig, "n3", tol)
-    components = np.array(_bridge_components(rotor.value, sig))
-    lead = int(np.argmax(np.abs(components)))
-    if components[lead] < 0:
-        # + 0.0 turns the -0.0 that negating a zero leaves back into 0.0.
-        components = -components + 0.0
-    return cls(*components)
-
-
-def so3_to_unit_quaternion(matrix: object, tol: float = DEFAULT_TOLERANCE) -> Quaternion:
-    """One of the two unit quaternions covering P in SO(3).
-
-    The n3 rotor of matrix_to_rotor read through the bridge, then
-    sign-canonicalized on its own components (largest magnitude positive);
-    this can differ by a global sign from the canonical Cl(3,0) rotor,
-    because the bridge flips the k component.
-    """
-    return _unit_element(Quaternion, SIG_30, matrix, tol)
-
-
-def so21_to_unit_split_quaternion(matrix: object, tol: float = DEFAULT_TOLERANCE) -> SplitQuaternion:
-    """One of the two unit split-quaternions covering P in SO+(2,1).
-
-    The n3 rotor of matrix_to_rotor read through the bridge, with the same
-    sign rule as so3_to_unit_quaternion. NoCandidateError is raised when
-    no probe gives a usable candidate, which no SO+(2,1) matrix does.
-    """
-    return _unit_element(SplitQuaternion, SIG_21, matrix, tol)
-
-
 # ---------------------------------------------------------------------------
 # 2x2 complex representations
 # ---------------------------------------------------------------------------
@@ -177,7 +133,7 @@ def su11_defect(m: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bridges to the Clifford rotors
+# Bridges to the Clifford rotors, and the unit elements covering a matrix
 # ---------------------------------------------------------------------------
 
 def _bridge_to_rotor(q, sig: Signature) -> Rotor:
@@ -220,3 +176,20 @@ def split_to_rotor(q: SplitQuaternion) -> Rotor:
 def rotor_to_split(rotor: Rotor | Multivector) -> SplitQuaternion:
     value = rotor.value if isinstance(rotor, Rotor) else rotor
     return SplitQuaternion(*_bridge_components(value, SIG_21))
+
+
+def so3_to_unit_quaternion(matrix: object, tol: float = DEFAULT_TOLERANCE) -> Quaternion:
+    """The unit quaternion of the canonical n3 rotor of P in SO(3).
+
+    Its sign is the rotor's (Rotor.canonicalized); -q is the other preimage.
+    """
+    return rotor_to_quaternion(matrix_to_rotor(matrix, SIG_30, "n3", tol))
+
+
+def so21_to_unit_split_quaternion(matrix: object, tol: float = DEFAULT_TOLERANCE) -> SplitQuaternion:
+    """The unit split-quaternion of the canonical n3 rotor of P in SO+(2,1).
+
+    NoCandidateError is raised when no probe gives a usable candidate,
+    which no SO+(2,1) matrix does.
+    """
+    return rotor_to_split(matrix_to_rotor(matrix, SIG_21, "n3", tol))

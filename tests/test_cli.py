@@ -22,8 +22,14 @@ from spincover.cli import (
     main,
     render_json,
 )
-from spincover.clifford_core import Signature, blade_name
-from spincover.covering import matrix_to_rotor, select_candidate
+from spincover.clifford_core import Multivector, Signature, blade_name, exp_bivector
+from spincover.covering import Rotor, forward_map, matrix_to_rotor, select_candidate
+from spincover.division_algebras import (
+    rotor_to_quaternion,
+    rotor_to_split,
+    so21_to_unit_split_quaternion,
+    so3_to_unit_quaternion,
+)
 from spincover.oracle import sample_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -381,6 +387,34 @@ def test_rotor_from_matrix_prints_the_library_chain(sig, method, capsys):
         assert doc["F"] == blade_name(select_candidate(matrix, sig, library).F)
         assert doc["rotor"] == {blade_name(mask): coeff for mask, coeff in rotor.value.terms()}
         assert doc["rotor_negated"] == {blade_name(mask): coeff for mask, coeff in (-rotor.value).terms()}
+
+
+def rotation_e1(angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+UNIT_ELEMENT_CASES = (
+    [(Signature(3, 0), sample_matrix(Signature(3, 0), seed)) for seed in range(10)]
+    + [(Signature(2, 1), sample_matrix(Signature(2, 1), seed)) for seed in range(10)]
+    + [(Signature(3, 0), rotation_e1(angle)) for angle in np.linspace(-math.pi, math.pi, 73)]
+    + [(Signature(2, 1), forward_map(Rotor(exp_bivector(Multivector.from_terms(Signature(2, 1), {3: 1.5, 6: 2.0})))))]
+)
+
+
+def test_quaternion_method_prints_the_library_unit_element(capsys):
+    # One sheet rule: the CLI's (split-)quaternion, the library's unit
+    # element and the bridge of the canonical n3 rotor agree bit for bit.
+    for sig, matrix in UNIT_ELEMENT_CASES:
+        payload = json.dumps({"p": sig.p, "q": sig.q, "matrix": matrix.tolist()})
+        assert main(["rotor-from-matrix", "--method", "quaternion", payload]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        if sig == Signature(3, 0):
+            key, unit, bridge = "quaternion", so3_to_unit_quaternion(matrix), rotor_to_quaternion
+        else:
+            key, unit, bridge = "split_quaternion", so21_to_unit_split_quaternion(matrix), rotor_to_split
+        assert unit == bridge(matrix_to_rotor(matrix, sig, "n3"))
+        assert doc[key] == {"a": unit.a, "b": unit.b, "c": unit.c, "d": unit.d}, matrix
 
 
 def test_quaternion_method_selects_and_assembles_once(monkeypatch, capsys):

@@ -250,6 +250,37 @@ def test_linear_operations():
         u + Multivector.scalar(Signature(1, 1))
 
 
+NUMPY_SCALARS = pytest.mark.parametrize(
+    "two", [np.int64(2), np.float32(2), np.float64(2)], ids=["int64", "float32", "float64"]
+)
+BOOLS = pytest.mark.parametrize("flag", [True, np.bool_(True)], ids=["bool", "numpy-bool"])
+
+
+@NUMPY_SCALARS
+def test_numpy_scalars_scale_multivectors(two):
+    u = Multivector.from_terms(Signature(2, 0), {0: 1.0, 0b11: 2.0})
+    assert (u * two).coeffs.tolist() == (two * u).coeffs.tolist() == [2.0, 0.0, 0.0, 4.0]
+    assert (u / two).coeffs.tolist() == [0.5, 0.0, 0.0, 1.0]
+
+
+@BOOLS
+def test_multivector_times_bool_is_refused(flag):
+    with pytest.raises(TypeError):
+        Multivector.scalar(Signature(2, 0)) * flag
+
+
+@BOOLS
+def test_bool_times_multivector_is_refused(flag):
+    with pytest.raises(TypeError):
+        flag * Multivector.scalar(Signature(2, 0))
+
+
+@BOOLS
+def test_multivector_over_bool_is_refused(flag):
+    with pytest.raises(TypeError):
+        Multivector.scalar(Signature(2, 0)) / flag
+
+
 def test_terms_ordering_is_grade_then_mask():
     sig = Signature(2, 1)
     u = Multivector(sig, np.arange(1.0, 9.0))
@@ -447,3 +478,33 @@ def test_exp_bivector_rejects_non_bivectors():
     sig = Signature(2, 0)
     with pytest.raises(ValueError):
         exp_bivector(Multivector.scalar(sig))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_exp_bivector_rejects_non_finite_arguments(bad):
+    # the halving loop this replaced never ended on inf and passed NaN through
+    with pytest.raises(ValueError, match="finite"):
+        exp_bivector(Multivector.basis(Signature(2, 0), 0b11, bad))
+
+
+def loop_halvings(norm: float) -> int:
+    halvings = 0
+    while norm > 1.0:
+        norm /= 2.0
+        halvings += 1
+    return halvings
+
+
+@pytest.mark.parametrize("norm", [0.0, 0.5, 1.0, 1.0 + 2.0**-52, 2.0 - 2.0**-51, 2.0, 3.0, 2.0**40, 3.3e299])
+def test_exp_bivector_halves_as_the_loop_did(norm, monkeypatch):
+    # 19 series products, then one squaring per halving
+    calls = []
+    product = clifford_core.geometric_product
+
+    def counting_product(u, v):
+        calls.append(1)
+        return product(u, v)
+
+    monkeypatch.setattr(clifford_core, "geometric_product", counting_product)
+    exp_bivector(Multivector.basis(Signature(2, 0), 0b11, norm))
+    assert len(calls) == 19 + loop_halvings(norm)
