@@ -128,25 +128,6 @@ def blade_from_name(name: str, n: int) -> int:
     return mask
 
 
-def blade_product(a: int, b: int, sig: Signature) -> tuple[int, int]:
-    """Product of two basis blades: (sign, mask) with e_a e_b = sign * e_mask.
-
-    The mask is the symmetric difference a ^ b and the sign that of
-    blade_signs, the one sign rule of the package.
-    """
-    return int(blade_signs(sig, a, b)), a ^ b
-
-
-def blade_inverse(a: int, sig: Signature) -> tuple[int, int]:
-    """Inverse of a basis blade: (sign, mask) with e_a * (sign * e_mask) = 1.
-
-    Every basis blade squares to +1 or -1, so the inverse is the blade
-    itself up to that sign.
-    """
-    square, _ = blade_product(a, a, sig)
-    return square, a
-
-
 @lru_cache(maxsize=None)
 def _sign_keys(p: int, q: int) -> np.ndarray:
     """Per-mask keys K_A with sign(e_A e_B) = (-1)^popcount(B & K_A).
@@ -442,7 +423,8 @@ def exp_bivector(b: Multivector) -> Multivector:
     result is squared h times. The 1-norm bounds the product of two
     multivectors by the product of their norms, so the k-th term is at most
     1/k! and the series has converged. Accuracy target is reverse(R)*R = 1
-    to 1e-12. A non-finite 1-norm (an inf or NaN coefficient) raises ValueError.
+    to 1e-12, which 2^h eps passes beyond h = 12: a 1-norm above 4096 raises
+    ValueError, as does a non-finite one (an inf or NaN coefficient).
     """
     if np.any(b.coeffs[_grades(b.sig.n) != 2]):
         raise ValueError("exp_bivector requires a pure grade-2 argument")
@@ -452,6 +434,8 @@ def exp_bivector(b: Multivector) -> Multivector:
     # The least h >= 0 with norm <= 2^h: norm = m 2^e with 0.5 <= m < 1.
     m, e = math.frexp(norm)
     halvings = max(0, e - (m == 0.5))
+    if halvings > 12:
+        raise ValueError(f"exp_bivector needs 1-norm <= 4096 (12 halvings), got {norm}")
     x = b / (1 << halvings) if halvings else b
     result = Multivector.scalar(b.sig)
     term = Multivector.scalar(b.sig)

@@ -215,13 +215,21 @@ def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _partners(n: int) -> np.ndarray:
+    # Read-only (n, 2^n) index of B ^ e_a at [a, B]; taking row a swaps bit a's halves.
+    partners = np.arange(1 << n) ^ (1 << np.arange(n))[:, None]
+    partners.setflags(write=False)
+    return partners
+
+
+@lru_cache(maxsize=None)
 def _shift_signs(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     # Read-only (n, 2^n) int8 signs of e_B e_a and of e_a e_B, stored at
     # column B ^ e_a: the signs that make S e_a and e_a S out of S with
     # the halves of bit a swapped.
     sig = Signature(p, q)
     bits = (1 << np.arange(sig.n))[:, None]
-    partner = np.arange(sig.dim) ^ bits
+    partner = _partners(sig.n)
     tables = blade_signs(sig, partner, bits), blade_signs(sig, bits, partner)
     for table in tables:
         table.setflags(write=False)
@@ -244,9 +252,7 @@ def _shifts(value: Multivector) -> tuple[np.ndarray, np.ndarray]:
     # swapped, times the cached signs.
     sig = value.sig
     right_signs, left_signs = _shift_signs(sig.p, sig.q)
-    moved = np.empty((sig.n, sig.dim))
-    for a in range(sig.n):
-        moved[a].reshape(-1, 2, 1 << a)[...] = value.coeffs.reshape(-1, 2, 1 << a)[:, ::-1]
+    moved = value.coeffs.take(_partners(sig.n))
     left = left_signs * moved
     return np.multiply(right_signs, moved, out=moved), left
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -169,38 +168,6 @@ def project_to_group(matrix: object, sig: Signature) -> np.ndarray:
     return arr
 
 
-def _submatrix(arr: np.ndarray, rows: Sequence[int], cols: Sequence[int], n: int) -> np.ndarray:
-    for indices in (rows, cols):
-        prev = 0
-        for i in indices:
-            if not 1 <= i <= n:
-                raise ValueError(f"index {i} outside 1..{n}")
-            if i <= prev:
-                raise ValueError(f"indices must be strictly ascending, got {tuple(indices)}")
-            prev = i
-    return arr[np.ix_([r - 1 for r in rows], [c - 1 for c in cols])]
-
-
-def minor(matrix: object, rows: Sequence[int], cols: Sequence[int]) -> float:
-    """Determinant of the submatrix on the given rows and columns (1-based).
-
-    Indices must be strictly ascending; empty index lists give 1.0. The
-    value is the last of the submatrix's batched_minors suffix tables, 2^k
-    minors in all for k indices. Entries must be real numbers, as for
-    as_square_matrix.
-    """
-    arr = _real_array(matrix, "matrix entries")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if len(rows) != len(cols):
-        raise ValueError(f"minor needs equally many rows and columns, got {len(rows)} and {len(cols)}")
-    sub = _submatrix(arr, rows, cols, arr.shape[0])
-    table = batched_minors(sub, 0, None)
-    for k in range(1, len(rows) + 1):
-        table = batched_minors(sub, k, table, suffix=1)
-    return float(table[1][0, 0])
-
-
 def batched_minors(
     matrix: np.ndarray, k: int, lower: tuple[np.ndarray, np.ndarray] | None, suffix: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -221,9 +188,8 @@ def batched_minors(
     With suffix = r > 0, only the row sets B of the last r masks are
     expanded, and dets has those r rows. The rows of lower are counted from
     its end, so lower may be a suffix table too if it ends with every
-    B - b_1 that these rows reach. suffix = 1 at every grade keeps the last
-    k rows, which reaches the determinant through 2^n minors in all; at
-    grade n/2 the last C(n-1, n/2) masks are the row sets holding row n - 1.
+    B - b_1 that these rows reach. At grade n/2 the last C(n-1, n/2) masks
+    are the row sets holding row n - 1.
     """
     n = matrix.shape[0]
     masks = grade_masks(n, k)

@@ -16,7 +16,7 @@ import numpy as np
 from .clifford_core import (
     Multivector,
     Signature,
-    blade_inverse,
+    blade_signs,
     exp_bivector,
     grade_masks,
     squared_norm,
@@ -175,8 +175,8 @@ def center_sum(u: Multivector) -> Multivector:
     sig = u.sig
     total = Multivector.zero(sig)
     for a_mask in range(sig.dim):
-        sign, _ = blade_inverse(a_mask, sig)
-        total = total + Multivector.basis(sig, a_mask) * u * Multivector.basis(sig, a_mask, float(sign))
+        sign = float(blade_signs(sig, a_mask, a_mask))
+        total = total + Multivector.basis(sig, a_mask) * u * Multivector.basis(sig, a_mask, sign)
     return total
 
 

@@ -1,9 +1,12 @@
-"""The public API matches README: exports resolve, removed names stay gone."""
+"""The public API matches README: exports resolve, removed names stay gone, the example runs."""
 
 import argparse
 import inspect
 import re
+import types
 from pathlib import Path
+
+import numpy as np
 
 import spincover
 from spincover import cli, clifford_core, covering, division_algebras, matrix_group, oracle
@@ -42,6 +45,21 @@ def test_every_exported_name_resolves():
     assert len(set(spincover.__all__)) == len(spincover.__all__)
     missing = [name for name in spincover.__all__ if getattr(spincover, name, None) is None]
     assert not missing, f"__all__ names {missing}, which spincover does not define"
+
+
+def test_all_is_the_public_imports():
+    modules = [name for name in spincover.__all__ if isinstance(getattr(spincover, name), types.ModuleType)]
+    assert not modules, f"__all__ names modules {modules}"
+    namespace = {}
+    exec("from spincover import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(spincover.__all__)
+
+
+def test_readme_example_prints_what_it_says(capsys):
+    (example,) = re.findall(r"^```python\n(.*?)^```", README, re.S | re.M)
+    exec(example, {})
+    half_turn = str(np.diag([1.0, -1.0, -1.0]))
+    assert capsys.readouterr().out == f"{{6: 1.0}}\n{half_turn}\n{half_turn}\n"
 
 
 def test_readme_api_bullets_name_exported_functions():

@@ -500,6 +500,8 @@ def test_sign_caches_are_fresh_blade_signs_and_read_only(sig):
             assert np.array_equal(grids[-1], expected)
     for table in (right, left, *grids):
         assert table.dtype == np.int8 and not table.flags.writeable
+    partners = covering._partners(sig.n)
+    assert np.array_equal(partners, partner) and not partners.flags.writeable
 
 
 @pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=lambda s: f"{s.p},{s.q}")

@@ -14,7 +14,6 @@ from spincover.matrix_group import (
     batched_minors,
     check_membership,
     metric_matrix,
-    minor,
     project_to_group,
     require_membership,
 )
@@ -64,8 +63,6 @@ def test_non_real_entries_are_rejected(matrix):
         as_square_matrix(matrix, 2)
     with pytest.raises(ValueError, match="real numbers"):
         matrix_to_rotor(matrix, Signature(2, 0))
-    with pytest.raises(ValueError, match="real numbers"):
-        minor(matrix, [1, 2], [1, 2])
 
 
 MIXED_BOOLS = [[[1.0, False], [False, True]], [[1, 0], [0, np.bool_(True)]]]
@@ -78,13 +75,6 @@ def test_as_square_matrix_rejects_bools_mixed_with_numbers(matrix):
         as_square_matrix(matrix, 2)
     with pytest.raises(ValueError, match="got a bool"):
         matrix_to_rotor(matrix, Signature(2, 0))
-
-
-@pytest.mark.parametrize("matrix", MIXED_BOOLS)
-def test_minor_rejects_bools_mixed_with_numbers(matrix):
-    with pytest.raises(ValueError, match="got a bool"):
-        minor(matrix, [1, 2], [1, 2])
-    assert minor(np.array(matrix, dtype=np.float64), [1, 2], [1, 2]) == 1.0
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), -0.5e-9])
@@ -239,60 +229,6 @@ def test_project_to_group_rejects_singular():
 
 # -- minors ---------------------------------------------------------------
 
-def test_minor_basic_cases():
-    m = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]])
-    assert minor(m, (), ()) == 1.0
-    assert minor(m, (1,), (2,)) == 2.0
-    assert minor(m, (1, 2), (1, 2)) == 1.0 * 5.0 - 2.0 * 4.0
-    assert abs(minor(m, (1, 2, 3), (1, 2, 3)) - np.linalg.det(m)) <= 1e-12
-    assert minor(m, (2, 3), (1, 3)) == 4.0 * 10.0 - 6.0 * 7.0
-
-
-def test_minor_validates_indices():
-    m = np.eye(3)
-    with pytest.raises(ValueError):
-        minor(m, (2, 1), (1, 2))  # not ascending
-    with pytest.raises(ValueError):
-        minor(m, (1, 1), (1, 2))  # repeated
-    with pytest.raises(ValueError):
-        minor(m, (0,), (1,))  # 1-based
-    with pytest.raises(ValueError):
-        minor(m, (1, 4), (1, 2))  # out of range
-    with pytest.raises(ValueError):
-        minor(m, (1,), (1, 2))  # mismatched order
-
-
-def test_minor_matches_naive_oracle():
-    rng = np.random.default_rng(17)
-    m = rng.uniform(-2, 2, (5, 5))
-    rows_list = [(1,), (2, 4), (1, 3, 5), (1, 2, 3, 4), (1, 2, 3, 4, 5)]
-    cols_list = [(3,), (1, 5), (2, 3, 4), (2, 3, 4, 5), (1, 2, 3, 4, 5)]
-    for rows, cols in zip(rows_list, cols_list):
-        got = minor(m, rows, cols)
-        ref = naive_minor([list(r) for r in m], list(rows), list(cols))
-        assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
-
-
-def test_minor_expands_only_the_row_suffix(monkeypatch):
-    # one 12 x 12 minor needs the minors on its last j rows against every
-    # j-column subset, sum over j of C(12, j) = 2^12 values in all, not the
-    # C(24, 12) ~ 2.7e6 of every full table
-    import spincover.matrix_group as matrix_group
-
-    computed = []
-
-    def counting(matrix, k, lower, suffix=False):
-        masks, dets = batched_minors(matrix, k, lower, suffix)
-        computed.append(dets.size)
-        return masks, dets
-
-    monkeypatch.setattr(matrix_group, "batched_minors", counting)
-    m = np.random.default_rng(41).uniform(-1, 1, (12, 12))
-    index = tuple(range(1, 13))
-    assert abs(minor(m, index, index) - np.linalg.det(m)) <= 1e-12 * np.prod(np.linalg.norm(m, axis=0))
-    assert sum(computed) == 2**12
-
-
 def test_so3_complementary_minor_identity():
     # for a special orthogonal matrix each entry equals its complementary minor
     rng = np.random.default_rng(4)
@@ -300,7 +236,7 @@ def test_so3_complementary_minor_identity():
     complement = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
     for a in (1, 2, 3):
         for b in (1, 2, 3):
-            cof = minor(p, complement[a], complement[b])
+            cof = naive_minor(p.tolist(), complement[a], complement[b])
             assert abs(p[a - 1, b - 1] - (-1) ** (a + b) * cof) <= 1e-12
 
 
@@ -314,7 +250,7 @@ def test_cauchy_binet_on_group_elements():
         product = p.T @ eta @ p
         for k in range(1, n + 1):
             rows = tuple(range(1, k + 1))
-            assert abs(minor(product, rows, rows) - minor(eta, rows, rows)) <= 1e-10
+            assert abs(naive_minor(product.tolist(), rows, rows) - naive_minor(eta.tolist(), rows, rows)) <= 1e-10
 
 
 def _minor_tables(m: np.ndarray) -> list:
