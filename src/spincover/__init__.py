@@ -23,7 +23,6 @@ from .clifford_core import (
 )
 from .covering import (
     CandidateElement,
-    Frame,
     NoCandidateError,
     Rotor,
     candidate_general,
@@ -34,7 +33,6 @@ from .covering import (
     matrix_to_rotor,
     probe_weights,
     rotor_from_candidate,
-    rotor_from_frames,
     select_candidate,
 )
 from .division_algebras import (
@@ -60,7 +58,6 @@ from .matrix_group import (
 )
 from .oracle import (
     SplitMix64,
-    frame_from_rotor,
     rotor_distance,
     run_selfcheck,
     sample_matrix,

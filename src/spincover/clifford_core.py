@@ -378,10 +378,7 @@ class Multivector:
 
     def odd_part_max(self) -> float:
         """Largest absolute odd-grade coefficient."""
-        odd = _odd_grades(self.sig.n)
-        if not odd.any():
-            return 0.0
-        return float(np.max(np.abs(self._coeffs[odd])))
+        return float(np.max(np.abs(self._coeffs[_odd_grades(self.sig.n)])))
 
     def __repr__(self) -> str:
         parts = [f"{value:.6g}*{blade_name(mask)}" for mask, value in self.terms()]

@@ -22,8 +22,8 @@ n = 3 the half sum is the first-order candidate
 
     L_F = e_F + sum over a, b of p_a^b e_b e_F e^a
 
-of the paper, so the n3 form is L_F itself and the general candidate is
-exactly 2 L_F.
+of the paper, so the n3 form is M_F / 2 and recovers the same rotor: the
+method only names which check applies.
 
 The candidate is M_F = 2^n eps_F s_F S, where eps_F is the sign of
 reverse(e_F) e_F and s_F the e_F coefficient of S, so it vanishes exactly
@@ -84,8 +84,7 @@ Method = Literal["general", "n3"]
 #: with fewer rows than masks holds the row sets of its last masks.
 _Tables = list[tuple[np.ndarray, np.ndarray]]
 
-#: Candidates with reverse-norm at or below RELATIVE_THRESHOLD x scale^2
-#: count as zero, scale being the candidate's 2^n (2^(n-1) for the n3 form).
+#: Candidates with reverse-norm at or below RELATIVE_THRESHOLD x 4^n count as zero.
 RELATIVE_THRESHOLD = 1e-18
 
 
@@ -156,47 +155,15 @@ class Rotor:
 
 @dataclass(frozen=True)
 class CandidateElement:
-    """Unnormalized candidate M = scale eps_F s_F S for one probe blade F.
-
-    scale is 2^n for the general sum and 2^(n-1) for the n3 form.
-    """
+    """Unnormalized candidate M_F = 2^n eps_F s_F S for one probe blade F."""
 
     F: int
     M: Multivector
     normsq: float
-    scale: float
 
     @property
     def blade(self) -> str:
         return blade_name(self.F)
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Images beta_a of the generators under one conjugation action."""
-
-    sig: Signature
-    beta: tuple[Multivector, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.beta) != self.sig.n:
-            raise ValueError(f"expected {self.sig.n} frame vectors, got {len(self.beta)}")
-        for i, b in enumerate(self.beta):
-            if b.sig != self.sig:
-                raise ValueError(f"frame vector {i + 1} has signature Cl({b.sig.p},{b.sig.q})")
-            residual = (b - b.grade_projection(1)).max_abs()
-            if residual > DEFAULT_TOLERANCE:
-                raise ValueError(f"frame vector {i + 1} is not grade 1 (residual {residual:.3e})")
-
-    def coordinate_matrix(self) -> np.ndarray:
-        """Matrix with column a holding the generator coordinates of beta_a."""
-        return np.column_stack([b.vector_components() for b in self.beta])
-
-    def gram_matrix(self) -> np.ndarray:
-        """Scalar parts of beta_a beta_b: sum over A of sign(e_A e_A) beta_a[A] beta_b[A]."""
-        rows = np.stack([b.coeffs for b in self.beta])
-        every = np.arange(self.sig.dim)
-        return (rows * blade_signs(self.sig, every, every)) @ rows.T
 
 
 # ---------------------------------------------------------------------------
@@ -342,25 +309,22 @@ def forward_map(rotor: Rotor | Multivector, tol: float = DEFAULT_TOLERANCE) -> n
 # Inverse direction: matrix -> rotor
 # ---------------------------------------------------------------------------
 
-def _minor_tables(arr: np.ndarray, sig: Signature, method: Method) -> tuple[_Tables, float]:
-    # The tables of the half sum L_F (see the module notes), each grade one
-    # Laplace step from the last, and the factor the method applies to
-    # L_F: 2 for the candidate M_F, 1 for the n3 form.
-    if method == "n3":
-        if sig.n != 3:
-            raise ValueError(f"method 'n3' needs n = 3, got n = {sig.n}")
-        factor = 1.0
-    elif method == "general":
-        factor = 2.0
-    else:
+def _check_method(method: str, n: int) -> None:
+    if method not in ("general", "n3"):
         raise ValueError(f"unknown method {method!r}; expected 'general' or 'n3'")
-    n = sig.n
+    if method == "n3" and n != 3:
+        raise ValueError(f"method 'n3' needs n = 3, got n = {n}")
+
+
+def _minor_tables(arr: np.ndarray, n: int) -> _Tables:
+    # The tables of the half sum L_F (see the module notes), each grade one
+    # Laplace step from the last.
     tables = [batched_minors(arr, 0, None)]
     for k in range(1, (n + 1) // 2):
         tables.append(batched_minors(arr, k, tables[-1]))
     if n % 2 == 0:
         tables.append(batched_minors(arr, n // 2, tables[-1], math.comb(n - 1, n // 2)))
-    return tables, factor
+    return tables
 
 
 @lru_cache(maxsize=None)
@@ -391,25 +355,26 @@ def _assemble_general(sig: Signature, tables: _Tables, F: int) -> Multivector:
     return Multivector(sig, total[every ^ F])
 
 
-def _candidate(sig: Signature, tables: _Tables, factor: float, F: int) -> CandidateElement:
-    M = factor * _assemble_general(sig, tables, F)
-    return CandidateElement(F, M, squared_norm(M), factor * sig.dim / 2.0)
-
-
-def _probe_candidate(matrix: object, sig: Signature, F: int, method: Method) -> CandidateElement:
-    if blade_grade(F) % 2:
-        raise ValueError(f"probe blade {blade_name(F)} has odd grade")
-    return _candidate(sig, *_minor_tables(as_square_matrix(matrix, sig.n), sig, method), F)
+def _candidate(sig: Signature, tables: _Tables, F: int) -> CandidateElement:
+    M = 2.0 * _assemble_general(sig, tables, F)
+    return CandidateElement(F, M, squared_norm(M))
 
 
 def candidate_general(matrix: object, sig: Signature, F: int) -> CandidateElement:
     """Candidate M_F = 2 L_F for an even probe blade F; assumes det P = +1 (see the module notes)."""
-    return _probe_candidate(matrix, sig, F, "general")
+    if blade_grade(F) % 2:
+        raise ValueError(f"probe blade {blade_name(F)} has odd grade")
+    return _candidate(sig, _minor_tables(as_square_matrix(matrix, sig.n), sig.n), F)
 
 
-def candidate_n3(matrix: object, sig: Signature, F: int) -> CandidateElement:
-    """First-order candidate L_F, the half sum at n = 3 (grades 0 and 1); M_F = 2 L_F."""
-    return _probe_candidate(matrix, sig, F, "n3")
+def candidate_n3(matrix: object, sig: Signature, F: int) -> Multivector:
+    """The paper's first-order L_F = e_F + sum p_a^b e_b e_F e^a for n = 3: M_F / 2.
+
+    A bare multivector, not a CandidateElement, so rotor_from_candidate
+    never normalizes it by the scale of M_F.
+    """
+    _check_method("n3", sig.n)
+    return candidate_general(matrix, sig, F).M / 2.0
 
 
 @lru_cache(maxsize=None)
@@ -425,28 +390,28 @@ def even_blades(n: int) -> Iterator[int]:
     return iter(_even_masks(n).tolist())
 
 
-def _probe_weights(sig: Signature, tables: _Tables, factor: float) -> np.ndarray:
-    # w_F = factor eps_F sum_A (-1)^|A & F| det P[A, A] over the principal
+def _probe_weights(sig: Signature, tables: _Tables) -> np.ndarray:
+    # w_F = 2 eps_F sum_A (-1)^|A & F| det P[A, A] over the principal
     # minors in tables; |A^c & F| = |A & F| mod 2 for even F, so the A in
-    # the half sum stand for their complements too. The n3 form sees
+    # the half sum stand for their complements too. At n = 3 they are
     # d = (1, p11, p22, p33) on masks 0, 1, 2, 4.
     d = np.zeros(sig.dim)
     for masks, dets in tables:
         d[masks[-len(dets) :]] = np.diagonal(dets, masks.size - len(dets))
-    return factor * _reverse_norm_signs(sig.p, sig.q) * _walsh_hadamard(d)
+    return 2.0 * _reverse_norm_signs(sig.p, sig.q) * _walsh_hadamard(d)
 
 
-def probe_weights(matrix: object, sig: Signature, method: Method = "general") -> np.ndarray:
+def probe_weights(matrix: object, sig: Signature) -> np.ndarray:
     """Per-mask weights w_F = eps_F <M_F>_F, ranking the probe blades.
 
     For a matrix in SO+(p,q) covered by +-S, w_F = 2^n s_F^2 with s_F the
-    e_F coefficient of S (2^(n-1) s_F^2 for the n3 form). Only the even
-    masks name probes. Like candidate_general, the weights assume det P = +1.
+    e_F coefficient of S. Only the even masks name probes. Like
+    candidate_general, the weights assume det P = +1.
     """
-    return _probe_weights(sig, *_minor_tables(as_square_matrix(matrix, sig.n), sig, method))
+    return _probe_weights(sig, _minor_tables(as_square_matrix(matrix, sig.n), sig.n))
 
 
-def select_candidate(matrix: object, sig: Signature, method: Method = "general") -> CandidateElement:
+def select_candidate(matrix: object, sig: Signature) -> CandidateElement:
     """The candidate of the probe F with the largest w_F from probe_weights.
 
     Exact ties go to the first even blade in (grade, mask) order. Only this
@@ -457,7 +422,7 @@ def select_candidate(matrix: object, sig: Signature, method: Method = "general")
     Raises NoCandidateError when det P < 0 (by its sign only: a large
     boost rounds it far from 1), where the half sum would not vanish, and,
     naming the candidate, when its reverse-norm is not above
-    RELATIVE_THRESHOLD x scale^2; no other probe is tried.
+    RELATIVE_THRESHOLD x 4^n; no other probe is tried.
     """
     arr = as_square_matrix(matrix, sig.n)
     det = float(np.linalg.det(arr))
@@ -465,10 +430,10 @@ def select_candidate(matrix: object, sig: Signature, method: Method = "general")
         raise NoCandidateError(
             f"no covering candidate: determinant {det:.6g} is negative for matrix\n{np.array2string(arr)}"
         )
-    tables, factor = _minor_tables(arr, sig, method)
+    tables = _minor_tables(arr, sig.n)
     evens = _even_masks(sig.n)
-    cand = _candidate(sig, tables, factor, int(evens[np.argmax(_probe_weights(sig, tables, factor)[evens])]))
-    threshold = RELATIVE_THRESHOLD * cand.scale**2
+    cand = _candidate(sig, tables, int(evens[np.argmax(_probe_weights(sig, tables)[evens])]))
+    threshold = RELATIVE_THRESHOLD * float(sig.dim) ** 2
     if not cand.normsq > threshold:
         raise NoCandidateError(
             f"no nonzero covering candidate: best reverse-norm {cand.normsq:.6g} at "
@@ -478,14 +443,14 @@ def select_candidate(matrix: object, sig: Signature, method: Method = "general")
 
 
 def rotor_from_candidate(cand: CandidateElement) -> Rotor:
-    """The sign-canonicalized rotor M_F / sqrt(scale eps_F <M_F>_F), with probe F.
+    """The sign-canonicalized rotor M_F / sqrt(2^n eps_F <M_F>_F), with probe F.
 
     NoCandidateError is raised when the radicand is not positive, which no
     SO+(p,q) matrix gives. Membership is not checked here; matrix_to_rotor
     is the validated call.
     """
     sig = cand.M.sig
-    weight = cand.scale * _reverse_norm_signs(sig.p, sig.q)[cand.F] * cand.M.coeffs[cand.F]
+    weight = float(sig.dim) * _reverse_norm_signs(sig.p, sig.q)[cand.F] * cand.M.coeffs[cand.F]
     if not weight > 0.0:
         raise NoCandidateError(
             f"candidate at F = {cand.blade} has non-positive normalizer {weight:.6g}; "
@@ -504,23 +469,12 @@ def matrix_to_rotor(
 
     The result is sign-canonicalized; the other preimage is its negation.
     The matrix must pass membership at tol (MembershipError otherwise);
-    call project_to_group first to repair a noisy input. The candidate
-    comes from select_candidate and its normalization from
-    rotor_from_candidate, which together are the unvalidated recovery.
+    call project_to_group first to repair a noisy input. Both methods
+    recover the same rotor; "n3" checks that n = 3 (ValueError after
+    membership otherwise). The candidate comes from select_candidate and
+    its normalization from rotor_from_candidate, which together are the
+    unvalidated recovery.
     """
-    return rotor_from_candidate(select_candidate(require_membership(matrix, sig, tol), sig, method))
-
-
-def rotor_from_frames(
-    frame: Frame,
-    method: Method = "general",
-    tol: float = DEFAULT_TOLERANCE,
-) -> Rotor:
-    """Rotor sending each generator e_a to the frame vector beta_a.
-
-    The frame's coordinate matrix must pass SO+(p,q) membership in
-    matrix_to_rotor; a frame whose Gram matrix deviates from the metric
-    fails the pseudo-orthogonality condition there.
-    """
-    return matrix_to_rotor(frame.coordinate_matrix(), frame.sig, method, tol)
-
+    arr = require_membership(matrix, sig, tol)
+    _check_method(method, sig.n)
+    return rotor_from_candidate(select_candidate(arr, sig))

@@ -152,15 +152,18 @@ def project_to_group(matrix: object, sig: Signature) -> np.ndarray:
 
     Newton iteration on the metric constraint, P <- (P + eta P^-T eta) / 2,
     converges quadratically for inputs near the group; for q = 0 the limit is
-    the orthogonal polar factor. Determinant sign and orientation are not
-    repaired, only the metric condition.
+    the orthogonal polar factor. It stops once max |P^T eta P - eta| is at
+    most n eps max(1, max |P_ij|)^2, the rounding of P^T eta P itself, so a
+    correctly rounded group element comes back unchanged. Determinant sign
+    and orientation are not repaired, only the metric condition.
     """
     eta = metric_matrix(sig)
     arr = as_square_matrix(matrix, sig.n).copy()
+    rounding = sig.n * np.finfo(np.float64).eps
     try:
         for _ in range(60):
             residual = float(np.max(np.abs(arr.T @ eta @ arr - eta)))
-            if residual <= 1e-15:
+            if residual <= rounding * max(1.0, float(np.max(np.square(arr)))):
                 break
             arr = 0.5 * (arr + eta @ np.linalg.inv(arr).T @ eta)
     except np.linalg.LinAlgError as exc:

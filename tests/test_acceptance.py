@@ -119,9 +119,9 @@ def test_criterion_3_half_turn_degeneracies():
     sig = Signature(3, 0)
     half_turn = np.diag([1.0, -1.0, -1.0])
     zeros_ok = all(
-        candidate_n3(half_turn, sig, F).M.max_abs() <= 1e-14 for F in (0, 0b011, 0b101)
+        candidate_n3(half_turn, sig, F).max_abs() <= 1e-14 for F in (0, 0b011, 0b101)
     )
-    l23 = candidate_n3(half_turn, sig, 0b110).M
+    l23 = candidate_n3(half_turn, sig, 0b110)
     l23_ok = np.array_equal(l23.coeffs, Multivector.basis(sig, 0b110, 4.0).coeffs)
     rotor = matrix_to_rotor(half_turn, sig, method="n3")
     rotor_ok = np.array_equal(rotor.coeffs, Multivector.basis(sig, 0b110).coeffs)
@@ -130,8 +130,8 @@ def test_criterion_3_half_turn_degeneracies():
     for phi in np.linspace(0.0, 2.0 * math.pi, 50):
         c, s = math.cos(phi), math.sin(phi)
         matrix = np.array([[c, s, 0.0], [s, -c, 0.0], [0.0, 0.0, -1.0]])
-        l13 = candidate_n3(matrix, sig, 0b101).M
-        l23_phi = candidate_n3(matrix, sig, 0b110).M
+        l13 = candidate_n3(matrix, sig, 0b101)
+        l23_phi = candidate_n3(matrix, sig, 0b110)
         want13 = Multivector.from_terms(sig, {0b101: 2.0 * (1.0 - c), 0b110: -2.0 * s})
         want23 = Multivector.from_terms(sig, {0b101: -2.0 * s, 0b110: 2.0 * (1.0 + c)})
         family_worst = max(

@@ -293,6 +293,15 @@ def test_project_flag_repairs_near_member(capsys):
     assert abs(doc["rotor"]["1"] - math.cos(angle / 2.0)) <= 1e-5
 
 
+def test_project_flag_leaves_a_member_as_it_is(capsys):
+    ch, sh = math.cosh(10.0), math.sinh(10.0)
+    payload = json.dumps({"p": 2, "q": 1, "matrix": [[1.0, 0.0, 0.0], [0.0, ch, sh], [0.0, sh, ch]]})
+    assert main(["rotor-from-matrix", payload]) == EXIT_OK
+    plain = capsys.readouterr().out
+    assert main(["rotor-from-matrix", "--project", payload]) == EXIT_OK
+    assert capsys.readouterr().out == plain
+
+
 def test_loose_tolerance_accepts_near_member(capsys):
     angle = 0.3
     c, s = math.cos(angle), math.sin(angle)
@@ -384,7 +393,7 @@ def test_rotor_from_matrix_prints_the_library_chain(sig, method, capsys):
         assert main(["rotor-from-matrix", "--method", method, payload]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         rotor = matrix_to_rotor(matrix, sig, library)
-        assert doc["F"] == blade_name(select_candidate(matrix, sig, library).F)
+        assert doc["F"] == blade_name(select_candidate(matrix, sig).F)
         assert doc["rotor"] == {blade_name(mask): coeff for mask, coeff in rotor.value.terms()}
         assert doc["rotor_negated"] == {blade_name(mask): coeff for mask, coeff in (-rotor.value).terms()}
 
@@ -422,7 +431,7 @@ def test_quaternion_method_selects_and_assembles_once(monkeypatch, capsys):
     select, assemble = covering.select_candidate, covering._assemble_general
 
     def counting_select(*args, **kwargs):
-        selections.append(args[2])
+        selections.append(args[1])
         return select(*args, **kwargs)
 
     def counting_assemble(*args, **kwargs):
@@ -433,7 +442,7 @@ def test_quaternion_method_selects_and_assembles_once(monkeypatch, capsys):
     monkeypatch.setattr(covering, "_assemble_general", counting_assemble)
     assert main(["rotor-from-matrix", "--method", "quaternion", str(FIXTURES / "quat_rot.json")]) == EXIT_OK
     assert "quaternion" in json.loads(capsys.readouterr().out)
-    assert selections == ["n3"] and assemblies == [0]
+    assert selections == [Signature(3, 0)] and assemblies == [0]
 
 
 def test_rotor_from_matrix_runs_matrix_to_rotor_once(monkeypatch, capsys):

@@ -414,6 +414,19 @@ def test_even_projection_and_odd_part():
     assert even.odd_part_max() == 0.0
 
 
+def test_mixed_signatures_raise():
+    u, v = Multivector.scalar(Signature(3, 0)), Multivector.scalar(Signature(2, 1))
+    for operation in (lambda: u + v, lambda: u * v):
+        with pytest.raises(ValueError, match=r"signature mismatch: Cl\(3,0\) vs Cl\(2,1\)"):
+            operation()
+
+
+def test_repr_names_the_terms_and_the_algebra():
+    sig = Signature(2, 1)
+    assert repr(Multivector.from_terms(sig, {0: 1.5, 0b011: -2.0})) == "<1.5*1 - 2*e12 in Cl(2,1)>"
+    assert repr(Multivector.zero(sig)) == "<0 in Cl(2,1)>"
+
+
 def test_squared_norm_is_scalar_of_reverse_times_self():
     rng = np.random.default_rng(9)
     for sig in SMALL_SIGS:

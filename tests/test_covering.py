@@ -18,7 +18,6 @@ from spincover.clifford_core import (
 )
 from spincover.covering import (
     CandidateElement,
-    Frame,
     NoCandidateError,
     Rotor,
     candidate_general,
@@ -29,11 +28,10 @@ from spincover.covering import (
     matrix_to_rotor,
     probe_weights,
     rotor_from_candidate,
-    rotor_from_frames,
     select_candidate,
 )
 from spincover.matrix_group import MembershipError, check_membership, project_to_group
-from spincover.oracle import frame_from_rotor, sample_matrix
+from spincover.oracle import sample_matrix
 
 from oracles import (
     coeffs_to_dict,
@@ -134,7 +132,7 @@ def test_rotor_carries_the_probe_that_made_it(sig, method):
     for seed in range(3 if sig.n <= 5 else 1):
         matrix = sample_matrix(sig, seed)
         rotor = matrix_to_rotor(matrix, sig, method)
-        assert rotor.probe == select_candidate(matrix, sig, method).F
+        assert rotor.probe == select_candidate(matrix, sig).F
         assert (-rotor).probe == rotor.probe == (-rotor).canonicalized().probe
 
 
@@ -299,15 +297,14 @@ def count_products(monkeypatch) -> list:
 
 
 def test_forward_direction_makes_no_geometric_product(monkeypatch):
-    # Rotor.checked, forward_map and frame_from_rotor read P and its
-    # residual bounds from signed permutations of a valid rotor.
+    # Rotor.checked and forward_map read P and its residual bounds from
+    # signed permutations of a valid rotor.
     rng = np.random.default_rng(41)
     values = [random_rotor(sig, rng).value for sig in (SIG30, SIG21, Signature(3, 3), Signature(2, 5))]
     products = count_products(monkeypatch)
     for value in values:
         rotor = Rotor.checked(value)
         forward_map(rotor)
-        frame_from_rotor(rotor)
         forward_map(value)
         assert products == []
 
@@ -581,7 +578,7 @@ def test_candidate_reverse_norm_is_scalar():
 
 
 def test_candidate_n3_requires_three_generators():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs n = 3"):
         candidate_n3(np.eye(2), SIG20, 0)
 
 
@@ -589,10 +586,10 @@ def test_candidate_n3_half_turn_diagonal():
     matrix = np.diag([1.0, -1.0, -1.0])
     zero_probes = [0, 0b011, 0b101]
     for F in zero_probes:
-        assert candidate_n3(matrix, SIG30, F).M.max_abs() == 0.0
-    cand = candidate_n3(matrix, SIG30, 0b110)
-    assert cand.M.isclose(Multivector.basis(SIG30, 0b110, 4.0), 0.0)
-    assert cand.normsq == 16.0
+        assert candidate_n3(matrix, SIG30, F).max_abs() == 0.0
+    first_order = candidate_n3(matrix, SIG30, 0b110)
+    assert first_order.isclose(Multivector.basis(SIG30, 0b110, 4.0), 0.0)
+    assert squared_norm(first_order) == 16.0
 
 
 def test_candidate_n3_half_turn_family_closed_forms():
@@ -604,16 +601,16 @@ def test_candidate_n3_half_turn_family_closed_forms():
         l_12 = candidate_n3(matrix, SIG30, 0b011)
         l_13 = candidate_n3(matrix, SIG30, 0b101)
         l_23 = candidate_n3(matrix, SIG30, 0b110)
-        assert l_scalar.M.max_abs() <= 1e-14
-        assert l_12.M.max_abs() <= 1e-14
+        assert l_scalar.max_abs() <= 1e-14
+        assert l_12.max_abs() <= 1e-14
         expected13 = Multivector.from_terms(
             SIG30, {0b101: 2.0 * (1.0 - c), 0b110: -2.0 * s}
         )
         expected23 = Multivector.from_terms(
             SIG30, {0b101: -2.0 * s, 0b110: 2.0 * (1.0 + c)}
         )
-        assert (l_13.M - expected13).max_abs() <= 1e-12
-        assert (l_23.M - expected23).max_abs() <= 1e-12
+        assert (l_13 - expected13).max_abs() <= 1e-12
+        assert (l_23 - expected23).max_abs() <= 1e-12
 
 
 def test_general_candidate_is_twice_n3_candidate():
@@ -623,9 +620,23 @@ def test_general_candidate_is_twice_n3_candidate():
         for F in even_blades(3):
             full = candidate_general(matrix, sig, F)
             first_order = candidate_n3(matrix, sig, F)
-            # the same tables, so exactly twice
-            assert np.array_equal(full.M.coeffs, 2.0 * first_order.M.coeffs)
-            assert full.normsq == 4.0 * first_order.normsq
+            # the same sum, so exactly twice
+            assert np.array_equal(full.M.coeffs, 2.0 * first_order.coeffs)
+            assert full.normsq == 4.0 * squared_norm(first_order)
+
+
+def test_candidate_general_rejects_an_odd_probe():
+    with pytest.raises(ValueError, match="e1 has odd grade"):
+        candidate_general(np.eye(3), SIG30, 0b001)
+
+
+def test_matrix_to_rotor_checks_the_method_after_membership():
+    with pytest.raises(ValueError, match="unknown method 'foo'"):
+        matrix_to_rotor(np.eye(3), SIG30, "foo")
+    with pytest.raises(ValueError, match="method 'n3' needs n = 3, got n = 2"):
+        matrix_to_rotor(np.eye(2), SIG20, "n3")
+    with pytest.raises(MembershipError):
+        matrix_to_rotor(np.diag([1.0, -1.0]), SIG20, "n3")
 
 
 def test_even_blades_order():
@@ -639,7 +650,6 @@ def test_select_candidate_examples():
     assert select_candidate(np.diag([1.0, -1.0, -1.0]), SIG30).F == 0b110
     half_turn = np.array([[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
     assert select_candidate(half_turn, SIG30).F == 0b101
-    assert select_candidate(half_turn, SIG30, method="n3").F == 0b101
 
 
 def test_select_candidate_rejects_all_zero():
@@ -710,9 +720,6 @@ def test_probe_weights_are_scaled_squared_rotor_coefficients(sig):
         expected = float(sig.dim) * rotor.coeffs[evens] ** 2
         weights = probe_weights(matrix, sig)[evens]
         assert np.abs(weights - expected).max() <= 1e-12 * max(1.0, expected.max())
-        if sig.n == 3:
-            first_order = probe_weights(matrix, sig, method="n3")[evens]
-            assert np.abs(2.0 * first_order - expected).max() <= 1e-12 * max(1.0, expected.max())
 
 
 def test_general_recovery_assembles_one_candidate(monkeypatch):
@@ -905,13 +912,18 @@ def test_matrix_to_rotor_output_is_canonical_unit():
 
 
 def test_matrix_to_rotor_methods_agree_for_three_generators():
+    # one recovery: the n3 rotor is the general rotor and 2 L_F is M_F,
+    # bit for bit, q > p included
     rng = np.random.default_rng(42)
-    for sig in (SIG30, SIG21):
+    for sig in (SIG30, SIG21, Signature(1, 2), Signature(0, 3)):
         for _ in range(10):
             matrix = forward_map(random_rotor(sig, rng))
             general = matrix_to_rotor(matrix, sig, method="general")
             first_order = matrix_to_rotor(matrix, sig, method="n3")
-            assert rotor_distance(general, first_order) <= 1e-12
+            assert np.array_equal(general.coeffs, first_order.coeffs) and general.probe == first_order.probe
+            for F in even_blades(3):
+                twice = 2.0 * candidate_n3(matrix, sig, F).coeffs
+                assert np.array_equal(twice, candidate_general(matrix, sig, F).M.coeffs)
 
 
 def test_matrix_to_rotor_validates_membership():
@@ -966,13 +978,17 @@ def test_matrix_to_rotor_tries_no_second_probe():
 @pytest.mark.parametrize("sig", [SIG30, SIG21], ids=["3,0", "2,1"])
 @pytest.mark.parametrize("method, scale", [("general", 8.0), ("n3", 4.0)])
 def test_candidate_carries_its_normalizer(sig, method, scale):
-    # the unvalidated pair needs no method restated, and for a member it
-    # is the validated call's rotor, bit for bit
+    # the unvalidated pair is each method's validated rotor, bit for bit,
+    # and so is the method's own candidate (M_F, or L_F for n3) over
+    # sqrt(scale eps_F <candidate>_F)
     for seed in range(5):
         matrix = sample_matrix(sig, 70 + seed)
-        cand = select_candidate(matrix, sig, method)
-        assert cand.scale == scale
-        assert np.array_equal(rotor_from_candidate(cand).coeffs, matrix_to_rotor(matrix, sig, method).coeffs)
+        cand = select_candidate(matrix, sig)
+        rotor = matrix_to_rotor(matrix, sig, method)
+        assert np.array_equal(rotor_from_candidate(cand).coeffs, rotor.coeffs)
+        own = cand.M if method == "general" else candidate_n3(matrix, sig, cand.F)
+        weight = scale * squared_norm(Multivector.basis(sig, cand.F)) * own.coeffs[cand.F]
+        assert np.array_equal(Rotor(own / math.sqrt(weight)).canonicalized().coeffs, rotor.coeffs)
 
 
 @pytest.mark.parametrize("method", ["general", "n3"])
@@ -992,17 +1008,14 @@ def test_matrix_to_rotor_large_boost_does_not_cancel(method):
 
 # -- frames --------------------------------------------------------------------
 
-def test_frame_validation():
-    beta = tuple(Multivector.basis(SIG30, 1 << a) for a in range(3))
-    frame = Frame(SIG30, beta)
-    assert np.array_equal(frame.coordinate_matrix(), np.eye(3))
-    assert np.array_equal(frame.gram_matrix(), np.eye(3))
-    with pytest.raises(ValueError, match="frame vectors"):
-        Frame(SIG30, beta[:2])
-    with pytest.raises(ValueError, match="signature"):
-        Frame(SIG30, (beta[0], beta[1], Multivector.basis(SIG21, 0b100)))
-    with pytest.raises(ValueError, match="grade 1"):
-        Frame(SIG30, (beta[0], beta[1], Multivector.scalar(SIG30)))
+def coordinate_matrix(beta) -> np.ndarray:
+    # column a holds the generator coordinates of the frame vector beta_a
+    return np.column_stack([b.vector_components() for b in beta])
+
+
+def gram_matrix(beta) -> np.ndarray:
+    # scalar parts of beta_a beta_b
+    return np.array([[(x * y).scalar_part() for y in beta] for x in beta])
 
 
 def test_frame_gram_matches_metric_for_rotor_images():
@@ -1012,14 +1025,13 @@ def test_frame_gram_matches_metric_for_rotor_images():
     beta = tuple(
         rotor.value * Multivector.basis(SIG21, 1 << a) * inverse for a in range(3)
     )
-    frame = Frame(SIG21, beta)
     eta = np.diag([1.0, 1.0, -1.0])
-    assert np.max(np.abs(frame.gram_matrix() - eta)) <= 1e-12
+    assert np.max(np.abs(gram_matrix(beta) - eta)) <= 1e-12
 
 
 def test_rotor_from_frames_identity():
     beta = tuple(Multivector.basis(SIG30, 1 << a) for a in range(3))
-    rotor = rotor_from_frames(Frame(SIG30, beta))
+    rotor = matrix_to_rotor(coordinate_matrix(beta), SIG30)
     assert rotor.value.isclose(Multivector.scalar(SIG30), 1e-14)
 
 
@@ -1029,7 +1041,7 @@ def test_rotor_from_frames_half_turn():
         Multivector.basis(SIG30, 0b010, -1.0),
         Multivector.basis(SIG30, 0b100, -1.0),
     )
-    rotor = rotor_from_frames(Frame(SIG30, beta))
+    rotor = matrix_to_rotor(coordinate_matrix(beta), SIG30)
     assert rotor.value.isclose(Multivector.basis(SIG30, 0b110), 1e-14)
 
 
@@ -1041,7 +1053,7 @@ def test_rotor_from_frames_recovers_random_rotor():
         beta = tuple(
             source.value * Multivector.basis(sig, 1 << a) * inverse for a in range(sig.n)
         )
-        recovered = rotor_from_frames(Frame(sig, beta))
+        recovered = matrix_to_rotor(coordinate_matrix(beta), sig)
         assert rotor_distance(recovered, source) <= 1e-10
 
 
@@ -1052,9 +1064,9 @@ def test_rotor_from_frames_rejects_degenerate_frame():
         Multivector.basis(SIG30, 0b100),
     )
     with pytest.raises(MembershipError):
-        rotor_from_frames(Frame(SIG30, beta))
+        matrix_to_rotor(coordinate_matrix(beta), SIG30)
 
 
 def test_candidate_element_blade_names():
-    cand = CandidateElement(0b110, Multivector.zero(SIG30), 0.0, 8.0)
+    cand = CandidateElement(0b110, Multivector.zero(SIG30), 0.0)
     assert cand.blade == "e23"

@@ -196,6 +196,11 @@ def test_rotor_to_quaternion_rejects_stray_components():
         rotor_to_split(Multivector.basis(SIG21, 0b111))
 
 
+def test_rotor_to_quaternion_rejects_another_signature():
+    with pytest.raises(ValueError, match=r"expected a Cl\(3,0\) element, got Cl\(2,1\)"):
+        rotor_to_quaternion(Multivector.scalar(SIG21))
+
+
 # -- candidate formulas ------------------------------------------------------
 #
 # The quaternion candidates Q_F are the n3 candidates L_F read through the
@@ -265,11 +270,11 @@ def split_table(p: np.ndarray) -> dict[int, SplitQuaternion]:
 
 
 def quaternion_candidate(matrix: np.ndarray, F: int) -> Quaternion:
-    return rotor_to_quaternion(candidate_n3(matrix, SIG30, F).M)
+    return rotor_to_quaternion(candidate_n3(matrix, SIG30, F))
 
 
 def split_candidate(matrix: np.ndarray, F: int) -> SplitQuaternion:
-    return rotor_to_split(candidate_n3(matrix, SIG21, F).M)
+    return rotor_to_split(candidate_n3(matrix, SIG21, F))
 
 
 def test_quaternion_candidates_identity():
@@ -323,17 +328,17 @@ def test_split_candidates_match_bridged_first_order_candidates():
 
 
 def test_select_candidate_prefers_largest_norm():
-    cand = select_candidate(np.diag([1.0, -1.0, -1.0]), SIG30, "n3")
+    cand = select_candidate(np.diag([1.0, -1.0, -1.0]), SIG30)
     assert cand.F == 0b110
-    assert rotor_to_quaternion(cand.M).isclose(Quaternion(0, 0, 0, -4), 0.0)
-    assert select_candidate(np.eye(3), SIG30, "n3").F == 0
+    assert rotor_to_quaternion(cand.M).isclose(Quaternion(0, 0, 0, -8), 0.0)
+    assert select_candidate(np.eye(3), SIG30).F == 0
 
 
 def test_select_split_candidate_requires_positive_norm():
     # the half-turn diag(1,-1,-1) is outside SO+(2,1) and leaves no
     # candidate with a positive normalizer
     with pytest.raises(NoCandidateError):
-        rotor_from_candidate(select_candidate(np.diag([1.0, -1.0, -1.0]), SIG21, "n3"))
+        rotor_from_candidate(select_candidate(np.diag([1.0, -1.0, -1.0]), SIG21))
 
 
 # -- unit extraction ---------------------------------------------------------

@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spincover import matrix_group
 from spincover.clifford_core import Multivector, Signature
 from spincover.covering import Rotor, forward_map, matrix_to_rotor
+from spincover.oracle import sample_matrix
 from spincover.matrix_group import (
     MembershipError,
     as_square_matrix,
@@ -220,6 +222,38 @@ def test_project_to_group_repairs_noise():
         residual = np.max(np.abs(fixed.T @ eta @ fixed - eta))
         assert residual <= 1e-13
         assert np.max(np.abs(fixed - base)) <= 1e-5
+
+
+def boost(sig: Signature, rapidity: float) -> np.ndarray:
+    # a boost in the (e1, e_{p+1}) plane
+    matrix = np.eye(sig.n)
+    ch, sh = math.cosh(rapidity), math.sinh(rapidity)
+    matrix[np.ix_([0, sig.p], [0, sig.p])] = [[ch, sh], [sh, ch]]
+    return matrix
+
+
+@pytest.mark.parametrize("sig", [Signature(1, 1), Signature(3, 1)], ids=["1,1", "3,1"])
+def test_project_to_group_leaves_a_rounded_boost_unchanged(sig):
+    # P^T eta P misses eta by its own rounding, far above 1e-15 at
+    # rapidity 10; the iteration stops at that level and takes no step
+    matrix = boost(sig, 10.0)
+    assert np.array_equal(project_to_group(matrix, sig), matrix)
+
+
+def test_project_to_group_stops_at_the_rounding_level(monkeypatch):
+    sig = Signature(8, 4)
+    noisy = sample_matrix(sig, 5) + 1e-6 * np.random.default_rng(3).standard_normal((12, 12))
+    inversions = []
+    invert = np.linalg.inv
+
+    def counting_inv(arr):
+        inversions.append(arr.shape)
+        return invert(arr)
+
+    monkeypatch.setattr(matrix_group.np.linalg, "inv", counting_inv)
+    fixed = project_to_group(noisy, sig)
+    assert len(inversions) <= 3
+    assert check_membership(fixed, sig).ok
 
 
 def test_project_to_group_rejects_singular():

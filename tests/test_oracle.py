@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spincover import cli, clifford_core, oracle
+from spincover import cli, clifford_core, covering, oracle
 from spincover.clifford_core import Multivector, Signature, exp_bivector, squared_norm
 from spincover.covering import Rotor, candidate_general, forward_map
 from spincover.matrix_group import check_membership, metric_matrix
@@ -18,7 +18,6 @@ from spincover.oracle import (
     SplitMix64,
     anticommutation_defect,
     center_sum,
-    frame_from_rotor,
     rotor_distance,
     run_selfcheck,
     sample_matrix,
@@ -190,45 +189,48 @@ def test_verify_covering_sees_both_signs_equally():
 
 # -- frames and the direct expansion --------------------------------------------
 
-def expand_frame(frame, F: int) -> Multivector:
-    sig = frame.sig
-    beta = [coeffs_to_dict(b.coeffs) for b in frame.beta]
-    total = corollary_expansion(beta, mask_to_blade(F), sig.p, sig.q)
+def frame_of(rotor: Rotor) -> list[Multivector]:
+    # beta_a = S e_a reverse(S): the columns of forward_map
+    sig = rotor.sig
+    return [Multivector.vector(sig, column) for column in forward_map(rotor).T]
+
+
+def expand_frame(beta: list[Multivector], F: int) -> Multivector:
+    sig = beta[0].sig
+    total = corollary_expansion([coeffs_to_dict(b.coeffs) for b in beta], mask_to_blade(F), sig.p, sig.q)
     return Multivector(sig, np.array(dict_to_coeffs(total, sig.n)))
 
 
 def test_frame_from_rotor_gram_is_metric():
+    # scalar parts of beta_a beta_b over the columns of forward_map
     for sig in (SIG30, SIG21, Signature(2, 2)):
-        frame = frame_from_rotor(sample_rotor(sig, 21))
-        assert np.max(np.abs(frame.gram_matrix() - metric_matrix(sig))) <= 1e-12
+        beta = frame_of(sample_rotor(sig, 21))
+        gram = np.array([[(x * y).scalar_part() for y in beta] for x in beta])
+        assert np.max(np.abs(gram - metric_matrix(sig))) <= 1e-12
 
 
 def test_corollary_expansion_identity_frame():
     for sig in (Signature(2, 0), SIG30, SIG21):
-        beta = tuple(Multivector.basis(sig, 1 << a) for a in range(sig.n))
-        frame = frame_from_rotor(Rotor(Multivector.scalar(sig)))
-        assert all(np.array_equal(frame.beta[a].coeffs, beta[a].coeffs) for a in range(sig.n))
-        total = expand_frame(frame, 0)
+        beta = frame_of(Rotor(Multivector.scalar(sig)))
+        assert all(np.array_equal(beta[a].coeffs, Multivector.basis(sig, 1 << a).coeffs) for a in range(sig.n))
+        total = expand_frame(beta, 0)
         assert total.isclose(Multivector.scalar(sig, float(sig.dim)), 1e-14)
 
 
 def test_corollary_expansion_half_turn_probe():
     # frame of the half-turn diag(1,-1,-1): probing with e23 doubles the
     # first-order candidate 4 e23
-    rotor = Rotor(Multivector.basis(SIG30, 0b110))
-    frame = frame_from_rotor(rotor)
-    total = expand_frame(frame, 0b110)
+    total = expand_frame(frame_of(Rotor(Multivector.basis(SIG30, 0b110))), 0b110)
     assert total.isclose(Multivector.basis(SIG30, 0b110, 8.0), 1e-14)
 
 
 def test_corollary_expansion_matches_minor_assembly():
     for sig in (Signature(2, 0), SIG30, SIG21, Signature(2, 2), Signature(3, 1)):
         for seed in (1, 2):
-            rotor = sample_rotor(sig, seed)
-            frame = frame_from_rotor(rotor)
-            matrix = frame.coordinate_matrix()
+            matrix = forward_map(sample_rotor(sig, seed))
+            beta = [Multivector.vector(sig, matrix[:, a]) for a in range(sig.n)]
             for F in (0, (1 << sig.n) - 1 if sig.n % 2 == 0 else 0b011):
-                direct = expand_frame(frame, F)
+                direct = expand_frame(beta, F)
                 assembled = candidate_general(matrix, sig, F).M
                 assert (direct - assembled).max_abs() <= 1e-10
 
@@ -311,6 +313,22 @@ def test_algebra_laws_scale_with_their_terms(monkeypatch, capsys, sig):
     for broken in (_single_precision(original), _flipped_top(original)):
         monkeypatch.setattr(clifford_core, "geometric_product", broken)
         assert not oracle._algebra_suite(sig, 1, 1) <= ALGEBRA_TOLERANCE
+
+
+def test_method_agreement_fails_a_broken_minor_sum(monkeypatch):
+    # the reference is the paper's formula by direct products, so a wrong
+    # assembly fails the suite (it compared the sum with itself before)
+    original = covering._assemble_general
+
+    def perturbed(sig, tables, F):
+        coeffs = original(sig, tables, F).coeffs.copy()
+        coeffs[F] += 1e-6
+        return Multivector(sig, coeffs)
+
+    monkeypatch.setattr(covering, "_assemble_general", perturbed)
+    result = run_selfcheck(SIG21, trials=3, seed=1)
+    assert result["suites"]["method_agreement"]["ok"] is False
+    assert result["ok"] is False
 
 
 def test_run_selfcheck_skips_method_agreement_away_from_three():
