@@ -27,7 +27,6 @@ from .covering import (
     Rotor,
     candidate_general,
     candidate_n3,
-    conjugated_generators,
     even_blades,
     forward_map,
     matrix_to_rotor,

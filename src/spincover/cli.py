@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .clifford_core import Multivector, Signature, blade_from_name, blade_name
-from .covering import NoCandidateError, Rotor, forward_map, matrix_to_rotor
+from .covering import NoCandidateError, forward_map, matrix_to_rotor
 from .division_algebras import SIG_30, quaternion_to_su2, rotor_to_quaternion, rotor_to_split, split_to_su11
 from .matrix_group import (
     DEFAULT_TOLERANCE,
@@ -238,8 +238,7 @@ def cmd_matrix_from_rotor(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
     try:
-        rotor = Rotor.checked(value, args.tol)
-        matrix = forward_map(rotor, args.tol)
+        matrix = forward_map(value, args.tol)
     except ValueError as exc:
         return _fail(EXIT_REJECTED, f"rotor invariant violated: {exc}")
     report = check_membership(matrix, sig, args.tol)

@@ -62,7 +62,6 @@ from .clifford_core import (
     Multivector,
     Signature,
     _reverse_norm_signs,
-    _reverse_signs,
     blade_grade,
     blade_name,
     blade_signs,
@@ -109,7 +108,7 @@ class Rotor:
     value: Multivector
     #: Mask of the probe blade F whose candidate this rotor normalizes.
     probe: int | None = field(default=None, compare=False)
-    # (matrix, bound) from _judge, kept by checked for forward_map.
+    # (matrix, tol) from _judge, kept by checked for forward_map.
     _closed: tuple[np.ndarray, float] | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -127,10 +126,6 @@ class Rotor:
         """Fix the sign: largest-magnitude coefficient positive, ties by lowest mask."""
         return -self if self.value.coeffs[np.argmax(np.abs(self.value.coeffs))] < 0 else self
 
-    def inverse(self) -> Multivector:
-        """Reversion, which inverts unit rotors."""
-        return self.value.reverse()
-
     def unit_residual(self) -> float:
         """max |S reverse(S) - 1| over all components (0 iff reverse(S) S = 1), by one product."""
         gram = (self.value * self.value.reverse()).coeffs.copy()
@@ -139,18 +134,12 @@ class Rotor:
 
     @classmethod
     def checked(cls, value: Multivector, tol: float = DEFAULT_TOLERANCE) -> Rotor:
-        """Wrap a multivector after verifying evenness and unit norm.
+        """Wrap a multivector that passes the rotor rule of forward_map at tol.
 
-        unit_residual is held to tol * max(1, sum of squared coefficients),
-        the size of its rounding (for q > 0 above the reverse-norm 1); a sum
-        that overflows fails. A closed-form bound (see forward_map) within a
-        quarter of that passes without a geometric product. The rotor keeps
-        the closed form, re-based on unit_residual if that ran, for forward_map.
+        The rotor keeps the matrix and tol, so forward_map at a tolerance of
+        at least tol returns that matrix without judging again.
         """
-        bound = require_tolerance(tol) * _size(value)
-        if value.odd_part_max() != 0.0:
-            raise ValueError("rotor has odd-grade coefficients")
-        return cls(value, _closed=_judge(value, bound, images=False))
+        return cls(value, _closed=(_judge(value, tol), tol))
 
 
 @dataclass(frozen=True)
@@ -203,17 +192,6 @@ def _shift_signs(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-@lru_cache(maxsize=None)
-def _pseudoscalar_signs(p: int, q: int) -> np.ndarray:
-    # Read-only int8 signs of e_A reverse(e_{A^c}) at A: the pseudoscalar
-    # coefficient of S reverse(S) is sum_A signs_A s_A s_{A^c}.
-    sig = Signature(p, q)
-    every = np.arange(sig.dim)
-    signs = blade_signs(sig, every, every[::-1]) * _reverse_signs(sig.n)[::-1]
-    signs.setflags(write=False)
-    return signs
-
-
 def _shifts(value: Multivector) -> tuple[np.ndarray, np.ndarray]:
     # (n, 2^n) rows value e_a and e_a value: value with the halves of bit a
     # swapped, times the cached signs.
@@ -224,8 +202,8 @@ def _shifts(value: Multivector) -> tuple[np.ndarray, np.ndarray]:
     return np.multiply(right_signs, moved, out=moved), left
 
 
-def conjugated_generators(value: Multivector, right: Multivector) -> np.ndarray:
-    """(n, 2^n) coefficients whose row a is value e_a right, one product each."""
+def _conjugated_generators(value: Multivector, right: Multivector) -> np.ndarray:
+    # (n, 2^n) coefficients whose row a is value e_a right, one product each.
     value._check_sig(right)
     return np.array([(Multivector(value.sig, row) * right).coeffs for row in _shifts(value)[0]])
 
@@ -237,8 +215,8 @@ def _closed_form(value: Multivector, unit: float | None = None) -> tuple[np.ndar
     # by product), and every non-grade-1 coefficient of S e_a reverse(S)
     # = v_a + v_a D + R_a reverse(S), v_a = P e_a, R_a = S e_a - v_a S. With
     # u_b = eta P^T eta e_b and R'_b = e_b S - S u_b, e_b D - D e_b = R'_b
-    # reverse(S) - S reverse(R'_b); D off its centre (grades 0 and odd n) is
-    # the mean of D - e_A D e_A^-1, at most |S|_2 sum_b |R'_b|_2 as no U V
+    # reverse(S) - S reverse(R'_b); D is even, so off grade 0 it is the mean
+    # of D - e_A D e_A^-1, at most |S|_2 sum_b |R'_b|_2 as no U V
     # coefficient exceeds |U|_2 |V|_2. R alone bounds neither: S (1 + d e1234),
     # S a rapidity-12 boost in Cl(4,1), has |R| ~ 2d and |D| ~ 800 d.
     # The signs of the shifted copies come from the _shift_signs caches. One
@@ -253,8 +231,6 @@ def _closed_form(value: Multivector, unit: float | None = None) -> tuple[np.ndar
     norm = math.sqrt(float(np.dot(value.coeffs, value.coeffs)))
     if unit is None:
         unit = abs(squared_norm(value) - 1.0)
-        if sig.n % 2:
-            unit += abs(np.dot(_pseudoscalar_signs(sig.p, sig.q) * value.coeffs, value.coeffs[::-1]))
         np.subtract(left, np.matmul(eta[:, None] * matrix * eta, right, out=work), out=work)
         unit += norm * np.sum(_row_norms(work))
     np.subtract(right, np.matmul(matrix.T, left, out=work), out=work)
@@ -267,42 +243,45 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(np.square(rows, out=rows), axis=1))
 
 
-def _judge(value: Multivector, bound: float, images: bool) -> tuple[np.ndarray, float]:
-    # The verdict of Rotor.checked and forward_map and the closed form's
-    # (matrix, bound). A bound over a quarter of `bound` is re-based on the
-    # exact S reverse(S) residual, held to `bound`; one still over, with
-    # images, holds the non-grade-1 coefficients of S e_a reverse(S) to it.
-    closed = _closed_form(value)
-    if not closed[1] <= bound / 4.0 < math.inf:
+def _judge(value: Multivector, tol: float) -> np.ndarray:
+    # The one rotor rule, of Rotor.checked and forward_map, and the closed
+    # form's matrix. S must be even. A closed-form bound over a quarter of
+    # tol * size is re-based on the exact S reverse(S) residual, held to
+    # tol * size; one still over holds S e_a reverse(S) off grade 1 to it.
+    # A value that passes at tol passes at every larger tol.
+    bound = require_tolerance(tol) * _size(value)
+    if value.odd_part_max() != 0.0:
+        raise ValueError("rotor has odd-grade coefficients")
+    matrix, closed = _closed_form(value)
+    if not closed <= bound / 4.0 < math.inf:
         residual = Rotor(value).unit_residual()
         if not residual <= bound < math.inf:
             raise ValueError(f"rotor norm S*reverse(S) is not 1: it deviates by {residual:.3e} "
                              f"(tolerance {bound:.3e})")
-        closed = _closed_form(value, residual)
-        if images and not closed[1] <= bound / 4.0:
-            conjugated = conjugated_generators(value, value.reverse())
+        if not _closed_form(value, residual)[1] <= bound / 4.0:
+            conjugated = _conjugated_generators(value, value.reverse())
             conjugated[:, 1 << np.arange(value.sig.n)] = 0.0
             worst = float(np.max(np.abs(conjugated)))
             if not worst <= bound:
                 raise ValueError(f"conjugation does not preserve grade 1 (residual {worst:.3e}); not a rotor")
-    return closed
+    return matrix
 
 
 def forward_map(rotor: Rotor | Multivector, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
     """Matrix of the conjugation action: column a holds S e_a S^-1 = S e_a reverse(S).
 
-    P is read from signed permutations of S. ValueError unless S reverse(S)
-    is 1 and every S e_a reverse(S) grade 1, over all coefficients, to tol
-    relative to the size as in Rotor.checked. Geometric products run only
-    when a closed-form bound is not within a quarter of that (_closed_form);
-    a rotor from Rotor.checked brings its closed form along.
+    P is read from signed permutations of S. ValueError unless S is even,
+    S reverse(S) is 1 and every S e_a reverse(S) grade 1, over all
+    coefficients, to tol times max(1, sum of squared coefficients), the
+    size of their rounding (for q > 0 above the reverse-norm 1); a size
+    that overflows fails. Geometric products run only when a closed-form
+    bound is not within a quarter of that (_closed_form). A rotor from
+    Rotor.checked at a tolerance of at most tol brings its matrix along.
     """
-    value = rotor.value if isinstance(rotor, Rotor) else rotor
-    bound = require_tolerance(tol) * _size(value)
     kept = rotor._closed if isinstance(rotor, Rotor) else None
-    if kept is not None and kept[1] <= bound / 4.0 < math.inf:
+    if kept is not None and kept[1] <= require_tolerance(tol):
         return kept[0].copy()
-    return _judge(value, bound, images=True)[0]
+    return _judge(rotor.value if isinstance(rotor, Rotor) else rotor, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from .clifford_core import (
 )
 from .covering import (
     Rotor,
+    _conjugated_generators,
     candidate_n3,
-    conjugated_generators,
     even_blades,
     forward_map,
     matrix_to_rotor,
@@ -98,7 +98,7 @@ def verify_covering(rotor: Rotor | Multivector, matrix: object) -> CoveringRepor
     """Per generator, max |S e_a S^-1 - P e_a|: one product each, as S e_a permutes S."""
     value = rotor.value if isinstance(rotor, Rotor) else rotor
     arr = as_square_matrix(matrix, value.sig.n)
-    images = conjugated_generators(value, value.reverse() / squared_norm(value))
+    images = _conjugated_generators(value, value.reverse() / squared_norm(value))
     images[:, 1 << np.arange(value.sig.n)] -= arr.T
     return CoveringReport(tuple(np.max(np.abs(images), axis=1).tolist()))
 

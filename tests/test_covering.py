@@ -22,7 +22,6 @@ from spincover.covering import (
     Rotor,
     candidate_general,
     candidate_n3,
-    conjugated_generators,
     even_blades,
     forward_map,
     matrix_to_rotor,
@@ -31,7 +30,7 @@ from spincover.covering import (
     select_candidate,
 )
 from spincover.matrix_group import MembershipError, check_membership, project_to_group
-from spincover.oracle import sample_matrix
+from spincover.oracle import sample_matrix, sample_rotor
 
 from oracles import (
     coeffs_to_dict,
@@ -104,7 +103,7 @@ def test_rotor_checks_fail_when_the_size_overflows():
 
 def test_rotor_inverse_is_reversion():
     rotor = rotation_rotor(0.8)
-    product = geometric_product(rotor.value, rotor.inverse())
+    product = geometric_product(rotor.value, rotor.value.reverse())
     assert product.isclose(Multivector.scalar(SIG20), 1e-14)
 
 
@@ -202,6 +201,8 @@ def test_forward_map_rejects_unit_rotor_that_mixes_grades():
     assert Rotor(value).unit_residual() == 0.0
     with pytest.raises(ValueError, match="does not preserve grade 1"):
         forward_map(value)
+    with pytest.raises(ValueError, match="does not preserve grade 1"):
+        Rotor.checked(value)
 
 
 def test_forward_map_rejects_unit_scalar_norm_that_is_not_a_rotor():
@@ -264,7 +265,7 @@ def test_conjugated_generators_match_naive_products(sig):
         for right_part in parts.values():
             value = np.where(left_part, rng.uniform(-1.0, 1.0, sig.dim), 0.0)
             right = np.where(right_part, rng.uniform(-1.0, 1.0, sig.dim), 0.0)
-            got = conjugated_generators(Multivector(sig, value), Multivector(sig, right))
+            got = covering._conjugated_generators(Multivector(sig, value), Multivector(sig, right))
             assert got.shape == (sig.n, sig.dim)
             for a in range(sig.n):
                 ref = naive_product(
@@ -279,8 +280,8 @@ def test_conjugated_generators_match_naive_products(sig):
 def test_conjugated_generators_of_zero_is_zero():
     sig = Signature(2, 1)
     zero = Multivector.zero(sig)
-    assert not conjugated_generators(zero, Multivector.scalar(sig)).any()
-    assert not conjugated_generators(Multivector.scalar(sig), zero).any()
+    assert not covering._conjugated_generators(zero, Multivector.scalar(sig)).any()
+    assert not covering._conjugated_generators(Multivector.scalar(sig), zero).any()
 
 
 def count_products(monkeypatch) -> list:
@@ -362,29 +363,59 @@ def test_forward_op_on_a_large_boost_runs_one_product(monkeypatch, sig):
         forward_map(rotor, tol=0.0)
 
 
-def todays_rule(value: Multivector, tol: float, forward: bool) -> str | None:
+def test_forward_op_runs_the_image_products_once(monkeypatch):
+    # 2e-10 in the scalar fails the closed-form bound and its re-based form
+    # but passes S reverse(S) and the images; Rotor.checked runs those
+    # 1 + n products and forward_map takes its matrix.
+    sig = Signature(3, 1)
+    value = sample_rotor(sig, 0).value + Multivector.scalar(sig, 2e-10)
+    products = count_products(monkeypatch)
+    forward_map(Rotor.checked(value))
+    assert products == [sig] * (1 + sig.n)
+
+
+def test_forward_map_reuses_a_rotor_checked_at_a_tolerance_no_larger(monkeypatch):
+    # Passing the rule at tol means passing it at every larger tol.
+    calls = []
+    original = covering._closed_form
+
+    def counting(*args):
+        calls.append(len(args))
+        return original(*args)
+
+    value = random_rotor(Signature(3, 2), np.random.default_rng(44)).value + Multivector.scalar(Signature(3, 2), 1e-11)
+    rotor = Rotor.checked(value, 1e-9)
+    monkeypatch.setattr(covering, "_closed_form", counting)
+    assert np.array_equal(forward_map(rotor, 1e-6), original(value)[0])
+    assert calls == []
+    with pytest.raises(ValueError, match="is not 1"):
+        forward_map(rotor, 1e-12)
+    assert calls
+
+
+def todays_rule(value: Multivector, tol: float) -> str | None:
     """Verdict of the all-components rule by geometric products: None to
     accept, else the prefix of the rejection message."""
-    if not forward and value.odd_part_max() != 0.0:
+    if value.odd_part_max() != 0.0:
         return "rotor has odd-grade coefficients"
     bound = tol * max(1.0, float(np.dot(value.coeffs, value.coeffs)))
     gram = geometric_product(value, value.reverse()).coeffs.copy()
     gram[0] -= 1.0
     if not np.max(np.abs(gram)) <= bound < math.inf:
         return "rotor norm S*reverse(S) is not 1"
-    if forward:
-        vectors = 1 << np.arange(value.sig.n)
-        for a in vectors:
-            image = geometric_product(value * Multivector.basis(value.sig, a), value.reverse()).coeffs.copy()
-            image[vectors] = 0.0
-            if not np.max(np.abs(image)) <= bound:
-                return "conjugation does not preserve grade 1"
+    vectors = 1 << np.arange(value.sig.n)
+    for a in vectors:
+        image = geometric_product(value * Multivector.basis(value.sig, a), value.reverse()).coeffs.copy()
+        image[vectors] = 0.0
+        if not np.max(np.abs(image)) <= bound:
+            return "conjugation does not preserve grade 1"
     return None
 
 
 def assert_verdicts_match(value: Multivector, tol: float = matrix_group.DEFAULT_TOLERANCE) -> None:
-    for call, forward in ((Rotor.checked, False), (forward_map, True)):
-        expected = todays_rule(value, tol, forward)
+    # One rule judges both calls.
+    expected = todays_rule(value, tol)
+    for call in (Rotor.checked, forward_map):
         try:
             call(value, tol)
         except ValueError as exc:
@@ -436,19 +467,22 @@ def test_checked_rejects_what_the_relation_alone_misses(size):
     turned = geometric_product(boost, Multivector.basis(sig, 0b1111))
     value = boost + turned * (size / turned.max_abs())
     assert_verdicts_match(value)
-    assert (todays_rule(value, 1e-9, False) is None) == (size < 1e-6)
+    assert (todays_rule(value, 1e-9) is None) == (size < 1e-6)
 
 
-def test_odd_pseudoscalar_is_held_to_unit_norm():
-    # (1 + e12345)/sqrt(2) in Cl(5,0) is central, so S e_a = e_a S and the
-    # relation holds with P = 1; S reverse(S) = 1 + e12345 is not 1.
-    sig = Signature(5, 0)
-    value = Multivector.from_terms(sig, {0: 1.0, 0b11111: 1.0}) / math.sqrt(2.0)
-    with pytest.raises(ValueError, match="is not 1"):
-        forward_map(value)
-    # (1 + e123)/sqrt(2) in Cl(3,0) has S reverse(S) = 1 and fixes every e_a.
-    value = Multivector.from_terms(SIG30, {0: 1.0, 0b111: 1.0}) / math.sqrt(2.0)
-    assert np.array_equal(forward_map(value), np.eye(3) * np.dot(value.coeffs, value.coeffs))
+def test_both_calls_refuse_odd_grade_input():
+    # (1 + e12345)/sqrt(2) in Cl(5,0) is central, so S e_a = e_a S, and
+    # (1 + e123)/sqrt(2) in Cl(3,0) also has S reverse(S) = 1; e1 maps e1
+    # to e1 and e2 to -e2. None is even, so none is a rotor.
+    r = 1.0 / math.sqrt(2.0)
+    values = [
+        Multivector.from_terms(Signature(5, 0), {0: r, 0b11111: r}),
+        Multivector.from_terms(SIG30, {0: r, 0b111: r}),
+    ] + [Multivector.basis(sig, 1) for sig in (SIG20, Signature(1, 1), SIG30, Signature(2, 2))]
+    for value in values:
+        for call in (Rotor.checked, forward_map):
+            with pytest.raises(ValueError, match="rotor has odd-grade coefficients"):
+                call(value)
 
 
 def traced_peak_mb(call) -> float:
@@ -677,7 +711,7 @@ def _half_turn(sig: Signature, rng: np.random.Generator) -> Rotor:
     a, b = (0, 1) if sig.p >= 2 else (sig.n - 2, sig.n - 1)
     turn = random_rotor(sig, rng)
     plane = Multivector.basis(sig, (1 << a) | (1 << b))
-    return Rotor(turn.value * plane * turn.inverse())
+    return Rotor(turn.value * plane * turn.value.reverse())
 
 
 def _boost(sig: Signature, rapidity: float, rng: np.random.Generator) -> Rotor:
@@ -1021,7 +1055,7 @@ def gram_matrix(beta) -> np.ndarray:
 def test_frame_gram_matches_metric_for_rotor_images():
     rng = np.random.default_rng(50)
     rotor = random_rotor(SIG21, rng)
-    inverse = rotor.inverse()
+    inverse = rotor.value.reverse()
     beta = tuple(
         rotor.value * Multivector.basis(SIG21, 1 << a) * inverse for a in range(3)
     )
@@ -1049,7 +1083,7 @@ def test_rotor_from_frames_recovers_random_rotor():
     rng = np.random.default_rng(51)
     for sig in (SIG30, SIG21, Signature(2, 2)):
         source = random_rotor(sig, rng).canonicalized()
-        inverse = source.inverse()
+        inverse = source.value.reverse()
         beta = tuple(
             source.value * Multivector.basis(sig, 1 << a) * inverse for a in range(sig.n)
         )
