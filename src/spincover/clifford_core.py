@@ -46,6 +46,10 @@ class Signature:
     q: int
 
     def __post_init__(self) -> None:
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in (self.p, self.q)):
+            raise ValueError(f"signature counts must be integers, got ({self.p!r}, {self.q!r})")
+        object.__setattr__(self, "p", int(self.p))
+        object.__setattr__(self, "q", int(self.q))
         if self.p < 0 or self.q < 0:
             raise ValueError(f"signature counts must be nonnegative, got ({self.p}, {self.q})")
         n = self.p + self.q

@@ -148,9 +148,7 @@ def _bridge_to_rotor(q, sig: Signature) -> Rotor:
 def _bridge_components(value: Multivector, sig: Signature) -> tuple[float, float, float, float]:
     if value.sig != sig:
         raise ValueError(f"expected a Cl({sig.p},{sig.q}) element, got Cl({value.sig.p},{value.sig.q})")
-    stray = value.coeffs.copy()
-    stray[[0, 0b011, 0b101, 0b110]] = 0.0
-    worst = float(np.max(np.abs(stray)))
+    worst = value.odd_part_max()
     if worst > 1e-12:
         raise ValueError(f"element has components outside the even subalgebra (max {worst:.3e})")
     # x + 0.0 and 0.0 - x are 0.0, never -0.0, for a zero coefficient.

@@ -183,9 +183,10 @@ def _algebra_suite(sig: Signature, trials: int, seed: int) -> float:
     # Coefficient D of (u v) w or u (v w) sums +-u_A v_B w_C over the pairs
     # (A, B), C = A ^ B ^ D, at most |u|_1 |v|_1 max |w| in all; one of
     # u v sums +-u_A v_B, at most |u|_1 max |v|. Coefficient C of
-    # center_sum sums 2^n terms +-u_C, at most 2^n max |u|.
-    if anticommutation_defect(sig):
-        return float("inf")
+    # center_sum sums 2^n terms +-u_C, at most 2^n max |u|. A nonzero
+    # anticommutation defect, a count of pairs, is the residual itself.
+    if defect := anticommutation_defect(sig):
+        return float(defect)
     rng = SplitMix64(seed)
     worst = 0.0
     for _ in range(trials):

@@ -13,6 +13,7 @@ import pytest
 
 import spincover.cli as cli
 import spincover.covering as covering
+import spincover.oracle as oracle
 from spincover.cli import (
     EXIT_BAD_INPUT,
     EXIT_NUMERICAL,
@@ -484,6 +485,19 @@ def test_selfcheck_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_selfcheck", broken)
     assert main(["selfcheck", "--p", "2", "--q", "1"]) == EXIT_SELFCHECK
     capsys.readouterr()
+
+
+def test_selfcheck_reports_an_anticommutation_defect(monkeypatch, capsys):
+    # The defect count is the algebra suite's residual: finite, so the JSON
+    # renders, and the command fails with exit 1 instead of a traceback.
+    monkeypatch.setattr(oracle, "anticommutation_defect", lambda sig: 1)
+    assert main(["selfcheck", "--p", "2", "--q", "0", "--trials", "2"]) == EXIT_SELFCHECK
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert doc["suites"]["algebra_laws"]["ok"] is False
+    assert doc["suites"]["algebra_laws"]["max_residual"] == 1.0
+    assert doc["ok"] is False
+    assert "Traceback" not in err
 
 
 def test_forced_numerical_failure_exit_code(capsys):

@@ -59,6 +59,22 @@ def test_signature_validation():
         Signature(1, 1).metric(3)
 
 
+@pytest.mark.parametrize("count", [True, np.bool_(True), 1.0, 2.5, "1", None], ids=repr)
+def test_signature_counts_must_be_integers(count):
+    # a bool once built Cl(True,1), and a float raised TypeError inside dim
+    with pytest.raises(ValueError, match="must be integers"):
+        Signature(count, 1)
+    with pytest.raises(ValueError, match="must be integers"):
+        Signature(1, count)
+
+
+def test_signature_stores_numpy_integer_counts_as_int():
+    sig = Signature(np.int64(2), np.int32(1))
+    assert sig == Signature(2, 1) and hash(sig) == hash(Signature(2, 1))
+    assert type(sig.p) is int and type(sig.q) is int
+    assert repr(sig) == "Signature(p=2, q=1)"
+
+
 def test_blade_grade_and_indices():
     assert blade_grade(0) == 0
     assert blade_grade(0b1011) == 3
@@ -239,6 +255,21 @@ def test_linear_operations():
     assert (u / 4).coefficient(0b11) == 0.5
     with pytest.raises(ValueError):
         u + Multivector.scalar(Signature(1, 1))
+
+
+def test_adding_a_float_is_refused():
+    # __add__ and __sub__ return NotImplemented, and float has no rule either
+    u = Multivector.scalar(Signature(2, 0))
+    with pytest.raises(TypeError):
+        u + 1.0
+    with pytest.raises(TypeError):
+        u - 1.0
+
+
+def test_from_terms_rejects_a_mask_outside_the_algebra():
+    sig = Signature(2, 0)
+    with pytest.raises(ValueError, match="blade mask 4 outside 0..3"):
+        Multivector.from_terms(sig, {0: 1.0, sig.dim: 1.0})
 
 
 NUMPY_SCALARS = pytest.mark.parametrize(

@@ -199,6 +199,12 @@ def test_check_membership_orientation_minor_larger_p():
     assert report.ok  # leading 2x2 minor is +1: both flips sit in SO+(2,1)
 
 
+def test_passing_report_reads_as_membership():
+    report = check_membership(np.eye(3), Signature(2, 1))
+    assert report.ok
+    assert str(report) == "matrix is in SO+(2,1)"
+
+
 def test_require_membership_raises_with_report():
     with pytest.raises(MembershipError) as excinfo:
         require_membership(np.diag([1.0, -1.0]), Signature(2, 0))
