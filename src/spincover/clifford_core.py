@@ -46,7 +46,7 @@ class Signature:
     q: int
 
     def __post_init__(self) -> None:
-        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in (self.p, self.q)):
+        if not (_is_integer(self.p) and _is_integer(self.q)):
             raise ValueError(f"signature counts must be integers, got ({self.p!r}, {self.q!r})")
         object.__setattr__(self, "p", int(self.p))
         object.__setattr__(self, "q", int(self.q))
@@ -220,9 +220,23 @@ def _real_array(values: object, what: str) -> np.ndarray:
     return arr if arr.dtype.char == "d" else arr.astype(np.float64)
 
 
+def _is_integer(value: object) -> bool:
+    """A Python or numpy integer; bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _is_scalar(value: object) -> bool:
     """A Python or numpy int or float; bool and numpy.bool_ are not scalars."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _blade_mask(sig: Signature, mask: object) -> int:
+    """mask itself when it is an integer in 0..2^n - 1, else ValueError."""
+    if not _is_integer(mask):
+        raise ValueError(f"blade masks must be integers, got {mask!r}")
+    if not 0 <= mask < sig.dim:
+        raise ValueError(f"blade mask {mask} outside 0..{sig.dim - 1}")
+    return int(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -264,19 +278,15 @@ class Multivector:
 
     @classmethod
     def basis(cls, sig: Signature, mask: int, coeff: float = 1.0) -> Multivector:
-        if not 0 <= mask < sig.dim:
-            raise ValueError(f"blade mask {mask} outside 0..{sig.dim - 1}")
         coeffs = np.zeros(sig.dim)
-        coeffs[mask] = _real_array(coeff, "blade coefficients")
+        coeffs[_blade_mask(sig, mask)] = _real_array(coeff, "blade coefficients")
         return cls(sig, coeffs)
 
     @classmethod
     def from_terms(cls, sig: Signature, terms: Mapping[int, float]) -> Multivector:
         coeffs = np.zeros(sig.dim)
         for mask, value in zip(terms, _real_array(list(terms.values()), "term coefficients")):
-            if not 0 <= mask < sig.dim:
-                raise ValueError(f"blade mask {mask} outside 0..{sig.dim - 1}")
-            coeffs[mask] += value
+            coeffs[_blade_mask(sig, mask)] += value
         return cls(sig, coeffs)
 
     @classmethod
@@ -312,6 +322,16 @@ class Multivector:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self._coeffs)))
+
+    def __eq__(self, other: object) -> bool:
+        """Same signature and equal coefficients (-0.0 equals 0.0, NaN nothing)."""
+        if not isinstance(other, Multivector):
+            return NotImplemented
+        return self.sig == other.sig and bool(np.array_equal(self._coeffs, other._coeffs))
+
+    def __hash__(self) -> int:
+        # Adding 0.0 turns -0.0 into 0.0, so equal values hash alike.
+        return hash((self.sig, (self._coeffs + 0.0).tobytes()))
 
     def isclose(self, other: Multivector, tol: float = ZERO_THRESHOLD) -> bool:
         self._check_sig(other)

@@ -70,9 +70,9 @@ from .clifford_core import (
 )
 from .matrix_group import (
     DEFAULT_TOLERANCE,
+    _metric,
     as_square_matrix,
     batched_minors,
-    metric_matrix,
     require_membership,
     require_tolerance,
 )
@@ -160,14 +160,15 @@ class CandidateElement:
 # ---------------------------------------------------------------------------
 
 def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
-    # Butterfly on a copy, one pass per generator:
-    # out_F = sum_A (-1)^|A & F| v_A.
-    w = v.copy()
-    for bit in range(w.size.bit_length() - 1):
-        pairs = w.reshape(-1, 2, 1 << bit)
-        low, high = pairs[:, 0].copy(), pairs[:, 1].copy()
-        pairs[:, 0], pairs[:, 1] = low + high, low - high
-    return w
+    # Butterfly in place, one pass per generator:
+    # v_F <- sum_A (-1)^|A & F| v_A.
+    for bit in range(v.size.bit_length() - 1):
+        pairs = v.reshape(-1, 2, 1 << bit)
+        low, high = pairs[:, 0], pairs[:, 1]
+        diff = low - high
+        low += high
+        high[...] = diff
+    return v
 
 
 @lru_cache(maxsize=None)
@@ -225,7 +226,7 @@ def _closed_form(value: Multivector, unit: float | None = None) -> tuple[np.ndar
     # and right - P^T left.
     sig = value.sig
     right, left = _shifts(value)
-    eta = np.diag(metric_matrix(sig))
+    eta = np.diag(_metric(sig.p, sig.q))
     work = left * _reverse_norm_signs(sig.p, sig.q)
     matrix = eta[:, None] * (work @ right.T)
     norm = math.sqrt(float(np.dot(value.coeffs, value.coeffs)))
@@ -317,33 +318,32 @@ def _pair_signs(p: int, q: int, k: int, rows: int) -> np.ndarray:
     return signs
 
 
-def _assemble_general(sig: Signature, tables: _Tables, F: int) -> Multivector:
-    # One bincount per grade accumulates every minor(P,B,A) e_B e_F e^A term:
-    # sign(e_B e_F) * sign(e_{B^F} e_A) * sign(e_A e_A) at mask B ^ F ^ A.
+def _assemble_general(sig: Signature, tables: _Tables, F: int) -> np.ndarray:
+    # Coefficients of M_F = 2 L_F. The grade-0 term of L_F is e_F; one
+    # bincount per higher grade accumulates every minor(P,B,A) e_B e_F e^A
+    # term: sign(e_B e_F) * sign(e_{B^F} e_A) * sign(e_A e_A) at B ^ F ^ A.
     # The sign keys are linear in their first mask (clifford_core._sign_keys),
     # so sign(e_{B^F} e_A) = sign(e_B e_A) sign(e_F e_A): the F-free part is
-    # the cached _pair_signs grid, the rest a row and a column sign. The
-    # terms are binned at B ^ A and the total read at every mask ^ F.
+    # the cached _pair_signs grid, the rest a row and a column sign, read
+    # from the signs of e_B e_F and e_F e_A over every mask. The terms are
+    # binned at B ^ A and the total read at every mask ^ F.
     every = np.arange(sig.dim)
-    with_probe = blade_signs(sig, every, F)
+    from_probe, to_probe = blade_signs(sig, every, F), blade_signs(sig, F, every)
     total = np.zeros(sig.dim)
-    for k, (masks, dets) in enumerate(tables):
+    total[0] = 1.0
+    for k, (masks, dets) in enumerate(tables[1:], 1):
         b = masks[-len(dets) :, None]
-        signs = _pair_signs(sig.p, sig.q, k, len(dets)) * (with_probe[b] * blade_signs(sig, F, masks))
+        signs = _pair_signs(sig.p, sig.q, k, len(dets)) * (from_probe[b] * to_probe[masks])
         total += np.bincount((b ^ masks).ravel(), weights=(dets * signs).ravel(), minlength=sig.dim)
-    return Multivector(sig, total[every ^ F])
-
-
-def _candidate(sig: Signature, tables: _Tables, F: int) -> CandidateElement:
-    M = 2.0 * _assemble_general(sig, tables, F)
-    return CandidateElement(F, M, squared_norm(M))
+    return 2.0 * total[every ^ F]
 
 
 def candidate_general(matrix: object, sig: Signature, F: int) -> CandidateElement:
     """Candidate M_F = 2 L_F for an even probe blade F; assumes det P = +1 (see the module notes)."""
     if blade_grade(F) % 2:
         raise ValueError(f"probe blade {blade_name(F)} has odd grade")
-    return _candidate(sig, _minor_tables(as_square_matrix(matrix, sig.n), sig.n), F)
+    M = Multivector(sig, _assemble_general(sig, _minor_tables(as_square_matrix(matrix, sig.n), sig.n), F))
+    return CandidateElement(F, M, squared_norm(M))
 
 
 def candidate_n3(matrix: object, sig: Signature, F: int) -> Multivector:
@@ -401,7 +401,9 @@ def select_candidate(matrix: object, sig: Signature) -> CandidateElement:
     Raises NoCandidateError when det P < 0 (by its sign only: a large
     boost rounds it far from 1), where the half sum would not vanish, and,
     naming the candidate, when its reverse-norm is not above
-    RELATIVE_THRESHOLD x 4^n; no other probe is tried.
+    RELATIVE_THRESHOLD x 4^n; no other probe is tried. Only a direct call
+    validates the matrix and its det P: matrix_to_rotor runs the same
+    recovery on the array membership validated, with det P in [0, 2].
     """
     arr = as_square_matrix(matrix, sig.n)
     det = float(np.linalg.det(arr))
@@ -409,16 +411,24 @@ def select_candidate(matrix: object, sig: Signature) -> CandidateElement:
         raise NoCandidateError(
             f"no covering candidate: determinant {det:.6g} is negative for matrix\n{np.array2string(arr)}"
         )
+    F, M, normsq = _select(arr, sig)
+    return CandidateElement(F, Multivector(sig, M), normsq)
+
+
+def _select(arr: np.ndarray, sig: Signature) -> tuple[int, np.ndarray, float]:
+    # select_candidate on a validated array, as (F, M_F coefficients, reverse-norm).
     tables = _minor_tables(arr, sig.n)
     evens = _even_masks(sig.n)
-    cand = _candidate(sig, tables, int(evens[np.argmax(_probe_weights(sig, tables)[evens])]))
+    F = int(evens[np.argmax(_probe_weights(sig, tables)[evens])])
+    M = _assemble_general(sig, tables, F)
+    normsq = float(np.dot(_reverse_norm_signs(sig.p, sig.q) * M, M))  # squared_norm
     threshold = RELATIVE_THRESHOLD * float(sig.dim) ** 2
-    if not cand.normsq > threshold:
+    if not normsq > threshold:
         raise NoCandidateError(
-            f"no nonzero covering candidate: best reverse-norm {cand.normsq:.6g} at "
-            f"F = {cand.blade} (threshold {threshold:.6g}) for matrix\n{np.array2string(arr)}"
+            f"no nonzero covering candidate: best reverse-norm {normsq:.6g} at "
+            f"F = {blade_name(F)} (threshold {threshold:.6g}) for matrix\n{np.array2string(arr)}"
         )
-    return cand
+    return F, M, normsq
 
 
 def rotor_from_candidate(cand: CandidateElement) -> Rotor:
@@ -428,14 +438,21 @@ def rotor_from_candidate(cand: CandidateElement) -> Rotor:
     SO+(p,q) matrix gives. Membership is not checked here; matrix_to_rotor
     is the validated call.
     """
-    sig = cand.M.sig
-    weight = float(sig.dim) * _reverse_norm_signs(sig.p, sig.q)[cand.F] * cand.M.coeffs[cand.F]
+    return _normalized(cand.M.sig, cand.F, cand.M.coeffs)
+
+
+def _normalized(sig: Signature, F: int, M: np.ndarray) -> Rotor:
+    # rotor_from_candidate on plain coefficients; a conversion's one Multivector.
+    weight = float(sig.dim) * _reverse_norm_signs(sig.p, sig.q)[F] * M[F]
     if not weight > 0.0:
         raise NoCandidateError(
-            f"candidate at F = {cand.blade} has non-positive normalizer {weight:.6g}; "
+            f"candidate at F = {blade_name(F)} has non-positive normalizer {weight:.6g}; "
             f"the matrix is not in SO+({sig.p},{sig.q})"
         )
-    return Rotor(cand.M / math.sqrt(weight), cand.F).canonicalized()
+    S = M / math.sqrt(weight)
+    if S[np.argmax(np.abs(S))] < 0:  # Rotor.canonicalized
+        np.negative(S, out=S)
+    return Rotor(Multivector(sig, S), F)
 
 
 def matrix_to_rotor(
@@ -450,10 +467,11 @@ def matrix_to_rotor(
     The matrix must pass membership at tol (MembershipError otherwise);
     call project_to_group first to repair a noisy input. Both methods
     recover the same rotor; "n3" checks that n = 3 (ValueError after
-    membership otherwise). The candidate comes from select_candidate and
-    its normalization from rotor_from_candidate, which together are the
-    unvalidated recovery.
+    membership otherwise). The matrix is coerced and validated once, by
+    require_membership; the recovery of select_candidate and
+    rotor_from_candidate then runs on that array.
     """
     arr = require_membership(matrix, sig, tol)
     _check_method(method, sig.n)
-    return rotor_from_candidate(select_candidate(arr, sig))
+    F, M, _ = _select(arr, sig)
+    return _normalized(sig, F, M)

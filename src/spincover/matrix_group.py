@@ -99,7 +99,15 @@ class MembershipError(ValueError):
 
 
 def metric_matrix(sig: Signature) -> np.ndarray:
-    return np.diag(np.array([1.0] * sig.p + [-1.0] * sig.q))
+    return _metric(sig.p, sig.q).copy()
+
+
+@lru_cache(maxsize=None)
+def _metric(p: int, q: int) -> np.ndarray:
+    # Read-only eta, shared by every membership check at one signature.
+    eta = np.diag(np.array([1.0] * p + [-1.0] * q))
+    eta.setflags(write=False)
+    return eta
 
 
 def require_tolerance(tol: float) -> float:
@@ -114,7 +122,7 @@ def as_square_matrix(matrix: object, n: int) -> np.ndarray:
     arr = _real_array(matrix, "matrix entries")
     if arr.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
 
@@ -126,25 +134,30 @@ def check_membership(matrix: object, sig: Signature, tol: float = DEFAULT_TOLERA
     max(1, max |P_ij|)^2, so a correctly rounded large boost passes; the
     determinant bound never exceeds 1, so its sign is never lost.
     """
+    return _measured(matrix, sig, tol)[1]
+
+
+def require_membership(matrix: object, sig: Signature, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
+    """The new float64 array that check_membership coerced once and validated, or MembershipError."""
+    arr, report = _measured(matrix, sig, tol)
+    if not report.ok:
+        raise MembershipError(report)
+    return arr
+
+
+def _measured(matrix: object, sig: Signature, tol: float) -> tuple[np.ndarray, MembershipReport]:
+    # check_membership's report, with the array it coerced and validated.
     require_tolerance(tol)
     arr = as_square_matrix(matrix, sig.n)
-    eta = metric_matrix(sig)
-    residual = float(np.max(np.abs(arr.T @ eta @ arr - eta)))
+    eta = _metric(sig.p, sig.q)
+    residual = float(np.abs(arr.T @ eta @ arr - eta).max())
     det = float(np.linalg.det(arr))
     if sig.p == 0:
         orient = 1.0
     else:
         orient = float(np.linalg.det(arr[: sig.p, : sig.p]))
-    scale = max(1.0, float(np.max(np.square(arr))))
-    return MembershipReport(sig, residual, det, orient, tol, scale)
-
-
-def require_membership(matrix: object, sig: Signature, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
-    """The float64 array that check_membership validated, or MembershipError."""
-    report = check_membership(matrix, sig, tol)
-    if not report.ok:
-        raise MembershipError(report)
-    return np.asarray(matrix, dtype=np.float64)
+    scale = max(1.0, float(np.square(arr).max()))
+    return arr, MembershipReport(sig, residual, det, orient, tol, scale)
 
 
 def project_to_group(matrix: object, sig: Signature) -> np.ndarray:
@@ -157,7 +170,7 @@ def project_to_group(matrix: object, sig: Signature) -> np.ndarray:
     correctly rounded group element comes back unchanged. Determinant sign
     and orientation are not repaired, only the metric condition.
     """
-    eta = metric_matrix(sig)
+    eta = _metric(sig.p, sig.q)
     arr = as_square_matrix(matrix, sig.n).copy()
     rounding = sig.n * np.finfo(np.float64).eps
     try:

@@ -1,10 +1,13 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here shares no code or representation with the package under
-test. Most of it works on index tuples and dicts with explicit bubble-sort
-sign bookkeeping and Laplace-expansion determinants: deliberately naive,
-slow, and meant for small n only. The full-grade covering sum and the
-gathered closed form at the end use numpy arrays to reach n = 12.
+Everything here but the last function shares no code or representation
+with the package under test. Most of it works on index tuples and dicts
+with explicit bubble-sort sign bookkeeping and Laplace-expansion
+determinants: deliberately naive, slow, and meant for small n only. The
+full-grade covering sum and the gathered closed form use numpy arrays to
+reach n = 12. The last function, reference_matrix_to_rotor, is the
+package's earlier recovery pipeline, kept to pin its outputs and
+exceptions bit for bit; it reuses the package's minor tables and signs.
 """
 
 from __future__ import annotations
@@ -257,3 +260,86 @@ def gathered_closed_form(coeffs, p: int, q: int, unit: float | None = None):
         unit += norm * np.sum(np.linalg.norm(left - (eta[:, None] * matrix * eta) @ right, axis=1))
     slip = np.linalg.norm(right - matrix.T @ left, axis=1)
     return matrix, float(unit + np.max(np.sum(np.abs(matrix), axis=0) * unit + slip * norm))
+
+
+def reference_matrix_to_rotor(matrix, sig, method: str = "general", tol: float = 1e-9):
+    """matrix_to_rotor as the package computed it before it validated once.
+
+    check_membership built eta with np.diag; select_candidate coerced the
+    matrix again and refused det P < 0; the Walsh-Hadamard butterfly
+    copied both halves per pass; the candidate was a Multivector at every
+    step, normalized by a Rotor and canonicalized by Rotor.canonicalized.
+    The steps the package kept (coercion rules, minor tables, sign grids,
+    the report and the exception classes) are called from the package.
+    """
+    from spincover import covering
+    from spincover.clifford_core import Multivector, _real_array, _reverse_norm_signs, blade_name, blade_signs
+    from spincover.covering import RELATIVE_THRESHOLD, CandidateElement, NoCandidateError, Rotor
+    from spincover.matrix_group import MembershipError, MembershipReport, require_tolerance
+
+    def as_square_matrix(values):
+        arr = _real_array(values, "matrix entries")
+        if arr.shape != (sig.n, sig.n):
+            raise ValueError(f"expected a {sig.n}x{sig.n} matrix, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("matrix entries must be finite")
+        return arr
+
+    def walsh_hadamard(v):
+        w = v.copy()
+        for bit in range(w.size.bit_length() - 1):
+            pairs = w.reshape(-1, 2, 1 << bit)
+            low, high = pairs[:, 0].copy(), pairs[:, 1].copy()
+            pairs[:, 0], pairs[:, 1] = low + high, low - high
+        return w
+
+    def assemble(tables, F):
+        every = np.arange(sig.dim)
+        with_probe = blade_signs(sig, every, F)
+        total = np.zeros(sig.dim)
+        for k, (masks, dets) in enumerate(tables):
+            b = masks[-len(dets) :, None]
+            signs = covering._pair_signs(sig.p, sig.q, k, len(dets)) * (with_probe[b] * blade_signs(sig, F, masks))
+            total += np.bincount((b ^ masks).ravel(), weights=(dets * signs).ravel(), minlength=sig.dim)
+        return Multivector(sig, total[every ^ F])
+
+    require_tolerance(tol)
+    arr = as_square_matrix(matrix)
+    eta = np.diag(np.array([1.0] * sig.p + [-1.0] * sig.q))
+    residual = float(np.max(np.abs(arr.T @ eta @ arr - eta)))
+    det = float(np.linalg.det(arr))
+    orient = 1.0 if sig.p == 0 else float(np.linalg.det(arr[: sig.p, : sig.p]))
+    scale = max(1.0, float(np.max(np.square(arr))))
+    report = MembershipReport(sig, residual, det, orient, tol, scale)
+    if not report.ok:
+        raise MembershipError(report)
+    covering._check_method(method, sig.n)
+
+    arr = as_square_matrix(np.asarray(matrix, dtype=np.float64))
+    det = float(np.linalg.det(arr))
+    if det < 0.0:
+        raise NoCandidateError(
+            f"no covering candidate: determinant {det:.6g} is negative for matrix\n{np.array2string(arr)}"
+        )
+    tables = covering._minor_tables(arr, sig.n)
+    d = np.zeros(sig.dim)
+    for masks, dets in tables:
+        d[masks[-len(dets) :]] = np.diagonal(dets, masks.size - len(dets))
+    weights = 2.0 * _reverse_norm_signs(sig.p, sig.q) * walsh_hadamard(d)
+    evens = covering._even_masks(sig.n)
+    F = int(evens[np.argmax(weights[evens])])
+    M = 2.0 * assemble(tables, F)
+    cand = CandidateElement(F, M, float(np.dot(_reverse_norm_signs(sig.p, sig.q) * M.coeffs, M.coeffs)))
+    threshold = RELATIVE_THRESHOLD * float(sig.dim) ** 2
+    if not cand.normsq > threshold:
+        raise NoCandidateError(
+            f"no nonzero covering candidate: best reverse-norm {cand.normsq:.6g} at "
+            f"F = {cand.blade} (threshold {threshold:.6g}) for matrix\n{np.array2string(arr)}"
+        )
+    weight = float(sig.dim) * _reverse_norm_signs(sig.p, sig.q)[F] * M.coeffs[F]
+    if not weight > 0.0:
+        raise NoCandidateError(
+            f"candidate at F = {blade_name(F)} has non-positive normalizer {weight:.6g}; "
+            f"the matrix is not in SO+({sig.p},{sig.q})"
+        )
+    return Rotor(M / math.sqrt(weight), F).canonicalized()

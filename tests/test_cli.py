@@ -429,7 +429,7 @@ def test_quaternion_method_prints_the_library_unit_element(capsys):
 
 def test_quaternion_method_selects_and_assembles_once(monkeypatch, capsys):
     selections, assemblies = [], []
-    select, assemble = covering.select_candidate, covering._assemble_general
+    select, assemble = covering._select, covering._assemble_general
 
     def counting_select(*args, **kwargs):
         selections.append(args[1])
@@ -439,7 +439,7 @@ def test_quaternion_method_selects_and_assembles_once(monkeypatch, capsys):
         assemblies.append(args[2])
         return assemble(*args, **kwargs)
 
-    monkeypatch.setattr(covering, "select_candidate", counting_select)
+    monkeypatch.setattr(covering, "_select", counting_select)
     monkeypatch.setattr(covering, "_assemble_general", counting_assemble)
     assert main(["rotor-from-matrix", "--method", "quaternion", str(FIXTURES / "quat_rot.json")]) == EXIT_OK
     assert "quaternion" in json.loads(capsys.readouterr().out)

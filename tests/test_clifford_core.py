@@ -272,6 +272,40 @@ def test_from_terms_rejects_a_mask_outside_the_algebra():
         Multivector.from_terms(sig, {0: 1.0, sig.dim: 1.0})
 
 
+@pytest.mark.parametrize("mask", [True, np.bool_(True), 1.0, np.float64(1.0), "1", None], ids=repr)
+def test_blade_masks_must_be_integers(mask):
+    # a bool indexed the coefficients as a boolean mask (setting all four
+    # of Cl(2,0)), and a float raised numpy's IndexError
+    sig = Signature(2, 0)
+    with pytest.raises(ValueError, match="blade masks must be integers"):
+        Multivector.basis(sig, mask)
+    with pytest.raises(ValueError, match="blade masks must be integers"):
+        Multivector.from_terms(sig, {mask: 1.0})
+
+
+def test_numpy_integer_masks_name_their_blade():
+    sig = Signature(2, 0)
+    e1 = Multivector(sig, [0.0, 1.0, 0.0, 0.0])
+    assert Multivector.basis(sig, np.int64(1)) == e1
+    assert Multivector.from_terms(sig, {np.int64(1): 1.0}) == e1
+    with pytest.raises(ValueError, match="blade mask 4 outside 0..3"):
+        Multivector.basis(sig, np.int64(4))
+
+
+def test_multivectors_compare_by_value():
+    sig = Signature(2, 1)
+    u = Multivector(sig, np.arange(8.0))
+    assert u == Multivector(sig, np.arange(8.0)) and not u != Multivector(sig, np.arange(8.0))
+    assert u != -u and u != Multivector(Signature(3, 0), np.arange(8.0))
+    assert u != Multivector(sig, np.arange(8.0) + 1e-300)
+    assert u != 0.0 and u != "u"
+    assert Multivector(sig, [0.0] * 8) == Multivector(sig, [-0.0] * 8)
+    assert hash(Multivector(sig, [0.0] * 8)) == hash(Multivector(sig, [-0.0] * 8))
+    assert hash(u) == hash(Multivector(sig, np.arange(8.0)))
+    assert Multivector(sig, [math.nan] + [0.0] * 7) != Multivector(sig, [math.nan] + [0.0] * 7)
+    assert len({u, Multivector(sig, np.arange(8.0)), -u}) == 2
+
+
 NUMPY_SCALARS = pytest.mark.parametrize(
     "two", [np.int64(2), np.float32(2), np.float64(2)], ids=["int64", "float32", "float64"]
 )

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from oracles import (
     mask_to_blade,
     naive_blade_product,
     naive_product,
+    reference_matrix_to_rotor,
     vectorized_blade_sign,
 )
 
@@ -49,6 +51,7 @@ SIG20 = Signature(2, 0)
 SIG30 = Signature(3, 0)
 SIG21 = Signature(2, 1)
 ALL_SIGNATURES = [Signature(p, n - p) for n in range(1, 7) for p in range(n + 1)]
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def rotation_matrix(angle: float) -> np.ndarray:
@@ -139,6 +142,19 @@ def test_probe_names_the_blade_of_a_half_turn():
     # S = e12 has s_F = 0 for every probe but e12
     assert matrix_to_rotor(np.diag([-1.0, -1.0, 1.0]), SIG30).probe == 0b11
     assert matrix_to_rotor(np.diag([-1.0, -1.0, 1.0]), SIG30, "n3").probe == 0b11
+
+
+def test_rotors_compare_by_value():
+    # equality and hash follow the coefficients; the probe and the kept
+    # matrix of Rotor.checked are left out
+    matrix = sample_matrix(SIG21, 5)
+    rotor = matrix_to_rotor(matrix, SIG21)
+    again = matrix_to_rotor(matrix.tolist(), SIG21)
+    assert rotor is not again and rotor == again and hash(rotor) == hash(again)
+    assert rotor != -rotor and -rotor == -again
+    assert rotor.probe is not None and Rotor(rotor.value) == rotor
+    assert Rotor.checked(rotor.value) == rotor and hash(Rotor.checked(rotor.value)) == hash(rotor)
+    assert matrix_to_rotor(sample_matrix(SIG21, 6), SIG21) != rotor
 
 
 def test_rotors_not_recovered_from_a_matrix_have_no_probe():
@@ -894,8 +910,9 @@ def test_recovery_error_is_bounded_by_the_condition_number(sig):
 # -- matrix_to_rotor -----------------------------------------------------------
 
 def test_matrix_to_rotor_validates_the_matrix_once(monkeypatch):
-    # check_membership coerces and validates the input for
-    # require_membership; select_candidate coerces it once more.
+    # require_membership coerces and validates the input; the recovery
+    # runs on the array it returns, so neither check_membership nor
+    # select_candidate coerces it again.
     calls = []
 
     def counting(name, original):
@@ -914,7 +931,63 @@ def test_matrix_to_rotor_validates_the_matrix_once(monkeypatch):
         calls.clear()
         matrix = sample_matrix(sig, seed)
         assert forward_map(matrix_to_rotor(matrix.tolist(), sig)) == pytest.approx(matrix, abs=1e-12)
-        assert sorted(calls) == ["as_square_matrix"] * 2 + ["check_membership", "select_candidate"]
+        assert calls == ["as_square_matrix"]
+
+
+@pytest.mark.parametrize("pq", [(0, 3), (2, 1), (3, 1), (0, 4), (1, 3)])
+def test_matrix_to_rotor_takes_det_p_once(monkeypatch, pq):
+    # membership takes det P and, for p > 0, the orientation minor; the
+    # recovery relies on its |det P - 1| <= 1 instead of a third det
+    sig = Signature(*pq)
+    shapes = []
+    det = np.linalg.det
+
+    def counting(a):
+        shapes.append(a.shape)
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counting)
+    matrix_to_rotor(sample_matrix(sig, 5), sig)
+    assert shapes == [(sig.n, sig.n)] + [(sig.p, sig.p)] * (sig.p > 0)
+
+
+REFERENCE_SIGNATURES = ALL_SIGNATURES + [Signature(7, 3)]
+
+
+@pytest.mark.parametrize("sig", REFERENCE_SIGNATURES, ids=lambda s: f"{s.p},{s.q}")
+def test_matrix_to_rotor_is_bit_for_bit_the_reference_pipeline(sig):
+    for matrix in [sample_matrix(sig, 900 + seed) for seed in range(3)] + [np.eye(sig.n)]:
+        for method in ("general", "n3") if sig.n == 3 else ("general",):
+            rotor = matrix_to_rotor(matrix, sig, method)
+            expected = reference_matrix_to_rotor(matrix, sig, method)
+            assert rotor.probe == expected.probe
+            assert rotor.coeffs.tobytes() == expected.coeffs.tobytes()
+
+
+REJECT_11 = json.loads((FIXTURES / "reject_11.json").read_text())
+
+REFUSED_INPUTS = [
+    (REJECT_11["matrix"], Signature(1, 1), "general", 1e-9),
+    (REJECT_11["matrix"], Signature(1, 1), "general", 4.0),
+    (np.diag([1.0, -1.0, -1.0]), SIG21, "general", 1e-9),
+    (np.diag([-1.0, 1.0, 1.0]), SIG30, "general", 1e-9),
+    (np.eye(3), SIG20, "general", 1e-9),
+    ([[1.0, math.nan], [0.0, 1.0]], SIG20, "general", 1e-9),
+    ([[True, 0.0], [0.0, 1.0]], SIG20, "general", 1e-9),
+    (np.eye(2), SIG20, "general", -1.0),
+    (np.eye(2), SIG20, "n3", 1e-9),
+    (np.eye(2), SIG20, "other", 1e-9),
+]
+
+
+@pytest.mark.parametrize("matrix, sig, method, tol", REFUSED_INPUTS)
+def test_matrix_to_rotor_refuses_as_the_reference_pipeline(matrix, sig, method, tol):
+    with pytest.raises((ValueError, NoCandidateError)) as got:
+        matrix_to_rotor(matrix, sig, method, tol)
+    with pytest.raises((ValueError, NoCandidateError)) as expected:
+        reference_matrix_to_rotor(matrix, sig, method, tol)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
 
 def test_matrix_to_rotor_plane_rotation():
     angle = 0.7

@@ -427,7 +427,7 @@ def test_unit_elements_have_no_negative_zeros():
 
 def test_unit_quaternion_selects_and_assembles_once(monkeypatch):
     selections, assemblies = [], []
-    select, assemble = covering.select_candidate, covering._assemble_general
+    select, assemble = covering._select, covering._assemble_general
 
     def counting_select(*args, **kwargs):
         selections.append(args[1])
@@ -437,7 +437,7 @@ def test_unit_quaternion_selects_and_assembles_once(monkeypatch):
         assemblies.append(args[2])
         return assemble(*args, **kwargs)
 
-    monkeypatch.setattr(covering, "select_candidate", counting_select)
+    monkeypatch.setattr(covering, "_select", counting_select)
     monkeypatch.setattr(covering, "_assemble_general", counting_assemble)
     so3_to_unit_quaternion(rotation_z(0.4))
     assert selections == [SIG30] and len(assemblies) == 1
