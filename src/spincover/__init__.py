@@ -25,13 +25,9 @@ from .covering import (
     CandidateElement,
     NoCandidateError,
     Rotor,
-    candidate_general,
     candidate_n3,
-    even_blades,
     forward_map,
     matrix_to_rotor,
-    probe_weights,
-    rotor_from_candidate,
     select_candidate,
 )
 from .division_algebras import (

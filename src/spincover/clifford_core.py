@@ -110,25 +110,20 @@ def blade_name(mask: int) -> str:
 
 
 def blade_from_name(name: str, n: int) -> int:
-    """Parse a blade name back to its mask; inverse of blade_name."""
+    """Parse a blade name back to its mask; only the spelling of blade_name passes."""
     if name == "1":
         return 0
-    if not name.startswith("e") or len(name) < 2:
-        raise ValueError(f"malformed blade name {name!r}")
-    body = name[1:]
+    body = name[1:] if name.startswith("e") else ""
     parts = body.removeprefix("_").split("_") if "_" in body else list(body)
+    if not parts or not all(part.isdecimal() for part in parts):
+        raise ValueError(f"malformed blade name {name!r}")
     mask = 0
-    prev = 0
-    for part in parts:
-        if not part.isdigit():
-            raise ValueError(f"malformed blade name {name!r}")
-        i = int(part)
+    for i in map(int, parts):
         if not 1 <= i <= n:
             raise ValueError(f"generator index {i} in {name!r} outside 1..{n}")
-        if i <= prev:
-            raise ValueError(f"generator indices in {name!r} must be strictly ascending")
-        prev = i
         mask |= 1 << (i - 1)
+    if blade_name(mask) != name:
+        raise ValueError(f"blade name {name!r} is not the canonical {blade_name(mask)!r}")
     return mask
 
 
@@ -191,9 +186,11 @@ def _reverse_norm_signs(p: int, q: int) -> np.ndarray:
     return signs
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def grade_masks(n: int, k: int) -> np.ndarray:
     """Ascending masks of all grade-k blades in an n-generator algebra."""
+    if not _is_integer(k):
+        raise ValueError(f"grades must be integers, got {k!r}")
     if not 0 <= k <= n:
         raise ValueError(f"grade {k} outside 0..{n}")
     all_masks = np.arange(1 << n, dtype=np.int64)
@@ -302,7 +299,7 @@ class Multivector:
     # -- accessors ----------------------------------------------------------
 
     def coefficient(self, mask: int) -> float:
-        return float(self._coeffs[mask])
+        return float(self._coeffs[_blade_mask(self.sig, mask)])
 
     def scalar_part(self) -> float:
         return float(self._coeffs[0])
@@ -379,10 +376,10 @@ class Multivector:
 
     def grade_projection(self, k: int) -> Multivector:
         """Keep only the grade-k coefficients."""
-        if not 0 <= k <= self.sig.n:
-            raise ValueError(f"grade {k} outside 0..{self.sig.n}")
-        keep = _grades(self.sig.n) == k
-        return Multivector(self.sig, np.where(keep, self._coeffs, 0.0))
+        masks = grade_masks(self.sig.n, k)
+        coeffs = np.zeros(self.sig.dim)
+        coeffs[masks] = self._coeffs[masks]
+        return Multivector(self.sig, coeffs)
 
     def reverse(self) -> Multivector:
         """Reversion: grade k scaled by (-1)^(k(k-1)/2); reverses products."""

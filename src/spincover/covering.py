@@ -45,8 +45,7 @@ chosen candidate is nonzero.
 
 Off the group the halving fails. On an element of O(p,q) the full sum is
 (1 + det P) L_F, which vanishes for det P = -1 while L_F need not, so
-candidate_general and probe_weights assume det P = +1, and
-select_candidate refuses a negative determinant by its sign alone.
+every entry point checks membership first.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -71,7 +70,6 @@ from .clifford_core import (
 from .matrix_group import (
     DEFAULT_TOLERANCE,
     _metric,
-    as_square_matrix,
     batched_minors,
     require_membership,
     require_tolerance,
@@ -338,22 +336,17 @@ def _assemble_general(sig: Signature, tables: _Tables, F: int) -> np.ndarray:
     return 2.0 * total[every ^ F]
 
 
-def candidate_general(matrix: object, sig: Signature, F: int) -> CandidateElement:
-    """Candidate M_F = 2 L_F for an even probe blade F; assumes det P = +1 (see the module notes)."""
-    if blade_grade(F) % 2:
-        raise ValueError(f"probe blade {blade_name(F)} has odd grade")
-    M = Multivector(sig, _assemble_general(sig, _minor_tables(as_square_matrix(matrix, sig.n), sig.n), F))
-    return CandidateElement(F, M, squared_norm(M))
-
-
 def candidate_n3(matrix: object, sig: Signature, F: int) -> Multivector:
     """The paper's first-order L_F = e_F + sum p_a^b e_b e_F e^a for n = 3: M_F / 2.
 
-    A bare multivector, not a CandidateElement, so rotor_from_candidate
-    never normalizes it by the scale of M_F.
+    The matrix must pass membership at DEFAULT_TOLERANCE (MembershipError
+    otherwise); then n must be 3 and F even (ValueError otherwise).
     """
+    arr = require_membership(matrix, sig)
     _check_method("n3", sig.n)
-    return candidate_general(matrix, sig, F).M / 2.0
+    if blade_grade(F) % 2:
+        raise ValueError(f"probe blade {blade_name(F)} has odd grade")
+    return Multivector(sig, _assemble_general(sig, _minor_tables(arr, sig.n), F) / 2.0)
 
 
 @lru_cache(maxsize=None)
@@ -364,54 +357,32 @@ def _even_masks(n: int) -> np.ndarray:
     return masks
 
 
-def even_blades(n: int) -> Iterator[int]:
-    """All even-grade blade masks in ascending (grade, mask) order."""
-    return iter(_even_masks(n).tolist())
-
-
 def _probe_weights(sig: Signature, tables: _Tables) -> np.ndarray:
-    # w_F = 2 eps_F sum_A (-1)^|A & F| det P[A, A] over the principal
-    # minors in tables; |A^c & F| = |A & F| mod 2 for even F, so the A in
-    # the half sum stand for their complements too. At n = 3 they are
-    # d = (1, p11, p22, p33) on masks 0, 1, 2, 4.
+    # w_F = eps_F <M_F>_F = 2^n s_F^2 for every mask F (only the even ones
+    # name probes): 2 eps_F sum_A (-1)^|A & F| det P[A, A] over the
+    # principal minors in tables; |A^c & F| = |A & F| mod 2 for even F, so
+    # the A in the half sum stand for their complements too. At n = 3 they
+    # are d = (1, p11, p22, p33) on masks 0, 1, 2, 4.
     d = np.zeros(sig.dim)
     for masks, dets in tables:
         d[masks[-len(dets) :]] = np.diagonal(dets, masks.size - len(dets))
     return 2.0 * _reverse_norm_signs(sig.p, sig.q) * _walsh_hadamard(d)
 
 
-def probe_weights(matrix: object, sig: Signature) -> np.ndarray:
-    """Per-mask weights w_F = eps_F <M_F>_F, ranking the probe blades.
-
-    For a matrix in SO+(p,q) covered by +-S, w_F = 2^n s_F^2 with s_F the
-    e_F coefficient of S. Only the even masks name probes. Like
-    candidate_general, the weights assume det P = +1.
-    """
-    return _probe_weights(sig, _minor_tables(as_square_matrix(matrix, sig.n), sig.n))
-
-
 def select_candidate(matrix: object, sig: Signature) -> CandidateElement:
-    """The candidate of the probe F with the largest w_F from probe_weights.
+    """The candidate of the probe F with the largest weight w_F = 2^n s_F^2.
 
     Exact ties go to the first even blade in (grade, mask) order. Only this
     one candidate is assembled: for a matrix in SO+(p,q) it is the probe
     with the largest s_F^2, and since the s_F^2 over the 2^(n-1) even
     blades sum to at least 1, its w_F is at least 2 and it cannot vanish.
 
-    Raises NoCandidateError when det P < 0 (by its sign only: a large
-    boost rounds it far from 1), where the half sum would not vanish, and,
-    naming the candidate, when its reverse-norm is not above
-    RELATIVE_THRESHOLD x 4^n; no other probe is tried. Only a direct call
-    validates the matrix and its det P: matrix_to_rotor runs the same
-    recovery on the array membership validated, with det P in [0, 2].
+    The matrix must pass membership at DEFAULT_TOLERANCE (MembershipError
+    otherwise). NoCandidateError, naming the candidate, is raised when its
+    reverse-norm is not above RELATIVE_THRESHOLD x 4^n; no other probe is
+    tried.
     """
-    arr = as_square_matrix(matrix, sig.n)
-    det = float(np.linalg.det(arr))
-    if det < 0.0:
-        raise NoCandidateError(
-            f"no covering candidate: determinant {det:.6g} is negative for matrix\n{np.array2string(arr)}"
-        )
-    F, M, normsq = _select(arr, sig)
+    F, M, normsq = _select(require_membership(matrix, sig), sig)
     return CandidateElement(F, Multivector(sig, M), normsq)
 
 
@@ -431,18 +402,25 @@ def _select(arr: np.ndarray, sig: Signature) -> tuple[int, np.ndarray, float]:
     return F, M, normsq
 
 
-def rotor_from_candidate(cand: CandidateElement) -> Rotor:
-    """The sign-canonicalized rotor M_F / sqrt(2^n eps_F <M_F>_F), with probe F.
+def matrix_to_rotor(
+    matrix: object,
+    sig: Signature,
+    method: Method = "general",
+    tol: float = DEFAULT_TOLERANCE,
+) -> Rotor:
+    """One of the two rotors covering the given SO+(p,q) matrix.
 
-    NoCandidateError is raised when the radicand is not positive, which no
-    SO+(p,q) matrix gives. Membership is not checked here; matrix_to_rotor
-    is the validated call.
+    The result is the sign-canonicalized M_F / sqrt(2^n eps_F <M_F>_F) of
+    select_candidate, with probe F; the other preimage is its negation.
+    The matrix must pass membership at tol (MembershipError otherwise);
+    call project_to_group first to repair a noisy input. Both methods
+    recover the same rotor; "n3" checks that n = 3 (ValueError after
+    membership otherwise). NoCandidateError is also raised on a
+    non-positive normalizer, which no SO+(p,q) matrix gives.
     """
-    return _normalized(cand.M.sig, cand.F, cand.M.coeffs)
-
-
-def _normalized(sig: Signature, F: int, M: np.ndarray) -> Rotor:
-    # rotor_from_candidate on plain coefficients; a conversion's one Multivector.
+    arr = require_membership(matrix, sig, tol)
+    _check_method(method, sig.n)
+    F, M, _ = _select(arr, sig)
     weight = float(sig.dim) * _reverse_norm_signs(sig.p, sig.q)[F] * M[F]
     if not weight > 0.0:
         raise NoCandidateError(
@@ -453,25 +431,3 @@ def _normalized(sig: Signature, F: int, M: np.ndarray) -> Rotor:
     if S[np.argmax(np.abs(S))] < 0:  # Rotor.canonicalized
         np.negative(S, out=S)
     return Rotor(Multivector(sig, S), F)
-
-
-def matrix_to_rotor(
-    matrix: object,
-    sig: Signature,
-    method: Method = "general",
-    tol: float = DEFAULT_TOLERANCE,
-) -> Rotor:
-    """One of the two rotors covering the given SO+(p,q) matrix.
-
-    The result is sign-canonicalized; the other preimage is its negation.
-    The matrix must pass membership at tol (MembershipError otherwise);
-    call project_to_group first to repair a noisy input. Both methods
-    recover the same rotor; "n3" checks that n = 3 (ValueError after
-    membership otherwise). The matrix is coerced and validated once, by
-    require_membership; the recovery of select_candidate and
-    rotor_from_candidate then runs on that array.
-    """
-    arr = require_membership(matrix, sig, tol)
-    _check_method(method, sig.n)
-    F, M, _ = _select(arr, sig)
-    return _normalized(sig, F, M)

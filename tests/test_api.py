@@ -25,7 +25,7 @@ def _bullets(text: str) -> list[str]:
 
 
 def _api_names() -> list[str]:
-    bullets = " ".join(_bullets(_section("Highlights of the public API", "`NoCandidateError`")))
+    bullets = " ".join(_bullets(_section("Highlights of the public API", "Removed from the public API")))
     names = []
     for span in re.findall(r"`([^`]+)`", bullets):
         match = re.match(r"[A-Za-z_]\w*", span)
@@ -67,6 +67,11 @@ def test_readme_api_bullets_name_exported_functions():
     assert "matrix_to_rotor" in names and "select_candidate" in names
     missing = sorted(set(names) - set(spincover.__all__))
     assert not missing, f"README names unexported {missing}"
+
+
+def test_readme_api_bullets_name_every_export():
+    missing = sorted(set(spincover.__all__) - set(_api_names()))
+    assert not missing, f"README's Library section omits {missing}"
 
 
 def test_readme_removed_names_are_gone():

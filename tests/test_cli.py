@@ -140,6 +140,7 @@ def test_malformed_matrix_inputs(payload, capsys):
         '{"p": 2, "q": 0, "rotor": {"e9": 1}}',
         '{"p": 2, "q": 0, "rotor": {"1": "big"}}',
         '{"p": 2, "q": 0, "rotor": {"1": NaN}}',
+        '{"p": 2, "q": 0, "rotor": {"1": 0.5, "e12": 0.5, "e1_2": 0.5}}',
     ],
 )
 def test_malformed_rotor_inputs(payload, capsys):

@@ -111,9 +111,12 @@ def test_single_two_digit_index_has_its_own_spelling():
 
 
 def test_blade_from_name_rejects_garbage():
-    for bad in ("", "e", "x12", "e21", "e11", "e0", "e14", "e1_2_2", "1e2"):
+    for bad in ("", "e", "x12", "e21", "e11", "e0", "e14", "e1_2_2", "1e2", "e1_2", "e_1_2", "e_1", "e٣"):
         with pytest.raises(ValueError):
             blade_from_name(bad, 3)
+    for bad in ("e1_2", "e_01_10", "e_10_11", "e_1_10"):
+        with pytest.raises(ValueError, match="canonical"):
+            blade_from_name(bad, 12)
 
 
 def test_blade_product_matches_oracle_exhaustively():
@@ -159,6 +162,11 @@ def test_grade_masks():
     assert list(grade_masks(4, 4)) == [0b1111]
     with pytest.raises(ValueError):
         grade_masks(3, 4)
+    assert np.array_equal(grade_masks(3, np.int64(2)), [0b011, 0b101, 0b110])
+    grade_masks(3, 1)  # cached: 1.0 and True must not reach the entry
+    for bad in (1.5, 1.0, True, "1", None):
+        with pytest.raises(ValueError, match="grades must be integers"):
+            grade_masks(3, bad)
 
 
 # -- multivector arithmetic ---------------------------------------------------
@@ -178,6 +186,10 @@ def test_multivector_construction_and_access():
         Multivector.vector(sig, [1.0])
     with pytest.raises(ValueError):
         Multivector.basis(sig, 8)
+    assert v.coefficient(np.int64(0b100)) == 3.0
+    for bad in (-1, 8, 2**70, True, 1.0, "1"):
+        with pytest.raises(ValueError, match="blade mask"):
+            v.coefficient(bad)
 
 
 @pytest.mark.parametrize(
@@ -455,6 +467,10 @@ def test_grade_projection():
     assert total.isclose(u, 0.0)
     with pytest.raises(ValueError):
         u.grade_projection(4)
+    assert u.grade_projection(np.int8(3)).coefficient(0b111) == 8.0
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="grades must be integers"):
+            u.grade_projection(bad)
 
 
 def test_center_projection_grades():

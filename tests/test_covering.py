@@ -21,13 +21,9 @@ from spincover.covering import (
     CandidateElement,
     NoCandidateError,
     Rotor,
-    candidate_general,
     candidate_n3,
-    even_blades,
     forward_map,
     matrix_to_rotor,
-    probe_weights,
-    rotor_from_candidate,
     select_candidate,
 )
 from spincover.matrix_group import MembershipError, check_membership, project_to_group
@@ -69,6 +65,22 @@ def random_rotor(sig: Signature, rng: np.random.Generator, scale: float = 0.6) -
         for mask in grade_masks(sig.n, 2):
             coeffs[mask] = scale * rng.uniform(-1.0, 1.0)
     return Rotor(exp_bivector(Multivector(sig, coeffs)))
+
+
+def even_blades(n: int) -> list[int]:
+    return covering._even_masks(n).tolist()
+
+
+def candidate(matrix: np.ndarray, sig: Signature, F: int) -> Multivector:
+    # M_F for any even probe F, from the private tables and assembly that
+    # select_candidate runs for its one probe
+    tables = covering._minor_tables(np.asarray(matrix, dtype=float), sig.n)
+    return Multivector(sig, covering._assemble_general(sig, tables, F))
+
+
+def probe_weights(matrix: np.ndarray, sig: Signature) -> np.ndarray:
+    # w_F at every mask, as select_candidate ranks the probes
+    return covering._probe_weights(sig, covering._minor_tables(np.asarray(matrix, dtype=float), sig.n))
 
 
 def rotor_distance(x: Rotor, y: Rotor) -> float:
@@ -587,7 +599,7 @@ def test_sign_table_is_gone():
 
 def test_candidate_general_identity_scalar_probe():
     for sig in (SIG20, SIG30, SIG21, Signature(2, 2)):
-        cand = candidate_general(np.eye(sig.n), sig, 0)
+        cand = select_candidate(np.eye(sig.n), sig)
         expected = Multivector.scalar(sig, float(sig.dim))
         assert cand.M.isclose(expected, 0.0)
         assert cand.normsq == float(sig.dim) ** 2
@@ -598,13 +610,14 @@ def test_candidate_general_rotation_closed_forms():
     angle = 1.1
     matrix = rotation_matrix(angle)
     c, s = math.cos(angle), math.sin(angle)
-    scalar_probe = candidate_general(matrix, SIG20, 0)
+    scalar_probe = select_candidate(matrix, SIG20)
+    assert scalar_probe.F == 0
     expected0 = Multivector.from_terms(SIG20, {0: 2.0 * (1.0 + c), 0b11: -2.0 * s})
     assert (scalar_probe.M - expected0).max_abs() <= 1e-14
     assert abs(scalar_probe.normsq - 8.0 * (1.0 + c)) <= 1e-13
-    plane_probe = candidate_general(matrix, SIG20, 0b11)
+    plane_probe = candidate(matrix, SIG20, 0b11)
     expected12 = Multivector.from_terms(SIG20, {0: -2.0 * s, 0b11: 2.0 * (1.0 - c)})
-    assert (plane_probe.M - expected12).max_abs() <= 1e-14
+    assert (plane_probe - expected12).max_abs() <= 1e-14
 
 
 def test_candidates_are_even_exactly():
@@ -612,7 +625,7 @@ def test_candidates_are_even_exactly():
     for sig in (SIG30, SIG21, Signature(2, 2)):
         matrix = forward_map(random_rotor(sig, rng))
         for F in even_blades(sig.n):
-            assert candidate_general(matrix, sig, F).M.odd_part_max() == 0.0
+            assert candidate(matrix, sig, F).odd_part_max() == 0.0
 
 
 def test_candidate_reverse_norm_is_scalar():
@@ -620,10 +633,11 @@ def test_candidate_reverse_norm_is_scalar():
     for sig in (SIG30, SIG21):
         matrix = forward_map(random_rotor(sig, rng))
         for F in even_blades(sig.n):
-            cand = candidate_general(matrix, sig, F)
-            gram = cand.M.reverse() * cand.M
-            assert abs(gram.scalar_part() - cand.normsq) <= 1e-9 * max(1.0, abs(cand.normsq))
-            scale = max(1.0, cand.M.max_abs() ** 2)
+            cand = candidate(matrix, sig, F)
+            gram = cand.reverse() * cand
+            normsq = squared_norm(cand)
+            assert abs(gram.scalar_part() - normsq) <= 1e-9 * max(1.0, abs(normsq))
+            scale = max(1.0, cand.max_abs() ** 2)
             assert (gram - gram.grade_projection(0)).max_abs() <= 1e-9 * scale
 
 
@@ -668,16 +682,16 @@ def test_general_candidate_is_twice_n3_candidate():
     for sig in (SIG30, SIG21, Signature(1, 2)):
         matrix = forward_map(random_rotor(sig, rng))
         for F in even_blades(3):
-            full = candidate_general(matrix, sig, F)
+            full = candidate(matrix, sig, F)
             first_order = candidate_n3(matrix, sig, F)
             # the same sum, so exactly twice
-            assert np.array_equal(full.M.coeffs, 2.0 * first_order.coeffs)
-            assert full.normsq == 4.0 * squared_norm(first_order)
+            assert np.array_equal(full.coeffs, 2.0 * first_order.coeffs)
+            assert squared_norm(full) == 4.0 * squared_norm(first_order)
 
 
-def test_candidate_general_rejects_an_odd_probe():
+def test_candidate_n3_rejects_an_odd_probe():
     with pytest.raises(ValueError, match="e1 has odd grade"):
-        candidate_general(np.eye(3), SIG30, 0b001)
+        candidate_n3(np.eye(3), SIG30, 0b001)
 
 
 def test_matrix_to_rotor_checks_the_method_after_membership():
@@ -703,12 +717,10 @@ def test_select_candidate_examples():
 
 
 def test_select_candidate_rejects_all_zero():
-    # diag(-1,-1) preserves the (1,1) metric but has no rotor preimage:
-    # both probe candidates vanish or have negative reverse-norm
-    flip = np.diag([-1.0, -1.0])
-    sig = Signature(1, 1)
-    with pytest.raises(NoCandidateError):
-        select_candidate(flip, sig)
+    # diag(-1,-1) preserves the (1,1) metric but is not orthochronous, so
+    # it has no rotor preimage and fails membership
+    with pytest.raises(MembershipError):
+        select_candidate(np.diag([-1.0, -1.0]), Signature(1, 1))
 
 
 def test_select_candidate_picks_largest_probe_when_indefinite():
@@ -750,11 +762,10 @@ def test_closed_form_pick_is_max_reverse_norm_probe(sig):
     rng = np.random.default_rng(100 + 10 * sig.p + sig.q)
     for rotor in _probe_inputs(sig, rng):
         matrix = forward_map(rotor, tol=1e-6)
-        scan = [candidate_general(matrix, sig, F) for F in even_blades(sig.n)]
-        best = max(scan, key=lambda cand: cand.normsq)
-        assert select_candidate(matrix, sig).F == best.F
+        scan = {F: squared_norm(candidate(matrix, sig, F)) for F in even_blades(sig.n)}
         # the sampled rotors miss unit norm by up to ~1e-9 themselves
         recovered = matrix_to_rotor(matrix, sig, tol=1e-6)
+        assert recovered.probe == max(scan, key=scan.get)
         bound = rotor.unit_residual() + 1e-10 * np.abs(rotor.coeffs).max()
         assert rotor_distance(recovered, rotor) <= bound
 
@@ -866,11 +877,11 @@ def test_half_sum_matches_the_full_grade_sum(sig):
         weights, size = full_grade_weights(tables, sig.n, sig.p)
         got = probe_weights(matrix, sig)
         assert np.all(np.abs(got - weights)[evens] <= 1e-12 * (size + hadamard))
-        chosen = select_candidate(matrix, sig)
-        assert chosen.F == evens[np.argmax(weights[evens])]
-        for F in {0, chosen.F, int(evens[-1])}:
+        chosen = matrix_to_rotor(matrix, sig, tol=1e-6).probe
+        assert chosen == evens[np.argmax(weights[evens])]
+        for F in {0, chosen, int(evens[-1])}:
             full, terms = full_grade_candidate(tables, F, sig.n, sig.p)
-            assert np.all(np.abs(candidate_general(matrix, sig, F).M.coeffs - full) <= 1e-12 * (terms + hadamard))
+            assert np.all(np.abs(candidate(matrix, sig, F).coeffs - full) <= 1e-12 * (terms + hadamard))
 
 
 def _plane_rotor(sig: Signature, a: int, b: int, angle: float) -> Multivector:
@@ -912,7 +923,7 @@ def test_recovery_error_is_bounded_by_the_condition_number(sig):
 def test_matrix_to_rotor_validates_the_matrix_once(monkeypatch):
     # require_membership coerces and validates the input; the recovery
     # runs on the array it returns, so neither check_membership nor
-    # select_candidate coerces it again.
+    # select_candidate (which validates its own input) runs.
     calls = []
 
     def counting(name, original):
@@ -924,7 +935,6 @@ def test_matrix_to_rotor_validates_the_matrix_once(monkeypatch):
 
     coerce = counting("as_square_matrix", matrix_group.as_square_matrix)
     monkeypatch.setattr(matrix_group, "as_square_matrix", coerce)
-    monkeypatch.setattr(covering, "as_square_matrix", coerce)
     monkeypatch.setattr(matrix_group, "check_membership", counting("check_membership", check_membership))
     monkeypatch.setattr(covering, "select_candidate", counting("select_candidate", select_candidate))
     for sig, seed in ((SIG21, 302), (Signature(3, 1), 303)):
@@ -1030,18 +1040,18 @@ def test_matrix_to_rotor_methods_agree_for_three_generators():
             assert np.array_equal(general.coeffs, first_order.coeffs) and general.probe == first_order.probe
             for F in even_blades(3):
                 twice = 2.0 * candidate_n3(matrix, sig, F).coeffs
-                assert np.array_equal(twice, candidate_general(matrix, sig, F).M.coeffs)
+                assert np.array_equal(twice, candidate(matrix, sig, F).coeffs)
 
 
 def test_matrix_to_rotor_validates_membership():
     reflection = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(MembershipError):
         matrix_to_rotor(reflection, SIG30)
-    # the unvalidated recovery reaches candidate selection, where a
-    # determinant -1 matrix legitimately has no preimage and every
-    # candidate vanishes
-    with pytest.raises(NoCandidateError):
-        rotor_from_candidate(select_candidate(reflection, SIG30))
+    # every recovery entry point checks membership first
+    with pytest.raises(MembershipError):
+        select_candidate(reflection, SIG30)
+    with pytest.raises(MembershipError):
+        candidate_n3(reflection, SIG30, 0)
 
 
 def test_matrix_to_rotor_projection_repairs_noise():
@@ -1055,44 +1065,52 @@ def test_matrix_to_rotor_projection_repairs_noise():
 
 
 def test_matrix_to_rotor_no_candidate_error():
-    with pytest.raises(NoCandidateError):
-        rotor_from_candidate(select_candidate(np.diag([-1.0, -1.0]), Signature(1, 1)))
+    # a tolerance of 4 admits diag(-1,-1) in (1,1), whose chosen candidate
+    # vanishes (the reject_11_forced golden)
+    with pytest.raises(NoCandidateError, match="no nonzero covering candidate"):
+        matrix_to_rotor(np.diag([-1.0, -1.0]), Signature(1, 1), tol=4.0)
+
+
+# Off the group, admitted by a tolerance of 4: both probe weights are
+# negative (-1.1 at the scalar, -5.1 at e12), so the chosen scalar
+# probe's normalizer is not positive
+LOOSE_11 = np.array([[-0.5507681980617236, -0.3302075511824807], [0.16563993452065828, -1.5495453378377713]])
 
 
 def test_matrix_to_rotor_non_positive_normalizer_is_no_candidate():
-    # det -1: no rotor covers the matrix, and selection stops on the sign
-    # of the determinant, since the half sum does not vanish there (the
-    # full sum's scalar probe had reverse-norm -4)
-    matrix = np.array([[0.0, 1.0], [1.0, 0.0]])
-    sig = Signature(1, 1)
-    with pytest.raises(NoCandidateError, match="determinant -1 is negative"):
-        rotor_from_candidate(select_candidate(matrix, sig))
-    # the e12 probe's candidate 2 + 2 e12 has e12 coefficient 2, and
-    # reverse(e12) e12 = -1 in Cl(1,1), so its normalizer 4 * -1 * 2 < 0
-    with pytest.raises(NoCandidateError, match="normalizer"):
-        rotor_from_candidate(candidate_general(matrix, sig, 0b11))
+    with pytest.raises(MembershipError):
+        matrix_to_rotor(LOOSE_11, Signature(1, 1))
+    with pytest.raises(NoCandidateError, match="non-positive normalizer"):
+        matrix_to_rotor(LOOSE_11, Signature(1, 1), tol=4.0)
 
 
-def test_matrix_to_rotor_tries_no_second_probe():
-    # outside the group with det -1: selection raises on the determinant
-    # before any probe (the full sum's scalar probe had reverse-norm -3);
-    # the e12 probe would give 1 - 0.5 e12, which does not cover the
-    # matrix, so no fallback is taken
-    with pytest.raises(NoCandidateError, match="determinant -1 is negative"):
-        rotor_from_candidate(select_candidate(np.array([[0.0, 1.0], [1.0, 1.0]]), Signature(1, 1)))
+def test_matrix_to_rotor_tries_no_second_probe(monkeypatch):
+    # the unusable candidate ends the recovery: no other probe is assembled
+    assembled = []
+    original = covering._assemble_general
+
+    def counting(sig, tables, F):
+        assembled.append(F)
+        return original(sig, tables, F)
+
+    monkeypatch.setattr(covering, "_assemble_general", counting)
+    for matrix, message in ((np.diag([-1.0, -1.0]), "no nonzero"), (LOOSE_11, "non-positive normalizer")):
+        assembled.clear()
+        with pytest.raises(NoCandidateError, match=message):
+            matrix_to_rotor(matrix, Signature(1, 1), tol=4.0)
+        assert len(assembled) == 1
 
 
 @pytest.mark.parametrize("sig", [SIG30, SIG21], ids=["3,0", "2,1"])
 @pytest.mark.parametrize("method, scale", [("general", 8.0), ("n3", 4.0)])
 def test_candidate_carries_its_normalizer(sig, method, scale):
-    # the unvalidated pair is each method's validated rotor, bit for bit,
-    # and so is the method's own candidate (M_F, or L_F for n3) over
-    # sqrt(scale eps_F <candidate>_F)
+    # each method's rotor is its own candidate (M_F, or L_F for n3) over
+    # sqrt(scale eps_F <candidate>_F), bit for bit, with probe F
     for seed in range(5):
         matrix = sample_matrix(sig, 70 + seed)
         cand = select_candidate(matrix, sig)
         rotor = matrix_to_rotor(matrix, sig, method)
-        assert np.array_equal(rotor_from_candidate(cand).coeffs, rotor.coeffs)
+        assert rotor.probe == cand.F
         own = cand.M if method == "general" else candidate_n3(matrix, sig, cand.F)
         weight = scale * squared_norm(Multivector.basis(sig, cand.F)) * own.coeffs[cand.F]
         assert np.array_equal(Rotor(own / math.sqrt(weight)).canonicalized().coeffs, rotor.coeffs)

@@ -9,12 +9,10 @@ import pytest
 from spincover.clifford_core import Multivector, Signature, exp_bivector, squared_norm
 import spincover.covering as covering
 from spincover.covering import (
-    NoCandidateError,
     Rotor,
     candidate_n3,
     forward_map,
     matrix_to_rotor,
-    rotor_from_candidate,
     select_candidate,
 )
 from spincover.division_algebras import (
@@ -335,10 +333,10 @@ def test_select_candidate_prefers_largest_norm():
 
 
 def test_select_split_candidate_requires_positive_norm():
-    # the half-turn diag(1,-1,-1) is outside SO+(2,1) and leaves no
-    # candidate with a positive normalizer
-    with pytest.raises(NoCandidateError):
-        rotor_from_candidate(select_candidate(np.diag([1.0, -1.0, -1.0]), SIG21))
+    # the half-turn diag(1,-1,-1) is outside SO+(2,1), which selection
+    # checks before it assembles a candidate
+    with pytest.raises(MembershipError):
+        select_candidate(np.diag([1.0, -1.0, -1.0]), SIG21)
 
 
 # -- unit extraction ---------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from spincover import cli, clifford_core, covering, oracle
 from spincover.clifford_core import Multivector, Signature, exp_bivector, squared_norm
-from spincover.covering import Rotor, candidate_general, forward_map
+from spincover.covering import Rotor, forward_map
 from spincover.matrix_group import check_membership, metric_matrix
 from spincover.oracle import (
     AGREEMENT_TOLERANCE,
@@ -125,6 +125,16 @@ def test_verify_covering_rejects_a_non_finite_matrix():
         verify_covering(Rotor(Multivector.scalar(SIG30)), np.full((3, 3), np.nan))
 
 
+def test_verify_covering_rejects_a_non_invertible_value():
+    # 1 + e12 in Cl(1,1) has reverse-norm 1 - 1 = 0
+    null = Multivector.from_terms(Signature(1, 1), {0: 1.0, 0b11: 1.0})
+    with pytest.raises(ValueError, match="reverse-norm 0.0"):
+        verify_covering(null, np.eye(2))
+    for value in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="not invertible"):
+            verify_covering(Multivector.scalar(SIG30, value), np.eye(3))
+
+
 def test_verify_covering_at_n12_bounds_its_temporaries():
     # 12 dense products, each summed in row blocks; a single 4096 x 4096
     # pair grid traced 68 MB.
@@ -231,7 +241,7 @@ def test_corollary_expansion_matches_minor_assembly():
             beta = [Multivector.vector(sig, matrix[:, a]) for a in range(sig.n)]
             for F in (0, (1 << sig.n) - 1 if sig.n % 2 == 0 else 0b011):
                 direct = expand_frame(beta, F)
-                assembled = candidate_general(matrix, sig, F).M
+                assembled = Multivector(sig, covering._assemble_general(sig, covering._minor_tables(matrix, sig.n), F))
                 assert (direct - assembled).max_abs() <= 1e-10
 
 
