@@ -207,15 +207,17 @@ def _conjugated_generators(value: Multivector, right: Multivector) -> np.ndarray
     return np.array([(Multivector(value.sig, row) * right).coeffs for row in _shifts(value)[0]])
 
 
-def _closed_form(value: Multivector, unit: float | None = None) -> tuple[np.ndarray, float]:
+def _closed_form(value: Multivector) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     # P[b, a] = eta_bb <(S e_a)(reverse(S) e_b)>_0, the e_b coordinate of
-    # S e_a reverse(S), is one product, as reverse(S) e_b reverses e_b S. The
-    # float bounds max |D|, D = S reverse(S) - 1 (or builds on unit, max |D|
-    # by product), and every non-grade-1 coefficient of S e_a reverse(S)
-    # = v_a + v_a D + R_a reverse(S), v_a = P e_a, R_a = S e_a - v_a S. With
-    # u_b = eta P^T eta e_b and R'_b = e_b S - S u_b, e_b D - D e_b = R'_b
-    # reverse(S) - S reverse(R'_b); D is even, so off grade 0 it is the mean
-    # of D - e_A D e_A^-1, at most |S|_2 sum_b |R'_b|_2 as no U V
+    # S e_a reverse(S), is one product, as reverse(S) e_b reverses e_b S.
+    # P comes with the pieces of a bound: for any u >= max |D|, D =
+    # S reverse(S) - 1, u + max over a of (columns_a u + slips_a) bounds
+    # max |D| and every non-grade-1 coefficient of S e_a reverse(S) = v_a +
+    # v_a D + R_a reverse(S), v_a = P e_a, R_a = S e_a - v_a S, columns_a =
+    # |v_a|_1, slips_a = |S|_2 |R_a|_2; the returned unit is such a u.
+    # With u_b = eta P^T eta e_b and R'_b = e_b S - S u_b, e_b D - D e_b =
+    # R'_b reverse(S) - S reverse(R'_b); D is even, so off grade 0 it is the
+    # mean of D - e_A D e_A^-1, at most |S|_2 sum_b |R'_b|_2 as no U V
     # coefficient exceeds |U|_2 |V|_2. R alone bounds neither: S (1 + d e1234),
     # S a rapidity-12 boost in Cl(4,1), has |R| ~ 2d and |D| ~ 800 d.
     # The signs of the shifted copies come from the _shift_signs caches. One
@@ -228,12 +230,11 @@ def _closed_form(value: Multivector, unit: float | None = None) -> tuple[np.ndar
     work = left * _reverse_norm_signs(sig.p, sig.q)
     matrix = eta[:, None] * (work @ right.T)
     norm = math.sqrt(float(np.dot(value.coeffs, value.coeffs)))
-    if unit is None:
-        unit = abs(squared_norm(value) - 1.0)
-        np.subtract(left, np.matmul(eta[:, None] * matrix * eta, right, out=work), out=work)
-        unit += norm * np.sum(_row_norms(work))
+    unit = abs(squared_norm(value) - 1.0)
+    np.subtract(left, np.matmul(eta[:, None] * matrix * eta, right, out=work), out=work)
+    unit += norm * np.sum(_row_norms(work))
     np.subtract(right, np.matmul(matrix.T, left, out=work), out=work)
-    return matrix, float(unit + np.max(np.sum(np.abs(matrix), axis=0) * unit + _row_norms(work) * norm))
+    return matrix, float(unit), np.sum(np.abs(matrix), axis=0), _row_norms(work) * norm
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -251,13 +252,13 @@ def _judge(value: Multivector, tol: float) -> np.ndarray:
     bound = require_tolerance(tol) * _size(value)
     if value.odd_part_max() != 0.0:
         raise ValueError("rotor has odd-grade coefficients")
-    matrix, closed = _closed_form(value)
-    if not closed <= bound / 4.0 < math.inf:
-        residual = Rotor(value).unit_residual()
-        if not residual <= bound < math.inf:
-            raise ValueError(f"rotor norm S*reverse(S) is not 1: it deviates by {residual:.3e} "
+    matrix, unit, columns, slips = _closed_form(value)
+    if not unit + np.max(columns * unit + slips) <= bound / 4.0 < math.inf:
+        unit = Rotor(value).unit_residual()
+        if not unit <= bound < math.inf:
+            raise ValueError(f"rotor norm S*reverse(S) is not 1: it deviates by {unit:.3e} "
                              f"(tolerance {bound:.3e})")
-        if not _closed_form(value, residual)[1] <= bound / 4.0:
+        if not unit + np.max(columns * unit + slips) <= bound / 4.0:
             conjugated = _conjugated_generators(value, value.reverse())
             conjugated[:, 1 << np.arange(value.sig.n)] = 0.0
             worst = float(np.max(np.abs(conjugated)))

@@ -168,19 +168,21 @@ def project_to_group(matrix: object, sig: Signature) -> np.ndarray:
     the orthogonal polar factor. It stops once max |P^T eta P - eta| is at
     most n eps max(1, max |P_ij|)^2, the rounding of P^T eta P itself, so a
     correctly rounded group element comes back unchanged. Determinant sign
-    and orientation are not repaired, only the metric condition.
+    and orientation are not repaired, only the metric condition. ValueError
+    on a singular input or iterate; P^T eta P = -eta steps to zero.
     """
     eta = _metric(sig.p, sig.q)
     arr = as_square_matrix(matrix, sig.n).copy()
     rounding = sig.n * np.finfo(np.float64).eps
     try:
-        for _ in range(60):
+        for step in range(60):
             residual = float(np.max(np.abs(arr.T @ eta @ arr - eta)))
             if residual <= rounding * max(1.0, float(np.max(np.square(arr)))):
                 break
             arr = 0.5 * (arr + eta @ np.linalg.inv(arr).T @ eta)
     except np.linalg.LinAlgError as exc:
-        raise ValueError("matrix is singular; cannot project onto the group") from exc
+        reason = "matrix is singular" if step == 0 else f"the projection broke down: iterate {step} is singular"
+        raise ValueError(f"{reason}; cannot project onto the group") from exc
     return arr
 
 

@@ -20,14 +20,9 @@ from .clifford_core import (
     grade_masks,
     squared_norm,
 )
-from .covering import (
-    Rotor,
-    _conjugated_generators,
-    candidate_n3,
-    forward_map,
-    matrix_to_rotor,
-)
-from .matrix_group import as_square_matrix
+from . import covering
+from .covering import Rotor, _conjugated_generators, forward_map, matrix_to_rotor
+from .matrix_group import as_square_matrix, require_membership
 
 _MASK64 = (1 << 64) - 1
 
@@ -145,11 +140,16 @@ def first_order_sum(matrix: np.ndarray, sig: Signature, F: int) -> Multivector:
 
 
 def _method_agreement_suite(sig: Signature, trials: int, seed: int) -> float:
+    # candidate_n3's half sum, validated and tabled once per matrix, against
+    # the direct products; the assembly is looked up in covering at each
+    # call, so a substituted one is what the suite checks.
     worst = 0.0
     for t in range(trials):
-        matrix = sample_matrix(sig, seed + t)
+        matrix = require_membership(sample_matrix(sig, seed + t), sig)
+        tables = covering._minor_tables(matrix, sig.n)
         for F in (0, 0b011, 0b101, 0b110):
-            worst = max(worst, (candidate_n3(matrix, sig, F) - first_order_sum(matrix, sig, F)).max_abs())
+            half = Multivector(sig, covering._assemble_general(sig, tables, F) / 2.0)
+            worst = max(worst, (half - first_order_sum(matrix, sig, F)).max_abs())
     return worst
 
 
@@ -207,26 +207,14 @@ def _algebra_suite(sig: Signature, trials: int, seed: int) -> float:
 
 def run_selfcheck(sig: Signature, trials: int = 100, seed: int = 1) -> dict:
     """All suites for one signature; the returned dict mirrors the CLI JSON."""
-    suites: dict[str, dict] = {}
-    rt = _round_trip_suite(sig, trials, seed)
-    suites["round_trip"] = {
-        "max_residual": rt,
-        "tolerance": ROUND_TRIP_TOLERANCE,
-        "ok": rt <= ROUND_TRIP_TOLERANCE,
-    }
+    checks = [("round_trip", _round_trip_suite, 0, ROUND_TRIP_TOLERANCE)]
     if sig.n == 3:
-        agree = _method_agreement_suite(sig, trials, seed + 1_000_003)
-        suites["method_agreement"] = {
-            "max_residual": agree,
-            "tolerance": AGREEMENT_TOLERANCE,
-            "ok": agree <= AGREEMENT_TOLERANCE,
-        }
-    alg = _algebra_suite(sig, trials, seed + 2_000_003)
-    suites["algebra_laws"] = {
-        "max_residual": alg,
-        "tolerance": ALGEBRA_TOLERANCE,
-        "ok": alg <= ALGEBRA_TOLERANCE,
-    }
+        checks.append(("method_agreement", _method_agreement_suite, 1_000_003, AGREEMENT_TOLERANCE))
+    checks.append(("algebra_laws", _algebra_suite, 2_000_003, ALGEBRA_TOLERANCE))
+    suites: dict[str, dict] = {}
+    for name, suite, offset, tolerance in checks:
+        residual = suite(sig, trials, seed + offset)
+        suites[name] = {"max_residual": residual, "tolerance": tolerance, "ok": residual <= tolerance}
     return {
         "p": sig.p,
         "q": sig.q,

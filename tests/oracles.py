@@ -234,11 +234,13 @@ def full_grade_weights(tables, n: int, p: int):
     return (1 - 2 * (pop[every & negative] & 1)) * weights, float(np.sum(np.abs(principal)))
 
 
-def gathered_closed_form(coeffs, p: int, q: int, unit: float | None = None):
-    """(P, bound) in the arithmetic of covering._closed_form, with the
-    shifted copies S e_a and e_a S gathered through an int64 partner index
-    per call and every sign from vectorized_blade_sign: the matrix and the
-    bound the package must reproduce bit for bit."""
+def gathered_closed_form(coeffs, p: int, q: int):
+    """(P, unit, columns, slips) in the arithmetic of covering._closed_form,
+    with the shifted copies S e_a and e_a S gathered through an int64
+    partner index per call and every sign from vectorized_blade_sign: the
+    pieces the package must reproduce bit for bit. unit takes no grade-n
+    term of S reverse(S) at odd n: it is zero for an even S, the only kind
+    the rotor rule reads, and the package leaves it out."""
     n = p + q
     c = np.asarray(coeffs, dtype=np.float64)
     pop = np.array(_popcounts(n))
@@ -252,14 +254,10 @@ def gathered_closed_form(coeffs, p: int, q: int, unit: float | None = None):
     eta = np.array([1.0] * p + [-1.0] * q)
     matrix = eta[:, None] * ((left * reverse_norm) @ right.T)
     norm = math.sqrt(float(np.dot(c, c)))
-    if unit is None:
-        unit = abs(float(np.dot(reverse_norm * c, c)) - 1.0)
-        if n % 2:
-            reverse = c * (1 - 2 * ((pop * (pop - 1) // 2) & 1))
-            unit += abs(np.dot(vectorized_blade_sign(every, every[::-1], n, p) * c, reverse[::-1]))
-        unit += norm * np.sum(np.linalg.norm(left - (eta[:, None] * matrix * eta) @ right, axis=1))
-    slip = np.linalg.norm(right - matrix.T @ left, axis=1)
-    return matrix, float(unit + np.max(np.sum(np.abs(matrix), axis=0) * unit + slip * norm))
+    unit = abs(float(np.dot(reverse_norm * c, c)) - 1.0)
+    unit += norm * np.sum(np.linalg.norm(left - (eta[:, None] * matrix * eta) @ right, axis=1))
+    slips = np.linalg.norm(right - matrix.T @ left, axis=1) * norm
+    return matrix, float(unit), np.sum(np.abs(matrix), axis=0), slips
 
 
 def reference_matrix_to_rotor(matrix, sig, method: str = "general", tol: float = 1e-9):

@@ -304,6 +304,12 @@ def test_project_flag_leaves_a_member_as_it_is(capsys):
     assert capsys.readouterr().out == plain
 
 
+def test_project_flag_reports_a_breakdown(capsys):
+    payload = json.dumps({"p": 1, "q": 1, "matrix": [[0, 1], [1, 0]]})
+    assert main(["rotor-from-matrix", "--project", payload]) == EXIT_BAD_INPUT
+    assert "the projection broke down" in capsys.readouterr().err
+
+
 def test_loose_tolerance_accepts_near_member(capsys):
     angle = 0.3
     c, s = math.cos(angle), math.sin(angle)

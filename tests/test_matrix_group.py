@@ -267,6 +267,18 @@ def test_project_to_group_rejects_singular():
         project_to_group(np.zeros((2, 2)), Signature(2, 0))
 
 
+@pytest.mark.parametrize(
+    "matrix, sig",
+    [([[0, 1], [1, 0]], Signature(1, 1)), ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], SIG21)],
+    ids=["1_1", "2_1"],
+)
+def test_project_to_group_names_a_breakdown(matrix, sig):
+    # The axis swap is invertible, but P^T eta P = -eta makes the first
+    # Newton step average P with -P; the zero iterate is what is singular.
+    with pytest.raises(ValueError, match="^the projection broke down: iterate 1 is singular"):
+        project_to_group(matrix, sig)
+
+
 # -- minors ---------------------------------------------------------------
 
 def test_so3_complementary_minor_identity():

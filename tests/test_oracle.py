@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spincover import cli, clifford_core, covering, oracle
+from spincover import cli, clifford_core, covering, matrix_group, oracle
 from spincover.clifford_core import Multivector, Signature, exp_bivector, squared_norm
 from spincover.covering import Rotor, forward_map
 from spincover.matrix_group import check_membership, metric_matrix
@@ -339,6 +339,29 @@ def test_method_agreement_fails_a_broken_minor_sum(monkeypatch):
     result = run_selfcheck(SIG21, trials=3, seed=1)
     assert result["suites"]["method_agreement"]["ok"] is False
     assert result["ok"] is False
+
+
+def test_method_agreement_validates_and_tables_each_matrix_once(monkeypatch):
+    # One membership check and one set of minor tables serve all four probes.
+    calls, inside = [], []
+    suite = oracle._method_agreement_suite
+
+    def count(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.extend([name] * len(inside)) or original(*args))
+
+    def marked(*args):
+        inside.append(True)
+        try:
+            return suite(*args)
+        finally:
+            inside.pop()
+
+    count(matrix_group, "_measured")
+    count(covering, "_minor_tables")
+    monkeypatch.setattr(oracle, "_method_agreement_suite", marked)
+    assert run_selfcheck(SIG21, 5, 1)["ok"] is True
+    assert calls == ["_measured", "_minor_tables"] * 5
 
 
 def test_run_selfcheck_skips_method_agreement_away_from_three():
