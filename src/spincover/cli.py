@@ -28,7 +28,7 @@ import numpy as np
 
 from .clifford_core import Multivector, Signature, blade_from_name, blade_name
 from .covering import NoCandidateError, forward_map, matrix_to_rotor
-from .division_algebras import SIG_30, quaternion_to_su2, rotor_to_quaternion, rotor_to_split, split_to_su11
+from .division_algebras import Quaternion, SplitQuaternion, _read, quaternion_to_su2, split_to_su11
 from .matrix_group import (
     DEFAULT_TOLERANCE,
     MembershipError,
@@ -44,6 +44,11 @@ EXIT_SELFCHECK = 1
 EXIT_BAD_INPUT = 2
 EXIT_REJECTED = 3
 EXIT_NUMERICAL = 4
+
+_UNIT_OUTPUT = {
+    Quaternion: ("quaternion", "su2", quaternion_to_su2),
+    SplitQuaternion: ("split_quaternion", "su11", split_to_su11),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +192,8 @@ def _parse_rotor_input(obj: dict) -> tuple[Signature, Multivector]:
 def cmd_rotor_from_matrix(args: argparse.Namespace) -> int:
     try:
         sig, arr = _parse_matrix_input(_load_json(args.input))
-        if args.method == "quaternion" and (sig.p, sig.q) not in {(3, 0), (2, 1)}:
-            raise ValueError(
-                f"method 'quaternion' needs signature (3,0) or (2,1), got ({sig.p},{sig.q})"
-            )
+        if args.method == "quaternion" and sig.n != 3:
+            raise ValueError(f"method 'quaternion' needs n = p + q = 3, got ({sig.p},{sig.q})")
         if args.project:
             arr = project_to_group(arr, sig)
     except (OSError, ValueError) as exc:
@@ -218,14 +221,11 @@ def cmd_rotor_from_matrix(args: argparse.Namespace) -> int:
         "rotor_negated": _rotor_dict(-rotor.value),
         "residual": residual,
     }
-    if args.method == "quaternion" and sig == SIG_30:
-        q = rotor_to_quaternion(rotor)
-        out["quaternion"] = {"a": q.a, "b": q.b, "c": q.c, "d": q.d}
-        out["su2"] = _complex_rows(quaternion_to_su2(q))
-    elif args.method == "quaternion":
-        q = rotor_to_split(rotor)
-        out["split_quaternion"] = {"a": q.a, "b": q.b, "c": q.c, "d": q.d}
-        out["su11"] = _complex_rows(split_to_su11(q))
+    if args.method == "quaternion":
+        unit = _read(rotor)
+        key, image_key, image = _UNIT_OUTPUT[type(unit)]
+        out[key] = {"a": unit.a, "b": unit.b, "c": unit.c, "d": unit.d}
+        out[image_key] = _complex_rows(image(unit))
     _emit(out)
     return EXIT_OK
 

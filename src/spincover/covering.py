@@ -106,8 +106,8 @@ class Rotor:
     value: Multivector
     #: Mask of the probe blade F whose candidate this rotor normalizes.
     probe: int | None = field(default=None, compare=False)
-    # (matrix, tol) from _judge, kept by checked for forward_map.
-    _closed: tuple[np.ndarray, float] | None = field(default=None, repr=False, compare=False)
+    # (matrix, tol) from _judge, set only by checked and kept for forward_map.
+    _closed: tuple[np.ndarray, float] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def sig(self) -> Signature:
@@ -137,7 +137,9 @@ class Rotor:
         The rotor keeps the matrix and tol, so forward_map at a tolerance of
         at least tol returns that matrix without judging again.
         """
-        return cls(value, _closed=(_judge(value, tol), tol))
+        rotor = cls(value)
+        object.__setattr__(rotor, "_closed", (_judge(value, tol), tol))
+        return rotor
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,14 @@
 """Quaternion and split-quaternion forms of the n = 3 coverings.
 
-The even subalgebra of Cl(3,0) is the quaternions and that of Cl(2,1) the
-split-quaternions, via
-
-    e -> 1,  e12 -> i,  e13 -> j,  e23 -> -k.
-
-Unit quaternions double-cover SO(3) and unit split-quaternions SO+(2,1).
-The four quaternion candidates are the n3 candidates L_F read through this
-bridge, so the unit elements are the n3 rotor of matrix_to_rotor read
-through it: one membership check, one probe, one normalizer and one sign
-(Rotor.canonicalized) for both algebras. Both algebras also get their 2x2
-complex representations (SU(2), SU(1,1)).
+The even subalgebra of Cl(p,q), p + q = 3, is the quaternions or the
+split-quaternions (Lounesto, Clifford Algebras and Spinors), by one rule:
+i is the first of e12, e13, e23 that squares to -1, j the first other one,
+k = ij, and j^2 = -1 or +1 names the algebra; so i, j, k are e12, e13, -e23
+at (3,0) and (2,1), e23, e12, e13 at (1,2) and e12, e13, e23 at (0,3). The
+read bridges take all four signatures, the write bridges write Cl(3,0) and
+Cl(2,1). Unit elements double-cover SO+(p,q); each is the n3 rotor of
+matrix_to_rotor read through the bridge, sharing its membership check,
+probe, normalizer and sign, with a 2x2 complex image in SU(2) or SU(1,1).
 
 Both are a + bi + cj + dk with i^2 = -1, ij = k and s = j^2 = k^2:
 s = -1 gives the quaternions (ijk = -1) and s = +1 the split-quaternions
@@ -23,26 +21,17 @@ s = -1 gives the quaternions (ijk = -1) and s = +1 the split-quaternions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
 
-from .clifford_core import Multivector, Signature, _real_array
+from .clifford_core import Multivector, Signature, _real_array, blade_signs
 from .covering import Rotor, matrix_to_rotor
 from .matrix_group import DEFAULT_TOLERANCE
 
 SIG_30 = Signature(3, 0)
 SIG_21 = Signature(2, 1)
-
-#: Pauli matrices sigma_0..sigma_3; sigma_1 sigma_2 sigma_3 = i I.
-PAULI = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-for _m in PAULI:
-    _m.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -136,44 +125,54 @@ def su11_defect(m: np.ndarray) -> float:
 # Bridges to the Clifford rotors, and the unit elements covering a matrix
 # ---------------------------------------------------------------------------
 
-def _bridge_to_rotor(q, sig: Signature) -> Rotor:
+@lru_cache(maxsize=None)
+def _bridge(sig: Signature) -> tuple[type, np.ndarray, np.ndarray]:
+    # The rule as (algebra, masks, signs): 1, i, j, k are signs[m] e_masks[m].
+    if sig.n != 3:
+        raise ValueError(f"expected a Cl(p,q) element with p + q = 3, got Cl({sig.p},{sig.q})")
+    planes = np.array([0b011, 0b101, 0b110])
+    i = planes[blade_signs(sig, planes, planes) < 0][0]  # two generators share a sign
+    j = planes[planes != i][0]
+    left, right = np.array([0, i, j, i]), np.array([0, 0, 0, j])
+    algebra = Quaternion if blade_signs(sig, j, j) < 0 else SplitQuaternion
+    return algebra, left ^ right, blade_signs(sig, left, right)
+
+
+def _to_rotor(q: _FourComponent, sig: Signature) -> Rotor:
+    _, masks, signs = _bridge(sig)
     coeffs = np.zeros(sig.dim)
-    coeffs[0] = q.a
-    coeffs[0b011] = q.b
-    coeffs[0b101] = q.c
-    coeffs[0b110] = -q.d
+    coeffs[masks] = signs * q.components()
     return Rotor(Multivector(sig, coeffs))
 
 
-def _bridge_components(value: Multivector, sig: Signature) -> tuple[float, float, float, float]:
-    if value.sig != sig:
-        raise ValueError(f"expected a Cl({sig.p},{sig.q}) element, got Cl({value.sig.p},{value.sig.q})")
-    worst = value.odd_part_max()
-    if worst > 1e-12:
+def _read(rotor: Rotor | Multivector, algebra: type | None = None) -> Quaternion | SplitQuaternion:
+    # The element of the bridge's algebra (or of algebra, if given) that rotor reads as.
+    value = rotor.value if isinstance(rotor, Rotor) else rotor
+    found, masks, signs = _bridge(value.sig)
+    if algebra not in (None, found):
+        raise ValueError(f"a Cl({value.sig.p},{value.sig.q}) element reads as {found.__name__}, not {algebra.__name__}")
+    if (worst := value.odd_part_max()) > 1e-12:
         raise ValueError(f"element has components outside the even subalgebra (max {worst:.3e})")
-    # x + 0.0 and 0.0 - x are 0.0, never -0.0, for a zero coefficient.
-    c = value.coeffs
-    return float(c[0] + 0.0), float(c[0b011] + 0.0), float(c[0b101] + 0.0), float(0.0 - c[0b110])
+    # x + 0.0 is 0.0, never -0.0, for a zero coefficient.
+    return found(*(value.coeffs[masks] * signs + 0.0).tolist())
 
 
 def quaternion_to_rotor(q: Quaternion) -> Rotor:
-    """Inverse of the e -> 1, e12 -> i, e13 -> j, e23 -> -k correspondence."""
-    return _bridge_to_rotor(q, SIG_30)
+    """The Cl(3,0) rotor of q: e12 = i, e13 = j, e23 = -k."""
+    return _to_rotor(q, SIG_30)
 
 
 def rotor_to_quaternion(rotor: Rotor | Multivector) -> Quaternion:
-    value = rotor.value if isinstance(rotor, Rotor) else rotor
-    return Quaternion(*_bridge_components(value, SIG_30))
+    return _read(rotor, Quaternion)
 
 
 def split_to_rotor(q: SplitQuaternion) -> Rotor:
-    """Same correspondence into Cl(2,1)."""
-    return _bridge_to_rotor(q, SIG_21)
+    """The Cl(2,1) rotor of q: e12 = i, e13 = j, e23 = -k."""
+    return _to_rotor(q, SIG_21)
 
 
 def rotor_to_split(rotor: Rotor | Multivector) -> SplitQuaternion:
-    value = rotor.value if isinstance(rotor, Rotor) else rotor
-    return SplitQuaternion(*_bridge_components(value, SIG_21))
+    return _read(rotor, SplitQuaternion)
 
 
 def so3_to_unit_quaternion(matrix: object, tol: float = DEFAULT_TOLERANCE) -> Quaternion:

@@ -169,21 +169,26 @@ def project_to_group(matrix: object, sig: Signature) -> np.ndarray:
     most n eps max(1, max |P_ij|)^2, the rounding of P^T eta P itself, so a
     correctly rounded group element comes back unchanged. Determinant sign
     and orientation are not repaired, only the metric condition. ValueError
-    on a singular input or iterate; P^T eta P = -eta steps to zero.
+    on a singular input or iterate (P^T eta P = -eta steps to zero), and
+    when the 60th iterate still misses the stopping bound.
     """
     eta = _metric(sig.p, sig.q)
     arr = as_square_matrix(matrix, sig.n).copy()
     rounding = sig.n * np.finfo(np.float64).eps
     try:
-        for step in range(60):
+        for step in range(61):
             residual = float(np.max(np.abs(arr.T @ eta @ arr - eta)))
             if residual <= rounding * max(1.0, float(np.max(np.square(arr)))):
-                break
-            arr = 0.5 * (arr + eta @ np.linalg.inv(arr).T @ eta)
+                return arr
+            if step < 60:
+                arr = 0.5 * (arr + eta @ np.linalg.inv(arr).T @ eta)
     except np.linalg.LinAlgError as exc:
         reason = "matrix is singular" if step == 0 else f"the projection broke down: iterate {step} is singular"
         raise ValueError(f"{reason}; cannot project onto the group") from exc
-    return arr
+    raise ValueError(
+        f"the projection did not converge: iterate 60 has metric residual {residual:.3e}; "
+        "cannot project onto the group"
+    )
 
 
 def batched_minors(

@@ -30,6 +30,8 @@ from spincover.division_algebras import (
     rotor_to_split,
     so21_to_unit_split_quaternion,
     so3_to_unit_quaternion,
+    su2_defect,
+    su11_defect,
 )
 from spincover.oracle import sample_matrix
 
@@ -310,6 +312,12 @@ def test_project_flag_reports_a_breakdown(capsys):
     assert "the projection broke down" in capsys.readouterr().err
 
 
+def test_project_flag_reports_no_convergence(capsys):
+    payload = json.dumps({"p": 1, "q": 1, "matrix": [[0, 1], [1, 1e-17]]})
+    assert main(["rotor-from-matrix", "--project", payload]) == EXIT_BAD_INPUT
+    assert "the projection did not converge" in capsys.readouterr().err
+
+
 def test_loose_tolerance_accepts_near_member(capsys):
     angle = 0.3
     c, s = math.cos(angle), math.sin(angle)
@@ -386,7 +394,7 @@ def test_quaternion_method_prints_no_negative_zero(payload, capsys):
 CHAIN_CASES = (
     [(Signature(p, n - p), "general") for n in range(1, 5) for p in range(n + 1)]
     + [(Signature(p, 3 - p), "n3") for p in range(4)]
-    + [(Signature(3, 0), "quaternion"), (Signature(2, 1), "quaternion")]
+    + [(Signature(p, 3 - p), "quaternion") for p in range(4)]
 )
 
 
@@ -416,22 +424,34 @@ UNIT_ELEMENT_CASES = (
     + [(Signature(2, 1), sample_matrix(Signature(2, 1), seed)) for seed in range(10)]
     + [(Signature(3, 0), rotation_e1(angle)) for angle in np.linspace(-math.pi, math.pi, 73)]
     + [(Signature(2, 1), forward_map(Rotor(exp_bivector(Multivector.from_terms(Signature(2, 1), {3: 1.5, 6: 2.0})))))]
+    + [(Signature(1, 2), sample_matrix(Signature(1, 2), seed)) for seed in range(10)]
+    + [(Signature(0, 3), sample_matrix(Signature(0, 3), seed)) for seed in range(10)]
 )
+
+#: The JSON keys, read bridge and image defect of each n = 3 signature's unit element.
+UNIT_OUTPUTS = {
+    Signature(3, 0): ("quaternion", "su2", rotor_to_quaternion, su2_defect),
+    Signature(2, 1): ("split_quaternion", "su11", rotor_to_split, su11_defect),
+    Signature(1, 2): ("split_quaternion", "su11", rotor_to_split, su11_defect),
+    Signature(0, 3): ("quaternion", "su2", rotor_to_quaternion, su2_defect),
+}
 
 
 def test_quaternion_method_prints_the_library_unit_element(capsys):
     # One sheet rule: the CLI's (split-)quaternion, the library's unit
-    # element and the bridge of the canonical n3 rotor agree bit for bit.
+    # element and the bridge of the canonical n3 rotor agree bit for bit,
+    # and the printed 2x2 image lies in SU(2) or SU(1,1).
+    units = {Signature(3, 0): so3_to_unit_quaternion, Signature(2, 1): so21_to_unit_split_quaternion}
     for sig, matrix in UNIT_ELEMENT_CASES:
         payload = json.dumps({"p": sig.p, "q": sig.q, "matrix": matrix.tolist()})
         assert main(["rotor-from-matrix", "--method", "quaternion", payload]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
-        if sig == Signature(3, 0):
-            key, unit, bridge = "quaternion", so3_to_unit_quaternion(matrix), rotor_to_quaternion
-        else:
-            key, unit, bridge = "split_quaternion", so21_to_unit_split_quaternion(matrix), rotor_to_split
-        assert unit == bridge(matrix_to_rotor(matrix, sig, "n3"))
+        key, image_key, bridge, defect = UNIT_OUTPUTS[sig]
+        unit = bridge(matrix_to_rotor(matrix, sig, "n3"))
+        if sig in units:
+            assert units[sig](matrix) == unit
         assert doc[key] == {"a": unit.a, "b": unit.b, "c": unit.c, "d": unit.d}, matrix
+        assert defect(np.array([[complex(*z) for z in row] for row in doc[image_key]])) <= 1e-13, matrix
 
 
 def test_quaternion_method_selects_and_assembles_once(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Two-sheeted covering: forward conjugation map and matrix-to-rotor recovery."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -374,6 +375,19 @@ def test_forward_op_evaluates_the_closed_form_once(monkeypatch, capsys):
     assert cli.main(["matrix-from-rotor", json.dumps({"p": 3, "q": 2, "rotor": terms})]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["membership"]["ok"] is True
     assert calls == [1]
+
+
+def test_checked_matrix_stays_with_its_value():
+    # The kept matrix is set only by Rotor.checked: a copy with another
+    # value is judged afresh, and no caller can plant a matrix.
+    sig = Signature(2, 0)
+    a = Multivector.from_terms(sig, {0: 0.8, 0b11: -0.6})
+    b = Multivector.from_terms(sig, {0: 0.6, 0b11: 0.8})
+    copied = dataclasses.replace(Rotor.checked(a), value=b)
+    assert np.array_equal(forward_map(copied), forward_map(b))
+    assert not np.allclose(forward_map(copied), forward_map(a))
+    with pytest.raises(TypeError, match="_closed"):
+        Rotor(b, _closed=(np.eye(2), 1e-9))
 
 
 @pytest.mark.parametrize("sig", [Signature(1, 1), Signature(3, 1)], ids=["1_1", "3_1"])

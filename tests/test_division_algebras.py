@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spincover.clifford_core import Multivector, Signature, exp_bivector, squared_norm
+from spincover.clifford_core import Multivector, Signature, blade_signs, exp_bivector, squared_norm
 import spincover.covering as covering
 from spincover.covering import (
     Rotor,
@@ -16,7 +16,6 @@ from spincover.covering import (
     select_candidate,
 )
 from spincover.division_algebras import (
-    PAULI,
     Quaternion,
     SplitQuaternion,
     quaternion_to_rotor,
@@ -31,9 +30,20 @@ from spincover.division_algebras import (
     su2_defect,
 )
 from spincover.matrix_group import MembershipError, project_to_group
+from spincover.oracle import sample_matrix, sample_rotor
 
 SIG30 = Signature(3, 0)
 SIG21 = Signature(2, 1)
+SIG12 = Signature(1, 2)
+SIG03 = Signature(0, 3)
+
+#: Each n = 3 signature with its read bridge, 2x2 image and the defect of that image.
+READS = {
+    SIG30: (rotor_to_quaternion, quaternion_to_su2, su2_defect),
+    SIG21: (rotor_to_split, split_to_su11, su11_defect),
+    SIG12: (rotor_to_split, split_to_su11, su11_defect),
+    SIG03: (rotor_to_quaternion, quaternion_to_su2, su2_defect),
+}
 
 Q_ONE = Quaternion(1, 0, 0, 0)
 Q_I = Quaternion(0, 1, 0, 0)
@@ -195,8 +205,52 @@ def test_rotor_to_quaternion_rejects_stray_components():
 
 
 def test_rotor_to_quaternion_rejects_another_signature():
-    with pytest.raises(ValueError, match=r"expected a Cl\(3,0\) element, got Cl\(2,1\)"):
+    with pytest.raises(ValueError, match=r"a Cl\(2,1\) element reads as SplitQuaternion, not Quaternion"):
         rotor_to_quaternion(Multivector.scalar(SIG21))
+    with pytest.raises(ValueError, match=r"a Cl\(1,2\) element reads as SplitQuaternion, not Quaternion"):
+        rotor_to_quaternion(sample_rotor(SIG12, 1))
+    with pytest.raises(ValueError, match=r"a Cl\(0,3\) element reads as Quaternion, not SplitQuaternion"):
+        rotor_to_split(sample_rotor(SIG03, 1))
+    with pytest.raises(ValueError, match=r"expected a Cl\(p,q\) element with p \+ q = 3, got Cl\(2,0\)"):
+        rotor_to_quaternion(Multivector.scalar(Signature(2, 0)))
+
+
+#: i, j, k of each n = 3 signature as signed blades (mask, sign).
+UNITS = {
+    SIG30: [(0b011, 1), (0b101, 1), (0b110, -1)],
+    SIG21: [(0b011, 1), (0b101, 1), (0b110, -1)],
+    SIG12: [(0b110, 1), (0b011, 1), (0b101, 1)],
+    SIG03: [(0b011, 1), (0b101, 1), (0b110, 1)],
+}
+
+
+@pytest.mark.parametrize("sig", READS, ids=[f"{s.p}_{s.q}" for s in READS])
+def test_bridge_rule_follows_the_blade_signs(sig):
+    # i^2 = -1, j^2 = s and k = ij by the signs of the blade products, with i
+    # the first of e12, e13, e23 that squares to -1 and j the first other one;
+    # the read bridge takes each signed blade to its unit.
+    def sign(a: int, b: int) -> int:
+        return int(blade_signs(sig, np.array(a), np.array(b)))
+
+    read = READS[sig][0]
+    (i, _), (j, _), (k, k_sign) = UNITS[sig]
+    planes = [0b011, 0b101, 0b110]
+    assert i == next(F for F in planes if sign(F, F) == -1)
+    assert j == next(F for F in planes if F != i)
+    assert sign(j, j) == type(read(Multivector.scalar(sig))).SQUARE
+    assert k == i ^ j and k_sign == sign(i, j)
+    for unit, (mask, s) in enumerate([(0, 1)] + UNITS[sig]):
+        assert read(Multivector.basis(sig, mask, float(s))).components().tolist() == np.eye(4)[unit].tolist()
+
+
+@pytest.mark.parametrize("sig", READS, ids=[f"{s.p}_{s.q}" for s in READS])
+def test_read_bridge_is_a_homomorphism(sig):
+    read = READS[sig][0]
+    for seed in range(20):
+        S, T = sample_rotor(sig, 2 * seed), sample_rotor(sig, 2 * seed + 1)
+        lhs = read(S.value * T.value).components()
+        rhs = (read(S) * read(T)).components()
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, float(np.max(np.abs(lhs))))
 
 
 # -- candidate formulas ------------------------------------------------------
@@ -445,13 +499,6 @@ def test_unit_quaternion_selects_and_assembles_once(monkeypatch):
 
 # -- 2x2 complex images -------------------------------------------------------
 
-def test_pauli_identities():
-    s0, s1, s2, s3 = PAULI
-    for s in (s1, s2, s3):
-        assert np.array_equal(s @ s, s0)
-    assert np.max(np.abs(-1j * s1 @ s2 @ s3 - s0)) == 0.0
-
-
 def test_su2_image_examples():
     assert np.array_equal(quaternion_to_su2(Q_ONE), np.eye(2))
     assert np.array_equal(quaternion_to_su2(Q_I), np.array([[1j, 0], [0, -1j]]))
@@ -482,6 +529,11 @@ def test_images_are_homomorphisms_with_det_norm():
 
 
 def test_unit_elements_land_in_su_groups():
+    for sig, (read, image, defect) in READS.items():
+        for seed in range(30):
+            unit = read(matrix_to_rotor(sample_matrix(sig, seed), sig, "n3"))
+            assert abs(unit.norm_squared() - 1.0) <= 1e-13, (sig, seed)
+            assert defect(image(unit)) <= 1e-13, (sig, seed)
     q = so3_to_unit_quaternion(rotation_z(0.4))
     assert su2_defect(quaternion_to_su2(q)) <= 1e-14
     s = so21_to_unit_split_quaternion(boost_13(0.8))

@@ -279,6 +279,13 @@ def test_project_to_group_names_a_breakdown(matrix, sig):
         project_to_group(matrix, sig)
 
 
+def test_project_to_group_refuses_an_unconverged_iterate():
+    # The first step lands near zero and the iterates need more than 60
+    # steps to come back; the 60th, diag(-1.0063, 1.0063), is no member.
+    with pytest.raises(ValueError, match="^the projection did not converge: iterate 60 has metric residual"):
+        project_to_group([[0, 1], [1, 1e-17]], Signature(1, 1))
+
+
 # -- minors ---------------------------------------------------------------
 
 def test_so3_complementary_minor_identity():
