@@ -69,6 +69,8 @@ from .clifford_core import (
 )
 from .matrix_group import (
     DEFAULT_TOLERANCE,
+    _Buffers,
+    _buffers,
     _metric,
     batched_minors,
     require_membership,
@@ -118,7 +120,10 @@ class Rotor:
         return self.value.coeffs
 
     def __neg__(self) -> Rotor:
-        return Rotor(-self.value, self.probe)
+        # -S has the matrix of S, so the negation keeps what checked kept.
+        negated = Rotor(-self.value, self.probe)
+        object.__setattr__(negated, "_closed", self._closed)
+        return negated
 
     def canonicalized(self) -> Rotor:
         """Fix the sign: largest-magnitude coefficient positive, ties by lowest mask."""
@@ -193,13 +198,13 @@ def _shift_signs(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _shifts(value: Multivector) -> tuple[np.ndarray, np.ndarray]:
+def _shifts(value: Multivector, buffers: _Buffers | None = None) -> tuple[np.ndarray, np.ndarray]:
     # (n, 2^n) rows value e_a and e_a value: value with the halves of bit a
-    # swapped, times the cached signs.
+    # swapped, times the cached signs; in slots 0 and 1 of buffers if given.
     sig = value.sig
     right_signs, left_signs = _shift_signs(sig.p, sig.q)
-    moved = value.coeffs.take(_partners(sig.n))
-    left = left_signs * moved
+    moved = value.coeffs.take(_partners(sig.n), out=buffers and buffers.view(0, right_signs.shape), mode="wrap")
+    left = np.multiply(left_signs, moved, out=buffers and buffers.view(1, right_signs.shape))
     return np.multiply(right_signs, moved, out=moved), left
 
 
@@ -225,11 +230,13 @@ def _closed_form(value: Multivector) -> tuple[np.ndarray, float, np.ndarray, np.
     # The signs of the shifted copies come from the _shift_signs caches. One
     # (n, 2^n) work buffer holds in turn left times the reverse-norm signs
     # for the matrix product, the residuals left - E right (E = eta P eta)
-    # and right - P^T left.
+    # and right - P^T left. All three live in this thread's working buffers
+    # from n = 11 on; every returned piece is a new array.
     sig = value.sig
-    right, left = _shifts(value)
+    buffers = _buffers(sig.n * sig.dim)
+    right, left = _shifts(value, buffers)
     eta = np.diag(_metric(sig.p, sig.q))
-    work = left * _reverse_norm_signs(sig.p, sig.q)
+    work = np.multiply(left, _reverse_norm_signs(sig.p, sig.q), out=buffers and buffers.view(2, left.shape))
     matrix = eta[:, None] * (work @ right.T)
     norm = math.sqrt(float(np.dot(value.coeffs, value.coeffs)))
     unit = abs(squared_norm(value) - 1.0)
@@ -327,15 +334,21 @@ def _assemble_general(sig: Signature, tables: _Tables, F: int) -> np.ndarray:
     # so sign(e_{B^F} e_A) = sign(e_B e_A) sign(e_F e_A): the F-free part is
     # the cached _pair_signs grid, the rest a row and a column sign, read
     # from the signs of e_B e_F and e_F e_A over every mask. The terms are
-    # binned at B ^ A and the total read at every mask ^ F.
+    # binned at B ^ A and the total read at every mask ^ F. The sign grid,
+    # the weighted minors and the bin keys of a large grade live in this
+    # thread's working buffers.
     every = np.arange(sig.dim)
     from_probe, to_probe = blade_signs(sig, every, F), blade_signs(sig, F, every)
     total = np.zeros(sig.dim)
     total[0] = 1.0
     for k, (masks, dets) in enumerate(tables[1:], 1):
         b = masks[-len(dets) :, None]
-        signs = _pair_signs(sig.p, sig.q, k, len(dets)) * (from_probe[b] * to_probe[masks])
-        total += np.bincount((b ^ masks).ravel(), weights=(dets * signs).ravel(), minlength=sig.dim)
+        buffers = _buffers(dets.size)
+        signs = np.multiply(_pair_signs(sig.p, sig.q, k, len(dets)), from_probe[b] * to_probe[masks],
+                            out=buffers and buffers.view(0, dets.shape, np.int8))
+        weights = np.multiply(dets, signs, out=buffers and buffers.view(1, dets.shape))
+        keys = np.bitwise_xor(b, masks, out=buffers and buffers.view(2, dets.shape, np.int64))
+        total += np.bincount(keys.ravel(), weights=weights.ravel(), minlength=sig.dim)
     return 2.0 * total[every ^ F]
 
 

@@ -15,6 +15,7 @@ image coordinates of one generator fill one column.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,6 +25,13 @@ from .clifford_core import Signature, grade_masks, _real_array
 
 #: Default tolerance for membership residuals.
 DEFAULT_TOLERANCE = 1e-9
+
+#: From _MAPPED bytes, glibc's default mmap threshold, a freed temporary
+#: tends to go back to the kernel (unmapped, or trimmed off the heap top),
+#: so each call faults it in again; temporaries up to _SLOT_BYTES go to
+#: per-thread working buffers instead.
+_MAPPED = 128 * 1024
+_SLOT_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -191,6 +199,32 @@ def project_to_group(matrix: object, sig: Signature) -> np.ndarray:
     )
 
 
+class _Buffers(threading.local):
+    # One thread's three grow-only byte buffers, each as large as the
+    # largest view asked of it (at most _SLOT_BYTES through _buffers). Every
+    # stage shares the slots, so no view of one may outlive the call that
+    # asked for it; a view of a replaced buffer keeps that buffer alive.
+
+    def __init__(self) -> None:
+        self.slots = [np.empty(0, np.uint8)] * 3
+
+    def view(self, slot: int, shape: tuple[int, ...], dtype: type = np.float64) -> np.ndarray:
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        if self.slots[slot].size < nbytes:
+            self.slots[slot] = np.empty(nbytes, np.uint8)
+        return self.slots[slot][:nbytes].view(dtype).reshape(shape)
+
+
+_BUFFERS = _Buffers()
+
+
+def _buffers(elements: int) -> _Buffers | None:
+    # This thread's buffers for a call whose largest temporary holds
+    # elements float64s, decided once per call; None (numpy allocates, as
+    # out=None does) when that is under _MAPPED bytes or over _SLOT_BYTES.
+    return _BUFFERS if _MAPPED <= 8 * elements <= _SLOT_BYTES else None
+
+
 def batched_minors(
     matrix: np.ndarray, k: int, lower: tuple[np.ndarray, np.ndarray] | None, suffix: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -222,11 +256,19 @@ def batched_minors(
     # B - b_1 is A - a_0 for A = B, so the rows reuse the j = 0 columns,
     # counted from the end of lower (-0: every row). Whole-row and
     # whole-column takes gather faster than one (row, column) index pair.
+    # below, the later terms and the gathered factor go to the working
+    # buffers when large; dets is always a new array. The takes wrap rather
+    # than raise, which would copy into a given out; every index is in
+    # range, so wrapping changes none.
     first = bits[0][-suffix:]
-    below = lower[1].take(cols[0][-suffix:] - lower[0].size, axis=0)
+    buffers = _buffers(first.size * masks.size)
+    below = lower[1].take(cols[0][-suffix:] - lower[0].size, axis=0, mode="wrap",
+                          out=buffers and buffers.view(0, (first.size, lower[0].size)))
+    into = buffers and buffers.view(1, (first.size, masks.size))
+    factor = buffers and buffers.view(2, (first.size, masks.size))
     for j in range(k):
-        term = below.take(cols[j], axis=1)
-        term *= matrix.take(bits[j], axis=1).take(first, axis=0)
+        term = below.take(cols[j], axis=1, out=into if j else None, mode="wrap")
+        term *= matrix.take(bits[j], axis=1).take(first, axis=0, out=factor, mode="wrap")
         if j == 0:
             dets = term
         elif j % 2:

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from spincover.covering import (
     select_candidate,
 )
 from spincover.matrix_group import MembershipError, check_membership, project_to_group
-from spincover.oracle import sample_matrix, sample_rotor
+from spincover.oracle import run_selfcheck, sample_matrix, sample_rotor
 
 from oracles import (
     coeffs_to_dict,
@@ -378,8 +380,9 @@ def test_forward_op_evaluates_the_closed_form_once(monkeypatch, capsys):
 
 
 def test_checked_matrix_stays_with_its_value():
-    # The kept matrix is set only by Rotor.checked: a copy with another
-    # value is judged afresh, and no caller can plant a matrix.
+    # The kept matrix is set only by Rotor.checked and carried by negation:
+    # a copy with another value is judged afresh, and no caller can plant
+    # a matrix.
     sig = Signature(2, 0)
     a = Multivector.from_terms(sig, {0: 0.8, 0b11: -0.6})
     b = Multivector.from_terms(sig, {0: 0.6, 0b11: 0.8})
@@ -388,6 +391,29 @@ def test_checked_matrix_stays_with_its_value():
     assert not np.allclose(forward_map(copied), forward_map(a))
     with pytest.raises(TypeError, match="_closed"):
         Rotor(b, _closed=(np.eye(2), 1e-9))
+
+
+def test_negation_keeps_the_checked_matrix(monkeypatch):
+    # -S has the matrix of S bit for bit, so neither the negation nor
+    # canonicalized evaluates the closed form again.
+    sig = Signature(3, 2)
+    value = random_rotor(sig, np.random.default_rng(45)).value
+    rotor = Rotor.checked(value)
+    expected = covering._closed_form(value)[0]
+    assert np.array_equal(covering._closed_form(-value)[0], expected)
+    calls = []
+    original = covering._closed_form
+    monkeypatch.setattr(covering, "_closed_form", lambda v: calls.append(v) or original(v))
+    negated = -rotor
+    for turned in (negated, negated.canonicalized(), rotor.canonicalized(), -negated):
+        assert np.array_equal(forward_map(turned), expected)
+    assert calls == []
+    assert negated.value == -value and negated.canonicalized().value in (value, -value)
+    # the negation keeps the tolerance too: a stricter one judges afresh
+    loose = Rotor.checked(value + Multivector.scalar(sig, 1e-3), tol=1e-2)
+    with pytest.raises(ValueError, match="is not 1"):
+        forward_map(-loose, tol=1e-9)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("sig", [Signature(1, 1), Signature(3, 1)], ids=["1_1", "3_1"])
@@ -544,8 +570,71 @@ def traced_peak_mb(call) -> float:
 
 
 def test_forward_op_at_n12_bounds_its_temporaries():
+    # the three (n, 2^n) temporaries of the closed form live in the
+    # thread's working buffers once warm
     value = plane_chain_rotor(Signature(8, 4))
-    assert traced_peak_mb(lambda: forward_map(Rotor.checked(value))) < 1.5
+    assert traced_peak_mb(lambda: forward_map(Rotor.checked(value))) < 0.5
+
+
+def test_recovery_at_n10_bounds_its_temporaries():
+    # the minor tables are new arrays; the Laplace and assembly temporaries
+    # of grades 4 and 5 live in the working buffers once warm
+    sig = Signature(7, 3)
+    matrix = sample_matrix(sig, 5)
+    assert traced_peak_mb(lambda: matrix_to_rotor(matrix, sig)) < 1.3
+
+
+def test_working_buffers_are_per_thread_and_never_returned():
+    # Four threads converting at once beside a selfcheck get the bytes of
+    # serial runs, and no rotor, matrix or minor table changes under a
+    # later conversion of another input.
+    recover_sig, forward_sig = Signature(7, 3), Signature(8, 4)
+    matrices = [sample_matrix(recover_sig, seed) for seed in (1, 2)]
+    values = [sample_rotor(forward_sig, seed).value for seed in (1, 2)]
+
+    def work(flip):
+        # four rounds of (7,3) recoveries and (8,4) forward ops in turn, the
+        # forward op first when flip; the set of outputs of each input
+        outputs = {}
+        for _ in range(4):
+            for i, (matrix, value) in enumerate(zip(matrices, values)):
+                ops = [("rotor", i, lambda: matrix_to_rotor(matrix, recover_sig).coeffs),
+                       ("matrix", i, lambda: forward_map(Rotor.checked(value)))]
+                for kind, index, op in ops[::-1] if flip else ops:
+                    outputs.setdefault((kind, index), set()).add(op().tobytes())
+        return outputs
+
+    serial, report = work(False), run_selfcheck(recover_sig, 2, 1)
+    calls = {f"work{i}": lambda flip=i % 2: work(flip) for i in range(4)}
+    calls["selfcheck"] = lambda: run_selfcheck(recover_sig, 2, 1)
+    results = {}
+    barrier = threading.Barrier(len(calls))
+
+    def run(name):
+        barrier.wait()
+        results[name] = calls[name]()
+
+    threads = [threading.Thread(target=run, args=(name,)) for name in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {**dict.fromkeys(calls, serial), "selfcheck": report}
+
+    rotor = matrix_to_rotor(matrices[0], recover_sig)
+    matrix = forward_map(Rotor.checked(values[0]))
+    tables = covering._minor_tables(matrices[0], recover_sig.n)
+    kept = [rotor.coeffs.tobytes(), matrix.tobytes()] + [dets.tobytes() for _, dets in tables]
+    matrix_to_rotor(matrices[1], recover_sig)
+    forward_map(Rotor.checked(values[1]))
+    covering._minor_tables(matrices[1], recover_sig.n)
+    assert [rotor.coeffs.tobytes(), matrix.tobytes()] + [dets.tobytes() for _, dets in tables] == kept
 
 
 def test_rejecting_a_dense_n12_non_rotor_bounds_its_temporaries():
