@@ -106,18 +106,6 @@ def _report_dict(report: MembershipReport) -> dict:
     }
 
 
-def _rotor_dict(value: Multivector) -> dict:
-    return {blade_name(mask): coeff for mask, coeff in value.terms()}
-
-
-def _matrix_rows(arr: np.ndarray) -> list:
-    return [[float(x) for x in row] for row in arr]
-
-
-def _complex_rows(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-
-
 # ---------------------------------------------------------------------------
 # Input parsing (all failures here mean exit code 2)
 # ---------------------------------------------------------------------------
@@ -179,10 +167,8 @@ def _parse_rotor_input(obj: dict) -> tuple[Signature, Multivector]:
     table = obj.get("rotor")
     if not isinstance(table, dict) or not table:
         raise ValueError('missing or empty "rotor" object in input')
-    coeffs = np.zeros(sig.dim)
-    for name, value in table.items():
-        coeffs[blade_from_name(name, sig.n)] += _number(value, f"coefficient of {name}")
-    return sig, Multivector(sig, coeffs)
+    terms = {blade_from_name(name, sig.n): _number(value, f"coefficient of {name}") for name, value in table.items()}
+    return sig, Multivector.from_terms(sig, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -212,20 +198,22 @@ def cmd_rotor_from_matrix(args: argparse.Namespace) -> int:
 
     # -rotor conjugates exactly as rotor does, so one residual covers both.
     residual = verify_covering(rotor, arr).max_residual
+    terms = {blade_name(mask): coeff for mask, coeff in rotor.value.terms()}
     out: dict = {
         "p": sig.p,
         "q": sig.q,
         "method": args.method,
         "F": blade_name(rotor.probe),
-        "rotor": _rotor_dict(rotor.value),
-        "rotor_negated": _rotor_dict(-rotor.value),
+        "rotor": terms,
+        "rotor_negated": {name: -coeff for name, coeff in terms.items()},
         "residual": residual,
     }
     if args.method == "quaternion":
         unit = _read(rotor)
         key, image_key, image = _UNIT_OUTPUT[type(unit)]
         out[key] = {"a": unit.a, "b": unit.b, "c": unit.c, "d": unit.d}
-        out[image_key] = _complex_rows(image(unit))
+        # Each complex entry prints as its [real, imaginary] pair.
+        out[image_key] = image(unit)[..., None].view(np.float64).tolist()
     _emit(out)
     return EXIT_OK
 
@@ -244,7 +232,7 @@ def cmd_matrix_from_rotor(args: argparse.Namespace) -> int:
         {
             "p": sig.p,
             "q": sig.q,
-            "matrix": _matrix_rows(matrix),
+            "matrix": matrix.tolist(),
             "membership": _report_dict(report),
         }
     )
@@ -268,12 +256,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
     try:
-        sig = Signature(args.p, args.q)
-        if args.trials <= 0:
-            raise ValueError("--trials must be positive")
+        result = run_selfcheck(Signature(args.p, args.q), trials=args.trials, seed=args.seed)
     except ValueError as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
-    result = run_selfcheck(sig, trials=args.trials, seed=args.seed)
     _emit(result)
     if not result["ok"]:
         print("selfcheck failed; see residuals above", file=sys.stderr)

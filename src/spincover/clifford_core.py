@@ -86,11 +86,14 @@ class Signature:
 
 def blade_grade(mask: int) -> int:
     """Number of generators in the blade."""
-    return mask.bit_count()
+    return len(blade_indices(mask))
 
 
 def blade_indices(mask: int) -> tuple[int, ...]:
-    """Ascending 1-based generator indices of the blade."""
+    """Ascending 1-based generator indices of the blade; ValueError on a negative or bool mask."""
+    if not (_is_integer(mask) and mask >= 0):
+        raise ValueError(f"blade masks must be nonnegative integers, got {mask!r}")
+    mask = int(mask)
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
@@ -101,9 +104,9 @@ def blade_name(mask: int) -> str:
     indices (n >= 10) are joined with underscores to stay unambiguous, and a
     single two-digit index takes a leading one: "e_10", since "e10" is e1 e0.
     """
-    if mask == 0:
-        return "1"
     idx = blade_indices(mask)
+    if not idx:
+        return "1"
     if idx[-1] <= 9:
         return "e" + "".join(str(i) for i in idx)
     return ("e_" if len(idx) == 1 else "e") + "_".join(str(i) for i in idx)
@@ -153,19 +156,26 @@ def blade_signs(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _grades(n: int) -> np.ndarray:
+    grades = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int8)
+    grades.setflags(write=False)
+    return grades
+
+
+@lru_cache(maxsize=None)
 def _reverse_signs(n: int) -> np.ndarray:
-    """Per-mask reversion signs (-1)^(k(k-1)/2), k = grade."""
-    grades = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
-    signs = np.where((grades * (grades - 1) // 2) & 1, -1, 1).astype(np.int8)
+    """Per-mask reversion signs (-1)^(k(k-1)/2), -1 where bit 1 of the grade k is set."""
+    signs = 1 - (_grades(n) & 2)
     signs.setflags(write=False)
     return signs
 
 
 @lru_cache(maxsize=None)
-def _grades(n: int) -> np.ndarray:
-    grades = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int8)
-    grades.setflags(write=False)
-    return grades
+def _blade_order(n: int) -> np.ndarray:
+    """Read-only masks of all 2^n blades in (grade, mask) order."""
+    order = np.argsort(_grades(n), kind="stable")
+    order.setflags(write=False)
+    return order
 
 
 @lru_cache(maxsize=None)
@@ -269,15 +279,12 @@ class Multivector:
 
     @classmethod
     def scalar(cls, sig: Signature, value: float = 1.0) -> Multivector:
-        coeffs = np.zeros(sig.dim)
-        coeffs[0] = _real_array(value, "scalar values")
-        return cls(sig, coeffs)
+        return cls.from_terms(sig, {0: value})
 
     @classmethod
     def basis(cls, sig: Signature, mask: int, coeff: float = 1.0) -> Multivector:
-        coeffs = np.zeros(sig.dim)
-        coeffs[_blade_mask(sig, mask)] = _real_array(coeff, "blade coefficients")
-        return cls(sig, coeffs)
+        # Checked before it keys the dict, so an unhashable mask raises ValueError too.
+        return cls.from_terms(sig, {_blade_mask(sig, mask): coeff})
 
     @classmethod
     def from_terms(cls, sig: Signature, terms: Mapping[int, float]) -> Multivector:
@@ -310,12 +317,9 @@ class Multivector:
 
     def terms(self) -> Iterator[tuple[int, float]]:
         """(mask, coefficient) pairs above ZERO_THRESHOLD, in (grade, mask) order."""
-        grades = _grades(self.sig.n)
-        order = np.lexsort((np.arange(self.sig.dim), grades))
-        for mask in order:
-            value = self._coeffs[mask]
-            if abs(value) > ZERO_THRESHOLD:
-                yield int(mask), float(value)
+        order = _blade_order(self.sig.n)
+        kept = order[np.abs(self._coeffs[order]) > ZERO_THRESHOLD]
+        return zip(kept.tolist(), self._coeffs[kept].tolist())
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self._coeffs)))

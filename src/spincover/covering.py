@@ -60,6 +60,9 @@ import numpy as np
 from .clifford_core import (
     Multivector,
     Signature,
+    _blade_mask,
+    _blade_order,
+    _odd_grades,
     _reverse_norm_signs,
     blade_grade,
     blade_name,
@@ -177,22 +180,15 @@ def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _partners(n: int) -> np.ndarray:
-    # Read-only (n, 2^n) index of B ^ e_a at [a, B]; taking row a swaps bit a's halves.
-    partners = np.arange(1 << n) ^ (1 << np.arange(n))[:, None]
-    partners.setflags(write=False)
-    return partners
-
-
-@lru_cache(maxsize=None)
-def _shift_signs(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    # Read-only (n, 2^n) int8 signs of e_B e_a and of e_a e_B, stored at
-    # column B ^ e_a: the signs that make S e_a and e_a S out of S with
-    # the halves of bit a swapped.
+def _shift_signs(p: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Read-only (n, 2^n) tables: the index B ^ e_a at [a, B], whose row a
+    # swaps the halves of bit a, and the int8 signs of e_B e_a and of
+    # e_a e_B stored at its columns: the signs that make S e_a and e_a S
+    # out of S with the halves of bit a swapped.
     sig = Signature(p, q)
     bits = (1 << np.arange(sig.n))[:, None]
-    partner = _partners(sig.n)
-    tables = blade_signs(sig, partner, bits), blade_signs(sig, bits, partner)
+    partners = np.arange(sig.dim) ^ bits
+    tables = partners, blade_signs(sig, partners, bits), blade_signs(sig, bits, partners)
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -202,8 +198,8 @@ def _shifts(value: Multivector, buffers: _Buffers | None = None) -> tuple[np.nda
     # (n, 2^n) rows value e_a and e_a value: value with the halves of bit a
     # swapped, times the cached signs; in slots 0 and 1 of buffers if given.
     sig = value.sig
-    right_signs, left_signs = _shift_signs(sig.p, sig.q)
-    moved = value.coeffs.take(_partners(sig.n), out=buffers and buffers.view(0, right_signs.shape), mode="wrap")
+    partners, right_signs, left_signs = _shift_signs(sig.p, sig.q)
+    moved = value.coeffs.take(partners, out=buffers and buffers.view(0, right_signs.shape), mode="wrap")
     left = np.multiply(left_signs, moved, out=buffers and buffers.view(1, right_signs.shape))
     return np.multiply(right_signs, moved, out=moved), left
 
@@ -356,21 +352,14 @@ def candidate_n3(matrix: object, sig: Signature, F: int) -> Multivector:
     """The paper's first-order L_F = e_F + sum p_a^b e_b e_F e^a for n = 3: M_F / 2.
 
     The matrix must pass membership at DEFAULT_TOLERANCE (MembershipError
-    otherwise); then n must be 3 and F even (ValueError otherwise).
+    otherwise); then n must be 3 and F an even mask in 0..7 (ValueError otherwise).
     """
     arr = require_membership(matrix, sig)
     _check_method("n3", sig.n)
+    F = _blade_mask(sig, F)
     if blade_grade(F) % 2:
         raise ValueError(f"probe blade {blade_name(F)} has odd grade")
     return Multivector(sig, _assemble_general(sig, _minor_tables(arr, sig.n), F) / 2.0)
-
-
-@lru_cache(maxsize=None)
-def _even_masks(n: int) -> np.ndarray:
-    # Read-only probe masks in (grade, mask) order; ties go to the first.
-    masks = np.concatenate([grade_masks(n, k) for k in range(0, n + 1, 2)])
-    masks.setflags(write=False)
-    return masks
 
 
 def _probe_weights(sig: Signature, tables: _Tables) -> np.ndarray:
@@ -404,8 +393,10 @@ def select_candidate(matrix: object, sig: Signature) -> CandidateElement:
 
 def _select(arr: np.ndarray, sig: Signature) -> tuple[int, np.ndarray, float]:
     # select_candidate on a validated array, as (F, M_F coefficients, reverse-norm).
+    # The probes are the even blades in (grade, mask) order; ties go to the first.
     tables = _minor_tables(arr, sig.n)
-    evens = _even_masks(sig.n)
+    order = _blade_order(sig.n)
+    evens = order[~_odd_grades(sig.n)[order]]
     F = int(evens[np.argmax(_probe_weights(sig, tables)[evens])])
     M = _assemble_general(sig, tables, F)
     normsq = float(np.dot(_reverse_norm_signs(sig.p, sig.q) * M, M))  # squared_norm

@@ -135,7 +135,10 @@ def _bridge(sig: Signature) -> tuple[type, np.ndarray, np.ndarray]:
     j = planes[planes != i][0]
     left, right = np.array([0, i, j, i]), np.array([0, 0, 0, j])
     algebra = Quaternion if blade_signs(sig, j, j) < 0 else SplitQuaternion
-    return algebra, left ^ right, blade_signs(sig, left, right)
+    masks, signs = left ^ right, blade_signs(sig, left, right)
+    masks.setflags(write=False)
+    signs.setflags(write=False)
+    return algebra, masks, signs
 
 
 def _to_rotor(q: _FourComponent, sig: Signature) -> Rotor:

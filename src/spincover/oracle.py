@@ -206,7 +206,9 @@ def _algebra_suite(sig: Signature, trials: int, seed: int) -> float:
 
 
 def run_selfcheck(sig: Signature, trials: int = 100, seed: int = 1) -> dict:
-    """All suites for one signature; the returned dict mirrors the CLI JSON."""
+    """All suites for one signature; the returned dict mirrors the CLI JSON (ValueError for trials < 1)."""
+    if not trials >= 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     checks = [("round_trip", _round_trip_suite, 0, ROUND_TRIP_TOLERANCE)]
     if sig.n == 3:
         checks.append(("method_agreement", _method_agreement_suite, 1_000_003, AGREEMENT_TOLERANCE))

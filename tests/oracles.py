@@ -324,7 +324,8 @@ def reference_matrix_to_rotor(matrix, sig, method: str = "general", tol: float =
     for masks, dets in tables:
         d[masks[-len(dets) :]] = np.diagonal(dets, masks.size - len(dets))
     weights = 2.0 * _reverse_norm_signs(sig.p, sig.q) * walsh_hadamard(d)
-    evens = covering._even_masks(sig.n)
+    # Even probes in (grade, mask) order; ties go to the first.
+    evens = np.array(sorted((m for m in range(sig.dim) if m.bit_count() % 2 == 0), key=lambda m: (m.bit_count(), m)))
     F = int(evens[np.argmax(weights[evens])])
     M = 2.0 * assemble(tables, F)
     cand = CandidateElement(F, M, float(np.dot(_reverse_norm_signs(sig.p, sig.q) * M.coeffs, M.coeffs)))

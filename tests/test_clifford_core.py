@@ -82,6 +82,23 @@ def test_blade_grade_and_indices():
     assert blade_indices(0b101) == (1, 3)
 
 
+def test_blade_calls_take_numpy_integer_masks():
+    # grade_masks hands out numpy integers, which have no bit_length
+    assert blade_name(grade_masks(3, 2)[0]) == "e12"
+    assert blade_name(np.int64(0)) == "1"
+    assert blade_name(np.uint16(1 << 11)) == "e_12"
+    assert blade_indices(np.int8(0b101)) == (1, 3)
+    assert blade_grade(np.uint64(0b1011)) == 3
+
+
+@pytest.mark.parametrize("mask", [-1, np.int64(-3), True, False, np.bool_(True), 1.0, "1"], ids=repr)
+def test_blade_calls_refuse_negative_and_bool_masks(mask):
+    # -1 and True named e1, False named the scalar, and blade_grade(-1) was 1
+    for call in (blade_name, blade_indices, blade_grade):
+        with pytest.raises(ValueError, match="blade masks must be nonnegative integers"):
+            call(mask)
+
+
 def test_blade_names_round_trip():
     assert blade_name(0) == "1"
     assert blade_name(0b11) == "e12"
@@ -295,6 +312,13 @@ def test_blade_masks_must_be_integers(mask):
         Multivector.from_terms(sig, {mask: 1.0})
 
 
+@pytest.mark.parametrize("mask", [[1], np.array(1), np.array([1])], ids=repr)
+def test_basis_refuses_unhashable_masks_with_value_error(mask):
+    # basis keys a one-term dict for from_terms; the mask is checked first
+    with pytest.raises(ValueError, match="blade masks must be integers"):
+        Multivector.basis(Signature(2, 0), mask)
+
+
 def test_numpy_integer_masks_name_their_blade():
     sig = Signature(2, 0)
     e1 = Multivector(sig, [0.0, 1.0, 0.0, 0.0])
@@ -354,6 +378,21 @@ def test_terms_ordering_is_grade_then_mask():
     u = Multivector(sig, np.arange(1.0, 9.0))
     masks = [mask for mask, _ in u.terms()]
     assert masks == [0, 1, 2, 4, 3, 5, 6, 7]
+
+
+def test_blade_order_is_grade_then_mask_and_read_only():
+    # the one order of Multivector.terms and of the recovery's probes
+    for n in range(1, MAX_DIMENSION + 1):
+        order = clifford_core._blade_order(n)
+        assert order.tolist() == sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
+        assert not order.flags.writeable
+
+
+def test_reverse_signs_follow_the_grade():
+    for n in range(1, MAX_DIMENSION + 1):
+        signs = clifford_core._reverse_signs(n)
+        expected = [(-1) ** (k * (k - 1) // 2) for k in map(int.bit_count, range(1 << n))]
+        assert signs.dtype == np.int8 and signs.tolist() == expected and not signs.flags.writeable
 
 
 def test_geometric_product_matches_naive_oracle():

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spincover import cli, clifford_core, covering, matrix_group
+from spincover import cli, clifford_core, covering, division_algebras, matrix_group
 from spincover.clifford_core import (
     Multivector,
     Signature,
@@ -71,7 +71,8 @@ def random_rotor(sig: Signature, rng: np.random.Generator, scale: float = 0.6) -
 
 
 def even_blades(n: int) -> list[int]:
-    return covering._even_masks(n).tolist()
+    # The probe order of select_candidate: even blades by (grade, mask).
+    return sorted((m for m in range(1 << n) if m.bit_count() % 2 == 0), key=lambda m: (m.bit_count(), m))
 
 
 def candidate(matrix: np.ndarray, sig: Signature, F: int) -> Multivector:
@@ -654,7 +655,7 @@ SIGN_CACHE_SIGNATURES = ALL_SIGNATURES + [Signature(8, 4), Signature(4, 8)]
 def test_sign_caches_are_fresh_blade_signs_and_read_only(sig):
     bits = (1 << np.arange(sig.n))[:, None]
     partner = np.arange(sig.dim) ^ bits
-    right, left = covering._shift_signs(sig.p, sig.q)
+    partners, right, left = covering._shift_signs(sig.p, sig.q)
     assert np.array_equal(right, clifford_core.blade_signs(sig, partner, bits))
     assert np.array_equal(left, clifford_core.blade_signs(sig, bits, partner))
     grids = []
@@ -667,8 +668,10 @@ def test_sign_caches_are_fresh_blade_signs_and_read_only(sig):
             assert np.array_equal(grids[-1], expected)
     for table in (right, left, *grids):
         assert table.dtype == np.int8 and not table.flags.writeable
-    partners = covering._partners(sig.n)
     assert np.array_equal(partners, partner) and not partners.flags.writeable
+    if sig.n == 3:
+        _, masks, signs = division_algebras._bridge(sig)
+        assert not masks.flags.writeable and not signs.flags.writeable
 
 
 @pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=lambda s: f"{s.p},{s.q}")
@@ -751,6 +754,21 @@ def test_candidate_reverse_norm_is_scalar():
 def test_candidate_n3_requires_three_generators():
     with pytest.raises(ValueError, match="needs n = 3"):
         candidate_n3(np.eye(2), SIG20, 0)
+
+
+@pytest.mark.parametrize("F", [-3, 9, 8, 3.0, True, None], ids=repr)
+def test_candidate_n3_validates_its_probe_mask(F):
+    # -3 wrapped to the e13 candidate, 9 raised IndexError, 8 was named
+    # the odd blade e4 and 3.0 raised AttributeError
+    with pytest.raises(ValueError, match="blade mask"):
+        candidate_n3(np.eye(3), SIG30, F)
+
+
+def test_candidate_n3_takes_numpy_probe_masks():
+    matrix = sample_matrix(SIG30, 4)
+    assert candidate_n3(matrix, SIG30, np.int64(0b101)) == candidate_n3(matrix, SIG30, 0b101)
+    with pytest.raises(ValueError, match="probe blade e1 has odd grade"):
+        candidate_n3(matrix, SIG30, np.uint8(1))
 
 
 def test_candidate_n3_half_turn_diagonal():

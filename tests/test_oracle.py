@@ -370,6 +370,13 @@ def test_run_selfcheck_skips_method_agreement_away_from_three():
     assert result["ok"] is True
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_run_selfcheck_refuses_to_check_nothing(trials):
+    # trials = 0 returned "ok": True with every residual 0
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_selfcheck(SIG30, trials=trials)
+
+
 def test_run_selfcheck_rejects_bad_signature_sizes():
     with pytest.raises(ValueError):
         run_selfcheck(Signature(0, 0))
