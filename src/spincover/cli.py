@@ -110,6 +110,14 @@ def _report_dict(report: MembershipReport) -> dict:
 # Input parsing (all failures here mean exit code 2)
 # ---------------------------------------------------------------------------
 
+def _distinct(pairs: list[tuple[str, object]]) -> dict:
+    # One JSON object; json.loads alone keeps the last value of a repeated key.
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r} in a JSON object")
+    return dict(pairs)
+
+
 def _load_json(source: str) -> dict:
     if source == "-":
         text = sys.stdin.read()
@@ -119,7 +127,7 @@ def _load_json(source: str) -> dict:
         with open(source, "r", encoding="utf-8") as handle:
             text = handle.read()
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_distinct)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):

@@ -199,6 +199,8 @@ def _reverse_norm_signs(p: int, q: int) -> np.ndarray:
 @lru_cache(maxsize=None, typed=True)
 def grade_masks(n: int, k: int) -> np.ndarray:
     """Ascending masks of all grade-k blades in an n-generator algebra."""
+    if not (_is_integer(n) and 1 <= n <= MAX_DIMENSION):
+        raise ValueError(f"dimension n must be an integer in 1..{MAX_DIMENSION}, got {n!r}")
     if not _is_integer(k):
         raise ValueError(f"grades must be integers, got {k!r}")
     if not 0 <= k <= n:

@@ -72,9 +72,8 @@ from .clifford_core import (
 )
 from .matrix_group import (
     DEFAULT_TOLERANCE,
-    _Buffers,
-    _buffers,
     _metric,
+    _scratch,
     batched_minors,
     require_membership,
     require_tolerance,
@@ -194,20 +193,11 @@ def _shift_signs(p: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _shifts(value: Multivector, buffers: _Buffers | None = None) -> tuple[np.ndarray, np.ndarray]:
-    # (n, 2^n) rows value e_a and e_a value: value with the halves of bit a
-    # swapped, times the cached signs; in slots 0 and 1 of buffers if given.
-    sig = value.sig
-    partners, right_signs, left_signs = _shift_signs(sig.p, sig.q)
-    moved = value.coeffs.take(partners, out=buffers and buffers.view(0, right_signs.shape), mode="wrap")
-    left = np.multiply(left_signs, moved, out=buffers and buffers.view(1, right_signs.shape))
-    return np.multiply(right_signs, moved, out=moved), left
-
-
 def _conjugated_generators(value: Multivector, right: Multivector) -> np.ndarray:
     # (n, 2^n) coefficients whose row a is value e_a right, one product each.
     value._check_sig(right)
-    return np.array([(Multivector(value.sig, row) * right).coeffs for row in _shifts(value)[0]])
+    partners, right_signs, _ = _shift_signs(value.sig.p, value.sig.q)
+    return np.array([(Multivector(value.sig, row) * right).coeffs for row in right_signs * value.coeffs[partners]])
 
 
 def _closed_form(value: Multivector) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
@@ -229,10 +219,12 @@ def _closed_form(value: Multivector) -> tuple[np.ndarray, float, np.ndarray, np.
     # and right - P^T left. All three live in this thread's working buffers
     # from n = 11 on; every returned piece is a new array.
     sig = value.sig
-    buffers = _buffers(sig.n * sig.dim)
-    right, left = _shifts(value, buffers)
+    partners, right_signs, left_signs = _shift_signs(sig.p, sig.q)
+    moved = value.coeffs.take(partners, out=_scratch(0, partners.shape), mode="wrap")
+    left = np.multiply(left_signs, moved, out=_scratch(1, partners.shape))
+    right = np.multiply(right_signs, moved, out=moved)
     eta = np.diag(_metric(sig.p, sig.q))
-    work = np.multiply(left, _reverse_norm_signs(sig.p, sig.q), out=buffers and buffers.view(2, left.shape))
+    work = np.multiply(left, _reverse_norm_signs(sig.p, sig.q), out=_scratch(2, partners.shape))
     matrix = eta[:, None] * (work @ right.T)
     norm = math.sqrt(float(np.dot(value.coeffs, value.coeffs)))
     unit = abs(squared_norm(value) - 1.0)
@@ -339,11 +331,10 @@ def _assemble_general(sig: Signature, tables: _Tables, F: int) -> np.ndarray:
     total[0] = 1.0
     for k, (masks, dets) in enumerate(tables[1:], 1):
         b = masks[-len(dets) :, None]
-        buffers = _buffers(dets.size)
         signs = np.multiply(_pair_signs(sig.p, sig.q, k, len(dets)), from_probe[b] * to_probe[masks],
-                            out=buffers and buffers.view(0, dets.shape, np.int8))
-        weights = np.multiply(dets, signs, out=buffers and buffers.view(1, dets.shape))
-        keys = np.bitwise_xor(b, masks, out=buffers and buffers.view(2, dets.shape, np.int64))
+                            out=_scratch(0, dets.shape, np.int8))
+        weights = np.multiply(dets, signs, out=_scratch(1, dets.shape))
+        keys = np.bitwise_xor(b, masks, out=_scratch(2, dets.shape, np.int64))
         total += np.bincount(keys.ravel(), weights=weights.ravel(), minlength=sig.dim)
     return 2.0 * total[every ^ F]
 

@@ -98,6 +98,8 @@ class SplitQuaternion(_FourComponent):
 
 def quaternion_to_su2(q: Quaternion) -> np.ndarray:
     """a sigma_0 + b i sigma_3 + c i sigma_2 + d i sigma_1; unit q lands in SU(2)."""
+    if type(q) is not Quaternion:
+        raise ValueError(f"an SU(2) image reads as Quaternion, not {type(q).__name__}")
     return np.array(
         [[complex(q.a, q.b), complex(q.c, q.d)], [complex(0.0 - q.c, q.d), complex(q.a, 0.0 - q.b)]]
     )
@@ -105,6 +107,8 @@ def quaternion_to_su2(q: Quaternion) -> np.ndarray:
 
 def split_to_su11(q: SplitQuaternion) -> np.ndarray:
     """a sigma_0 + b i sigma_3 + c sigma_1 - d sigma_2; unit q lands in SU(1,1)."""
+    if type(q) is not SplitQuaternion:
+        raise ValueError(f"an SU(1,1) image reads as SplitQuaternion, not {type(q).__name__}")
     return np.array(
         [[complex(q.a, q.b), complex(q.c, q.d)], [complex(q.c, 0.0 - q.d), complex(q.a, 0.0 - q.b)]]
     )
@@ -142,7 +146,9 @@ def _bridge(sig: Signature) -> tuple[type, np.ndarray, np.ndarray]:
 
 
 def _to_rotor(q: _FourComponent, sig: Signature) -> Rotor:
-    _, masks, signs = _bridge(sig)
+    algebra, masks, signs = _bridge(sig)
+    if type(q) is not algebra:
+        raise ValueError(f"a Cl({sig.p},{sig.q}) element reads as {algebra.__name__}, not {type(q).__name__}")
     coeffs = np.zeros(sig.dim)
     coeffs[masks] = signs * q.components()
     return Rotor(Multivector(sig, coeffs))

@@ -28,8 +28,8 @@ DEFAULT_TOLERANCE = 1e-9
 
 #: From _MAPPED bytes, glibc's default mmap threshold, a freed temporary
 #: tends to go back to the kernel (unmapped, or trimmed off the heap top),
-#: so each call faults it in again; temporaries up to _SLOT_BYTES go to
-#: per-thread working buffers instead.
+#: so each call faults it in again; a temporary of _MAPPED // 8 to
+#: _SLOT_BYTES // 8 elements goes to a per-thread working buffer instead.
 _MAPPED = 128 * 1024
 _SLOT_BYTES = 512 * 1024
 
@@ -200,29 +200,25 @@ def project_to_group(matrix: object, sig: Signature) -> np.ndarray:
 
 
 class _Buffers(threading.local):
-    # One thread's three grow-only byte buffers, each as large as the
-    # largest view asked of it (at most _SLOT_BYTES through _buffers). Every
+    # One thread's three grow-only byte buffers; view is None (numpy
+    # allocates, as out=None does) outside the element window above. Every
     # stage shares the slots, so no view of one may outlive the call that
     # asked for it; a view of a replaced buffer keeps that buffer alive.
 
     def __init__(self) -> None:
         self.slots = [np.empty(0, np.uint8)] * 3
 
-    def view(self, slot: int, shape: tuple[int, ...], dtype: type = np.float64) -> np.ndarray:
-        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    def view(self, slot: int, shape: tuple[int, ...], dtype: type = np.float64) -> np.ndarray | None:
+        elements = math.prod(shape)
+        if not _MAPPED // 8 <= elements <= _SLOT_BYTES // 8:
+            return None
+        nbytes = elements * np.dtype(dtype).itemsize
         if self.slots[slot].size < nbytes:
             self.slots[slot] = np.empty(nbytes, np.uint8)
         return self.slots[slot][:nbytes].view(dtype).reshape(shape)
 
 
-_BUFFERS = _Buffers()
-
-
-def _buffers(elements: int) -> _Buffers | None:
-    # This thread's buffers for a call whose largest temporary holds
-    # elements float64s, decided once per call; None (numpy allocates, as
-    # out=None does) when that is under _MAPPED bytes or over _SLOT_BYTES.
-    return _BUFFERS if _MAPPED <= 8 * elements <= _SLOT_BYTES else None
+_scratch = _Buffers().view
 
 
 def batched_minors(
@@ -257,15 +253,14 @@ def batched_minors(
     # counted from the end of lower (-0: every row). Whole-row and
     # whole-column takes gather faster than one (row, column) index pair.
     # below, the later terms and the gathered factor go to the working
-    # buffers when large; dets is always a new array. The takes wrap rather
-    # than raise, which would copy into a given out; every index is in
-    # range, so wrapping changes none.
+    # buffers if _scratch takes their size; dets is always a new array. The
+    # takes wrap rather than raise, which would copy into a given out; every
+    # index is in range, so wrapping changes none.
     first = bits[0][-suffix:]
-    buffers = _buffers(first.size * masks.size)
     below = lower[1].take(cols[0][-suffix:] - lower[0].size, axis=0, mode="wrap",
-                          out=buffers and buffers.view(0, (first.size, lower[0].size)))
-    into = buffers and buffers.view(1, (first.size, masks.size))
-    factor = buffers and buffers.view(2, (first.size, masks.size))
+                          out=_scratch(0, (first.size, lower[0].size)))
+    into = _scratch(1, (first.size, masks.size))
+    factor = _scratch(2, (first.size, masks.size))
     for j in range(k):
         term = below.take(cols[j], axis=1, out=into if j else None, mode="wrap")
         term *= matrix.take(bits[j], axis=1).take(first, axis=0, out=factor, mode="wrap")

@@ -15,6 +15,7 @@ import numpy as np
 from .clifford_core import (
     Multivector,
     Signature,
+    _is_integer,
     blade_signs,
     exp_bivector,
     grade_masks,
@@ -206,7 +207,9 @@ def _algebra_suite(sig: Signature, trials: int, seed: int) -> float:
 
 
 def run_selfcheck(sig: Signature, trials: int = 100, seed: int = 1) -> dict:
-    """All suites for one signature; the returned dict mirrors the CLI JSON (ValueError for trials < 1)."""
+    """All suites for one signature, as the CLI JSON (ValueError unless integer seed and trials >= 1)."""
+    if not (_is_integer(trials) and _is_integer(seed)):
+        raise ValueError(f"trials and seed must be integers, got {trials!r} and {seed!r}")
     if not trials >= 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     checks = [("round_trip", _round_trip_suite, 0, ROUND_TRIP_TOLERANCE)]

@@ -7,8 +7,10 @@ number of outputs it covers:
     matrix_to_rotor, with every method that fits, and verify_covering and
     check_membership on sample_matrix inputs; forward_map(Rotor.checked(.))
     and check_membership on sample_rotor inputs, with every piece of the
-    closed form; the four CLI commands run in-process, rejections included;
-    and the seven CLI goldens of tests/fixtures.
+    closed form; at the four n = 3 signatures, the recovered rotor read as a
+    quaternion or split-quaternion, its SU(2) or SU(1,1) image and, at (3,0)
+    and (2,1), the rotor written back; the four CLI commands run in-process,
+    rejections included; and the seven CLI goldens of tests/fixtures.
 
 The digest is not a pinned value: numpy builds may round differently. Run
 it on a checkout of the parent commit and on the change, on one machine,
@@ -43,6 +45,14 @@ from spincover import (  # noqa: E402
 )
 from spincover import cli  # noqa: E402
 from spincover.covering import _closed_form  # noqa: E402
+from spincover.division_algebras import (  # noqa: E402
+    quaternion_to_rotor,
+    quaternion_to_su2,
+    rotor_to_quaternion,
+    rotor_to_split,
+    split_to_rotor,
+    split_to_su11,
+)
 
 #: Every signature with n <= 4, and one or two for each n from 5 to 12.
 SIGNATURES = [Signature(p, n - p) for n in range(1, 5) for p in range(n + 1)] + [
@@ -52,6 +62,14 @@ SIGNATURES = [Signature(p, n - p) for n in range(1, 5) for p in range(n + 1)] + 
 SEEDS = (1, 2, 3, 4, 5)
 #: The CLI runs on these signatures only; its arithmetic is the library's.
 CLI_SIGNATURES = [sig for sig in SIGNATURES if sig.n <= 4] + [Signature(7, 3)]
+#: Each n = 3 signature with its read bridge, 2x2 image and write bridge,
+#: if one writes that signature.
+BRIDGES = {
+    Signature(0, 3): (rotor_to_quaternion, quaternion_to_su2, None),
+    Signature(1, 2): (rotor_to_split, split_to_su11, None),
+    Signature(2, 1): (rotor_to_split, split_to_su11, split_to_rotor),
+    Signature(3, 0): (rotor_to_quaternion, quaternion_to_su2, quaternion_to_rotor),
+}
 
 
 class Digest:
@@ -111,6 +129,17 @@ def library(digest: Digest) -> None:
             digest.add(f"membership of image {tag}", report_parts(check_membership(image, sig)))
 
 
+def bridges(digest: Digest) -> None:
+    for sig, (read, image, write) in BRIDGES.items():
+        for seed in SEEDS:
+            tag = f"({sig.p},{sig.q}) seed {seed}"
+            q = read(matrix_to_rotor(sample_matrix(sig, seed), sig, "n3"))
+            digest.add(f"bridge read {tag}", q.components())
+            digest.add(f"bridge image {tag}", image(q))
+            if write is not None:
+                digest.add(f"bridge write {tag}", write(q).coeffs)
+
+
 def run_cli(digest: Digest, label: str, argv: list[str]) -> None:
     # The label names the case; input paths differ between checkouts.
     out, err = io.StringIO(), io.StringIO()
@@ -157,6 +186,7 @@ def goldens(digest: Digest) -> None:
 def main() -> None:
     digest = Digest()
     library(digest)
+    bridges(digest)
     commands(digest)
     goldens(digest)
     print(f"{digest.hash.hexdigest()}  {digest.count} outputs")

@@ -127,6 +127,7 @@ def test_missing_file_is_bad_input(capsys):
         '{"p": 2, "q": 0, "matrix": [[1, 0], [0, "x"]]}',
         '{"p": 2, "q": 0, "matrix": [[1, 0], [0, NaN]]}',
         '{"p": 0, "q": 0, "matrix": []}',
+        '{"p": 5, "p": 2, "q": 0, "matrix": [[1, 0], [0, 1]]}',
     ],
 )
 def test_malformed_matrix_inputs(payload, capsys):
@@ -143,6 +144,8 @@ def test_malformed_matrix_inputs(payload, capsys):
         '{"p": 2, "q": 0, "rotor": {"1": "big"}}',
         '{"p": 2, "q": 0, "rotor": {"1": NaN}}',
         '{"p": 2, "q": 0, "rotor": {"1": 0.5, "e12": 0.5, "e1_2": 0.5}}',
+        '{"p": 2, "q": 0, "rotor": {"1": 1, "1": 2}}',
+        '{"p": 2, "q": 0, "rotor": {"1": 1, "1": 1}}',
     ],
 )
 def test_malformed_rotor_inputs(payload, capsys):

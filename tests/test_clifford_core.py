@@ -184,6 +184,11 @@ def test_grade_masks():
     for bad in (1.5, 1.0, True, "1", None):
         with pytest.raises(ValueError, match="grades must be integers"):
             grade_masks(3, bad)
+    # n = 3.0 raised TypeError and n = 40 asked numpy for 8 TiB
+    for bad in (3.0, True, np.float64(3), 0, -1, 13, 40):
+        with pytest.raises(ValueError, match=r"dimension n must be an integer in 1\.\.12"):
+            grade_masks(bad, 1)
+    assert np.array_equal(grade_masks(np.int64(3), 1), [0b001, 0b010, 0b100])
 
 
 # -- multivector arithmetic ---------------------------------------------------

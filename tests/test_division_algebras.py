@@ -196,6 +196,25 @@ def test_bridge_preserves_norms():
     assert abs(s.norm_squared() - squared_norm(split_to_rotor(s).value)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "call, value, message",
+    [
+        (quaternion_to_rotor, SplitQuaternion(math.cosh(1.0), 0, math.sinh(1.0), 0),
+         r"a Cl\(3,0\) element reads as Quaternion, not SplitQuaternion"),
+        (split_to_rotor, Q_J, r"a Cl\(2,1\) element reads as SplitQuaternion, not Quaternion"),
+        (quaternion_to_su2, SplitQuaternion(math.cosh(1.0), 0, math.sinh(1.0), 0),
+         r"an SU\(2\) image reads as Quaternion, not SplitQuaternion"),
+        (split_to_su11, Q_J, r"an SU\(1,1\) image reads as SplitQuaternion, not Quaternion"),
+    ],
+    ids=["quaternion_to_rotor", "split_to_rotor", "quaternion_to_su2", "split_to_su11"],
+)
+def test_write_bridges_and_images_refuse_the_other_algebra(call, value, message):
+    # each took the other algebra's components as its own: the SU(2) image
+    # of a split boost lay in neither SU(2) nor SU(1,1)
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
 def test_rotor_to_quaternion_rejects_stray_components():
     bad = Multivector.from_terms(SIG30, {0: 1.0, 0b001: 0.5})
     with pytest.raises(ValueError):

@@ -370,11 +370,24 @@ def test_run_selfcheck_skips_method_agreement_away_from_three():
     assert result["ok"] is True
 
 
-@pytest.mark.parametrize("trials", [0, -1])
-def test_run_selfcheck_refuses_to_check_nothing(trials):
-    # trials = 0 returned "ok": True with every residual 0
-    with pytest.raises(ValueError, match="trials must be at least 1"):
-        run_selfcheck(SIG30, trials=trials)
+@pytest.mark.parametrize(
+    "trials, seed, message",
+    [
+        (0, 1, "trials must be at least 1"),
+        (-1, 1, "trials must be at least 1"),
+        (True, 1, "trials and seed must be integers"),
+        (2.5, 1, "trials and seed must be integers"),
+        (1, 1.5, "trials and seed must be integers"),
+        (1, True, "trials and seed must be integers"),
+    ],
+    ids=["0", "-1", "True", "2.5", "seed=1.5", "seed=True"],
+)
+def test_run_selfcheck_refuses_to_check_nothing(trials, seed, message):
+    # trials = 0 returned "ok": True with every residual 0; a bool ran as an
+    # integer and printed as true; 2.5 and seed = 1.5 raised TypeError
+    # inside a suite
+    with pytest.raises(ValueError, match=message):
+        run_selfcheck(SIG30, trials=trials, seed=seed)
 
 
 def test_run_selfcheck_rejects_bad_signature_sizes():
