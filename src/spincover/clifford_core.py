@@ -179,10 +179,14 @@ def _blade_order(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _odd_grades(n: int) -> np.ndarray:
-    odd = _grades(n) % 2 == 1
-    odd.setflags(write=False)
-    return odd
+def _parity(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only: odd masks C ascending, even masks C ^ e_a at [a, C], even masks in (grade, mask) order."""
+    odd, order = _grades(n) % 2 == 1, _blade_order(n)
+    columns = np.flatnonzero(odd)
+    tables = columns, columns ^ (1 << np.arange(n))[:, None], order[~odd[order]]
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 @lru_cache(maxsize=None)
@@ -196,9 +200,16 @@ def _reverse_norm_signs(p: int, q: int) -> np.ndarray:
     return signs
 
 
-@lru_cache(maxsize=None, typed=True)
 def grade_masks(n: int, k: int) -> np.ndarray:
     """Ascending masks of all grade-k blades in an n-generator algebra."""
+    try:
+        return _grade_masks(n, k)
+    except TypeError:  # lru_cache hashes first; an unhashable n or k is no integer
+        return _grade_masks.__wrapped__(n, k)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _grade_masks(n: int, k: int) -> np.ndarray:
     if not (_is_integer(n) and 1 <= n <= MAX_DIMENSION):
         raise ValueError(f"dimension n must be an integer in 1..{MAX_DIMENSION}, got {n!r}")
     if not _is_integer(k):
@@ -216,15 +227,14 @@ def _real_array(values: object, what: str) -> np.ndarray:
     string, complex and object entries raise ValueError.
 
     numpy infers a number dtype for a list that mixes bools with numbers,
-    so such input is searched for bool elements; an ndarray is judged by
-    its dtype alone.
+    so such input is searched for bool elements, but a float or a flat list
+    of Python floats holds none; an ndarray is judged by its dtype alone.
     """
     arr = np.array(values)
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{what} must be real numbers, got dtype {arr.dtype}")
-    if not isinstance(values, np.ndarray) and not {bool, np.bool_}.isdisjoint(
-        map(type, np.array(values, dtype=object).flat)
-    ):
+    scan = not (isinstance(values, (np.ndarray, float)) or arr.ndim == 1 and all(type(v) is float for v in values))
+    if scan and not {bool, np.bool_}.isdisjoint(map(type, np.array(values, dtype=object).flat)):
         raise ValueError(f"{what} must be real numbers, got a bool")
     return arr if arr.dtype.char == "d" else arr.astype(np.float64)
 
@@ -281,12 +291,13 @@ class Multivector:
 
     @classmethod
     def scalar(cls, sig: Signature, value: float = 1.0) -> Multivector:
-        return cls.from_terms(sig, {0: value})
+        return cls.basis(sig, 0, value)
 
     @classmethod
     def basis(cls, sig: Signature, mask: int, coeff: float = 1.0) -> Multivector:
-        # Checked before it keys the dict, so an unhashable mask raises ValueError too.
-        return cls.from_terms(sig, {_blade_mask(sig, mask): coeff})
+        coeffs = np.zeros(sig.dim)
+        coeffs[_blade_mask(sig, mask)] = _real_array(coeff, "blade coefficients")
+        return cls(sig, coeffs)
 
     @classmethod
     def from_terms(cls, sig: Signature, terms: Mapping[int, float]) -> Multivector:
@@ -401,11 +412,11 @@ class Multivector:
         return Multivector(self.sig, np.where(keep, self._coeffs, 0.0))
 
     def even_projection(self) -> Multivector:
-        return Multivector(self.sig, np.where(_odd_grades(self.sig.n), 0.0, self._coeffs))
+        return Multivector(self.sig, np.where(_grades(self.sig.n) % 2, 0.0, self._coeffs))
 
     def odd_part_max(self) -> float:
         """Largest absolute odd-grade coefficient."""
-        return float(np.max(np.abs(self._coeffs[_odd_grades(self.sig.n)])))
+        return float(np.max(np.abs(self._coeffs[_parity(self.sig.n)[0]])))
 
     def __repr__(self) -> str:
         parts = [f"{value:.6g}*{blade_name(mask)}" for mask, value in self.terms()]

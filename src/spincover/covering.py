@@ -61,8 +61,7 @@ from .clifford_core import (
     Multivector,
     Signature,
     _blade_mask,
-    _blade_order,
-    _odd_grades,
+    _parity,
     _reverse_norm_signs,
     blade_grade,
     blade_name,
@@ -179,25 +178,25 @@ def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _shift_signs(p: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Read-only (n, 2^n) tables: the index B ^ e_a at [a, B], whose row a
-    # swaps the halves of bit a, and the int8 signs of e_B e_a and of
-    # e_a e_B stored at its columns: the signs that make S e_a and e_a S
-    # out of S with the halves of bit a swapped.
+def _shift_signs(p: int, q: int) -> tuple[np.ndarray, ...]:
+    # _parity's per-n partners B = C ^ e_a of the odd masks C, then read-only int8
+    # tables: the signs of e_B e_a and e_a e_B at [a, C], of reverse(e_C) e_C at C.
     sig = Signature(p, q)
+    columns, partners, _ = _parity(sig.n)
     bits = (1 << np.arange(sig.n))[:, None]
-    partners = np.arange(sig.dim) ^ bits
-    tables = partners, blade_signs(sig, partners, bits), blade_signs(sig, bits, partners)
+    tables = blade_signs(sig, partners, bits), blade_signs(sig, bits, partners), _reverse_norm_signs(p, q)[columns]
     for table in tables:
         table.setflags(write=False)
-    return tables
+    return partners, *tables
 
 
 def _conjugated_generators(value: Multivector, right: Multivector) -> np.ndarray:
-    # (n, 2^n) coefficients whose row a is value e_a right, one product each.
+    # (n, 2^n) rows value e_a right, one product each; any value, so full-width shifts signed per call.
     value._check_sig(right)
-    partners, right_signs, _ = _shift_signs(value.sig.p, value.sig.q)
-    return np.array([(Multivector(value.sig, row) * right).coeffs for row in right_signs * value.coeffs[partners]])
+    sig, bits = value.sig, (1 << np.arange(value.sig.n))[:, None]
+    partners = np.arange(sig.dim) ^ bits
+    rows = blade_signs(sig, partners, bits) * value.coeffs[partners]
+    return np.array([(Multivector(sig, row) * right).coeffs for row in rows])
 
 
 def _closed_form(value: Multivector) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
@@ -213,18 +212,19 @@ def _closed_form(value: Multivector) -> tuple[np.ndarray, float, np.ndarray, np.
     # mean of D - e_A D e_A^-1, at most |S|_2 sum_b |R'_b|_2 as no U V
     # coefficient exceeds |U|_2 |V|_2. R alone bounds neither: S (1 + d e1234),
     # S a rapidity-12 boost in Cl(4,1), has |R| ~ 2d and |D| ~ 800 d.
-    # The signs of the shifted copies come from the _shift_signs caches. One
-    # (n, 2^n) work buffer holds in turn left times the reverse-norm signs
-    # for the matrix product, the residuals left - E right (E = eta P eta)
-    # and right - P^T left. All three live in this thread's working buffers
-    # from n = 11 on; every returned piece is a new array.
+    # S is even (the rule refuses odd parts first), so S e_a, e_a S, v_a S and
+    # S u_b are odd, and _shift_signs gathers and signs them on the odd masks
+    # alone. One (n, 2^(n-1)) work buffer holds in turn left times the
+    # reverse-norm signs for the product, the residuals left - E right (E =
+    # eta P eta) and right - P^T left. All three live in this thread's working
+    # buffers at n = 12; every returned piece is a new array.
     sig = value.sig
-    partners, right_signs, left_signs = _shift_signs(sig.p, sig.q)
+    partners, right_signs, left_signs, norm_signs = _shift_signs(sig.p, sig.q)
     moved = value.coeffs.take(partners, out=_scratch(0, partners.shape), mode="wrap")
     left = np.multiply(left_signs, moved, out=_scratch(1, partners.shape))
     right = np.multiply(right_signs, moved, out=moved)
     eta = np.diag(_metric(sig.p, sig.q))
-    work = np.multiply(left, _reverse_norm_signs(sig.p, sig.q), out=_scratch(2, partners.shape))
+    work = np.multiply(left, norm_signs, out=_scratch(2, partners.shape))
     matrix = eta[:, None] * (work @ right.T)
     norm = math.sqrt(float(np.dot(value.coeffs, value.coeffs)))
     unit = abs(squared_norm(value) - 1.0)
@@ -386,8 +386,7 @@ def _select(arr: np.ndarray, sig: Signature) -> tuple[int, np.ndarray, float]:
     # select_candidate on a validated array, as (F, M_F coefficients, reverse-norm).
     # The probes are the even blades in (grade, mask) order; ties go to the first.
     tables = _minor_tables(arr, sig.n)
-    order = _blade_order(sig.n)
-    evens = order[~_odd_grades(sig.n)[order]]
+    evens = _parity(sig.n)[2]
     F = int(evens[np.argmax(_probe_weights(sig, tables)[evens])])
     M = _assemble_general(sig, tables, F)
     normsq = float(np.dot(_reverse_norm_signs(sig.p, sig.q) * M, M))  # squared_norm

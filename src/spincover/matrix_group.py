@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford_core import Signature, grade_masks, _real_array
+from .clifford_core import Signature, _grade_masks, _real_array
 
 #: Default tolerance for membership residuals.
 DEFAULT_TOLERANCE = 1e-9
@@ -245,7 +245,7 @@ def batched_minors(
     are the row sets holding row n - 1.
     """
     n = matrix.shape[0]
-    masks = grade_masks(n, k)
+    masks = _grade_masks(n, k)
     if k == 0:
         return masks, np.ones((1, 1))
     bits, cols = _laplace_indices(n, k)
@@ -278,9 +278,9 @@ def _laplace_indices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     # (k, m) arrays over the grade-k masks A: bits[j] is a_j, the j-th
     # lowest bit of A, and cols[j] the index of A - a_j among the grade
     # k - 1 masks.
-    masks = grade_masks(n, k)
+    masks = _grade_masks(n, k)
     position = np.zeros(1 << n, dtype=np.int64)
-    lower = grade_masks(n, k - 1)
+    lower = _grade_masks(n, k - 1)
     position[lower] = np.arange(lower.size)
     bits = np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(-1, k).T.copy()
     cols = position[masks ^ (1 << bits)]

@@ -234,25 +234,29 @@ def full_grade_weights(tables, n: int, p: int):
     return (1 - 2 * (pop[every & negative] & 1)) * weights, float(np.sum(np.abs(principal)))
 
 
-def gathered_closed_form(coeffs, p: int, q: int):
+def gathered_closed_form(coeffs, p: int, q: int, masks=None):
     """(P, unit, columns, slips) in the arithmetic of covering._closed_form,
-    with the shifted copies S e_a and e_a S gathered through an int64
-    partner index per call and every sign from vectorized_blade_sign: the
-    pieces the package must reproduce bit for bit. unit takes no grade-n
-    term of S reverse(S) at odd n: it is zero for an even S, the only kind
-    the rotor rule reads, and the package leaves it out."""
+    with the shifted copies S e_a and e_a S gathered on the odd masks C
+    through an int64 partner index C ^ e_a per call and every sign from
+    vectorized_blade_sign: the pieces the package must reproduce bit for
+    bit. An even S moves only onto odd masks; a value with even-grade
+    shifted parts loses them here as in the package. masks = every mask
+    gives the full-width product that the package read before. unit takes
+    no grade-n term of S reverse(S) at odd n: it is zero for an even S, the
+    only kind the rotor rule reads, and the package leaves it out."""
     n = p + q
     c = np.asarray(coeffs, dtype=np.float64)
     pop = np.array(_popcounts(n))
     every = np.arange(1 << n)
+    cols = every[pop & 1 == 1] if masks is None else np.asarray(masks)
     bits = (1 << np.arange(n))[:, None]
-    partner = every ^ bits
+    partner = cols ^ bits
     moved = c[partner]
     right = vectorized_blade_sign(partner, bits, n, p) * moved
     left = vectorized_blade_sign(bits, partner, n, p) * moved
     reverse_norm = 1 - 2 * (pop[every & (((1 << n) - 1) ^ ((1 << p) - 1))] & 1)
     eta = np.array([1.0] * p + [-1.0] * q)
-    matrix = eta[:, None] * ((left * reverse_norm) @ right.T)
+    matrix = eta[:, None] * ((left * reverse_norm[cols]) @ right.T)
     norm = math.sqrt(float(np.dot(c, c)))
     unit = abs(float(np.dot(reverse_norm * c, c)) - 1.0)
     unit += norm * np.sum(np.linalg.norm(left - (eta[:, None] * matrix * eta) @ right, axis=1))

@@ -12,9 +12,17 @@ number of outputs it covers:
     and (2,1), the rotor written back; the four CLI commands run in-process,
     rejections included; and the seven CLI goldens of tests/fixtures.
 
+After the total it prints one digest per output family (recoveries,
+covering reports, membership of matrices, closed forms, forward maps,
+membership of images, bridges, CLI commands and goldens), the library and
+CLI families split at n <= 4 and n >= 5, so a change that moves some
+outputs shows which. sample_matrix is the forward map of sample_rotor, so
+a change to the forward map also moves every family whose inputs are
+sample matrices, at the same n.
+
 The digest is not a pinned value: numpy builds may round differently. Run
 it on a checkout of the parent commit and on the change, on one machine,
-and compare the two lines.
+and compare the two outputs line by line.
 """
 
 from __future__ import annotations
@@ -72,14 +80,23 @@ BRIDGES = {
 }
 
 
+def span(sig: Signature) -> str:
+    return "n <= 4" if sig.n <= 4 else "n >= 5"
+
+
 class Digest:
     def __init__(self) -> None:
         self.hash = hashlib.sha256()
         self.count = 0
+        #: family -> [its own hash, its number of outputs]
+        self.families: dict[str, list] = {}
 
-    def add(self, label: str, *parts: object) -> None:
-        """Feed one output: its label, then each part."""
+    def add(self, family: str, label: str, *parts: object) -> None:
+        """Feed one output to the total and to its family: its label, then each part."""
         self.count += 1
+        entry = self.families.setdefault(family, [hashlib.sha256(), 0])
+        entry[1] += 1
+        self._hashes = (self.hash, entry[0])
         self._bytes(label.encode())
         for part in parts:
             self._part(part)
@@ -103,7 +120,8 @@ class Digest:
             raise TypeError(f"cannot digest {type(part).__name__}")
 
     def _bytes(self, data: bytes) -> None:
-        self.hash.update(struct.pack("<Q", len(data)) + data)
+        for digest in self._hashes:
+            digest.update(struct.pack("<Q", len(data)) + data)
 
 
 def report_parts(report) -> tuple:
@@ -117,16 +135,16 @@ def library(digest: Digest) -> None:
         for seed in SEEDS:
             tag = f"({sig.p},{sig.q}) seed {seed}"
             matrix = sample_matrix(sig, seed)
-            digest.add(f"membership of matrix {tag}", report_parts(check_membership(matrix, sig)))
+            digest.add(f"membership of matrices, {span(sig)}", f"membership of matrix {tag}", report_parts(check_membership(matrix, sig)))
             for method in methods:
                 rotor = matrix_to_rotor(matrix, sig, method)
-                digest.add(f"{method} rotor {tag}", rotor.coeffs, rotor.probe)
-                digest.add(f"{method} covering {tag}", verify_covering(rotor, matrix).residuals)
+                digest.add(f"recoveries, {span(sig)}", f"{method} rotor {tag}", rotor.coeffs, rotor.probe)
+                digest.add(f"covering reports, {span(sig)}", f"{method} covering {tag}", verify_covering(rotor, matrix).residuals)
             value = sample_rotor(sig, seed + 100).value
-            digest.add(f"closed form {tag}", _closed_form(value))
+            digest.add(f"closed forms, {span(sig)}", f"closed form {tag}", _closed_form(value))
             image = forward_map(Rotor.checked(value))
-            digest.add(f"forward map {tag}", image)
-            digest.add(f"membership of image {tag}", report_parts(check_membership(image, sig)))
+            digest.add(f"forward maps, {span(sig)}", f"forward map {tag}", image)
+            digest.add(f"membership of images, {span(sig)}", f"membership of image {tag}", report_parts(check_membership(image, sig)))
 
 
 def bridges(digest: Digest) -> None:
@@ -134,53 +152,54 @@ def bridges(digest: Digest) -> None:
         for seed in SEEDS:
             tag = f"({sig.p},{sig.q}) seed {seed}"
             q = read(matrix_to_rotor(sample_matrix(sig, seed), sig, "n3"))
-            digest.add(f"bridge read {tag}", q.components())
-            digest.add(f"bridge image {tag}", image(q))
+            digest.add("bridges", f"bridge read {tag}", q.components())
+            digest.add("bridges", f"bridge image {tag}", image(q))
             if write is not None:
-                digest.add(f"bridge write {tag}", write(q).coeffs)
+                digest.add("bridges", f"bridge write {tag}", write(q).coeffs)
 
 
-def run_cli(digest: Digest, label: str, argv: list[str]) -> None:
+def run_cli(digest: Digest, family: str, label: str, argv: list[str]) -> None:
     # The label names the case; input paths differ between checkouts.
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    digest.add(f"cli {label}", code, out.getvalue(), err.getvalue())
+    digest.add(family, f"cli {label}", code, out.getvalue(), err.getvalue())
 
 
 def commands(digest: Digest) -> None:
     for sig in CLI_SIGNATURES:
+        family = f"CLI commands, {span(sig)}"
         methods = ["general"] + (["n3", "quaternion"] if sig.n == 3 else [])
         for seed in SEEDS:
             tag = f"({sig.p},{sig.q}) seed {seed}"
             matrix = sample_matrix(sig, seed)
             text = json.dumps({"p": sig.p, "q": sig.q, "matrix": matrix.tolist()})
             for method in methods:
-                run_cli(digest, f"rotor-from-matrix {method} {tag}",
+                run_cli(digest, family, f"rotor-from-matrix {method} {tag}",
                         ["rotor-from-matrix", "--method", method, text])
-            run_cli(digest, f"check {tag}", ["check", text])
+            run_cli(digest, family, f"check {tag}", ["check", text])
             # A reflection: det -1, so check and recovery reject it.
             reflected = matrix * np.where(np.arange(sig.n) == 0, -1.0, 1.0)
             text = json.dumps({"p": sig.p, "q": sig.q, "matrix": reflected.tolist()})
-            run_cli(digest, f"check reflected {tag}", ["check", text])
-            run_cli(digest, f"rotor-from-matrix reflected {tag}", ["rotor-from-matrix", text])
+            run_cli(digest, family, f"check reflected {tag}", ["check", text])
+            run_cli(digest, family, f"rotor-from-matrix reflected {tag}", ["rotor-from-matrix", text])
             coeffs = sample_rotor(sig, seed + 100).coeffs
             terms = {blade_name(mask): float(coeffs[mask]) for mask in np.flatnonzero(coeffs).tolist()}
-            run_cli(digest, f"matrix-from-rotor {tag}",
+            run_cli(digest, family, f"matrix-from-rotor {tag}",
                     ["matrix-from-rotor", json.dumps({"p": sig.p, "q": sig.q, "rotor": terms})])
             # An odd grade-1 term breaks the rotor rule.
             terms["e1"] = 0.5
-            run_cli(digest, f"matrix-from-rotor odd {tag}",
+            run_cli(digest, family, f"matrix-from-rotor odd {tag}",
                     ["matrix-from-rotor", json.dumps({"p": sig.p, "q": sig.q, "rotor": terms})])
         if sig.n <= 4:
-            run_cli(digest, f"selfcheck ({sig.p},{sig.q})",
+            run_cli(digest, family, f"selfcheck ({sig.p},{sig.q})",
                     ["selfcheck", "--p", str(sig.p), "--q", str(sig.q), "--trials", "3", "--seed", "5"])
 
 
 def goldens(digest: Digest) -> None:
     fixtures = ROOT / "tests" / "fixtures"
     for case in json.loads((fixtures / "manifest.json").read_text()):
-        run_cli(digest, f"golden {case['golden']}", [*case["args"], str(fixtures / case["input"])])
+        run_cli(digest, "goldens", f"golden {case['golden']}", [*case["args"], str(fixtures / case["input"])])
 
 
 def main() -> None:
@@ -190,6 +209,8 @@ def main() -> None:
     commands(digest)
     goldens(digest)
     print(f"{digest.hash.hexdigest()}  {digest.count} outputs")
+    for family, (hashed, count) in digest.families.items():
+        print(f"{hashed.hexdigest()}  {count} {family}")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Clifford core against the naive index-list oracles."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -188,6 +189,16 @@ def test_grade_masks():
     for bad in (3.0, True, np.float64(3), 0, -1, 13, 40):
         with pytest.raises(ValueError, match=r"dimension n must be an integer in 1\.\.12"):
             grade_masks(bad, 1)
+
+
+def test_grade_masks_refuses_unhashable_arguments_with_value_error():
+    # lru_cache hashes the arguments before the body's checks run
+    for n in ([3], {}, np.array(3)):
+        with pytest.raises(ValueError, match=r"dimension n must be an integer in 1\.\.12"):
+            grade_masks(n, 1)
+    with pytest.raises(ValueError, match="grades must be integers"):
+        grade_masks(3, [1])
+    assert grade_masks(3, 2) is grade_masks(3, 2)
     assert np.array_equal(grade_masks(np.int64(3), 1), [0b001, 0b010, 0b100])
 
 
@@ -267,6 +278,25 @@ def test_named_constructors_take_ints_and_floats():
     assert Multivector.from_terms(sig, {1: 1, 4: 2.5}).vector_components().tolist() == [1.0, 0.0, 2.5]
     assert Multivector.vector(sig, (x for x in [1, 2.0, np.int64(3)])).vector_components().tolist() == [1.0, 2.0, 3.0]
     assert Multivector.from_terms(sig, {}).max_abs() == 0.0
+
+
+def test_a_list_of_python_floats_builds_no_object_array(monkeypatch):
+    # The bool scan copies its input into an object array; a float or a flat
+    # list of Python floats holds no bool, so basis, scalar, from_terms and
+    # vector skip it on such input, as they did before the scan. Other
+    # numbers are still scanned, and the tests above see their bools refused.
+    dtypes = []
+    numpy = types.SimpleNamespace(**vars(np))
+    numpy.array = lambda *args, **kwargs: dtypes.append(kwargs.get("dtype")) or np.array(*args, **kwargs)
+    monkeypatch.setattr(clifford_core, "np", numpy)
+    sig = Signature(3, 1)
+    Multivector.basis(sig, 0b11, 2.0)
+    Multivector.scalar(sig)
+    Multivector.from_terms(sig, {1: 0.5, 6: -2.0})
+    Multivector.vector(sig, [1.0, 2.0, 3.0, 4.0])
+    assert dtypes and object not in dtypes
+    Multivector.from_terms(sig, {1: 0.5, 6: np.float64(2.0)})
+    assert object in dtypes
 
 
 def test_multivector_is_immutable():

@@ -571,10 +571,17 @@ def traced_peak_mb(call) -> float:
 
 
 def test_forward_op_at_n12_bounds_its_temporaries():
-    # the three (n, 2^n) temporaries of the closed form live in the
-    # thread's working buffers once warm
+    # the three (n, 2^(n-1)) odd-column temporaries of the closed form live
+    # in the thread's working buffers once warm
     value = plane_chain_rotor(Signature(8, 4))
-    assert traced_peak_mb(lambda: forward_map(Rotor.checked(value))) < 0.5
+    assert traced_peak_mb(lambda: forward_map(Rotor.checked(value))) < 0.3
+
+
+def test_forward_op_at_n11_bounds_its_temporaries():
+    # below the buffer window: numpy allocates the three odd-column
+    # temporaries of 11 x 1024 elements (88 KiB each) on every call
+    value = plane_chain_rotor(Signature(8, 3))
+    assert traced_peak_mb(lambda: forward_map(Rotor.checked(value))) < 0.4
 
 
 def test_recovery_at_n10_bounds_its_temporaries():
@@ -654,10 +661,14 @@ SIGN_CACHE_SIGNATURES = ALL_SIGNATURES + [Signature(8, 4), Signature(4, 8)]
 @pytest.mark.parametrize("sig", SIGN_CACHE_SIGNATURES, ids=lambda s: f"{s.p},{s.q}")
 def test_sign_caches_are_fresh_blade_signs_and_read_only(sig):
     bits = (1 << np.arange(sig.n))[:, None]
-    partner = np.arange(sig.dim) ^ bits
-    partners, right, left = covering._shift_signs(sig.p, sig.q)
+    odd = np.array([m for m in range(sig.dim) if m.bit_count() % 2])
+    partner = odd ^ bits
+    columns, partners, evens = clifford_core._parity(sig.n)
+    shared, right, left, norm = covering._shift_signs(sig.p, sig.q)
     assert np.array_equal(right, clifford_core.blade_signs(sig, partner, bits))
     assert np.array_equal(left, clifford_core.blade_signs(sig, bits, partner))
+    # reverse(e_C) e_C = +-1: one factor -1 per generator of C that squares to -1
+    assert np.array_equal(norm, [(-1) ** (int(c) & sig.negative_mask).bit_count() for c in odd])
     grids = []
     for k in range(sig.n // 2 + 1):
         masks = grade_masks(sig.n, k)
@@ -666,9 +677,17 @@ def test_sign_caches_are_fresh_blade_signs_and_read_only(sig):
             expected = clifford_core.blade_signs(sig, b, masks) * clifford_core.blade_signs(sig, masks, masks)
             grids.append(covering._pair_signs(sig.p, sig.q, k, rows))
             assert np.array_equal(grids[-1], expected)
-    for table in (right, left, *grids):
+    for table in (right, left, norm, *grids):
         assert table.dtype == np.int8 and not table.flags.writeable
-    assert np.array_equal(partners, partner) and not partners.flags.writeable
+    assert np.array_equal(columns, odd) and np.array_equal(partners, partner)
+    assert np.array_equal(evens, even_blades(sig.n))
+    for table in (columns, partners, evens):
+        assert table.dtype == np.intp and not table.flags.writeable
+    # one partner index per n, shared by every signature; at n = 12 all the
+    # tables take 242 KiB, where the full-width ones took 480 KiB per signature
+    assert shared is partners
+    if sig.n == 12:
+        assert partners.nbytes + right.nbytes + left.nbytes + norm.nbytes == 247_808
     if sig.n == 3:
         _, masks, signs = division_algebras._bridge(sig)
         assert not masks.flags.writeable and not signs.flags.writeable
@@ -698,6 +717,33 @@ def test_closed_form_is_bit_for_bit_the_gathered_reference(sig):
     for value in values:
         got = [np.asarray(piece).tobytes() for piece in covering._closed_form(value)]
         assert got == [np.asarray(piece).tobytes() for piece in gathered_closed_form(value.coeffs, sig.p, sig.q)]
+
+
+#: One signature for each n = 5..12, q > 0 throughout.
+WIDE_SIGNATURES = [Signature(*pq) for pq in ((3, 2), (4, 2), (5, 2), (5, 3), (6, 3), (7, 3), (8, 3), (4, 8))]
+
+
+@pytest.mark.parametrize("sig", WIDE_SIGNATURES, ids=lambda s: f"{s.p},{s.q}")
+def test_odd_column_matrix_is_the_full_width_product_up_to_summation_order(sig):
+    # P[b, a] = eta_b sum over C of l_b[C] r_a[C], with l_b = e_b S and r_a
+    # = S e_a up to signs. For an even S both vanish on every even C, so the
+    # odd-column sum and the full-width sum of the parent arithmetic hold
+    # the same nonzero terms, in another order. Any order of a sum of m
+    # products is within gamma_m sum |l_b[C] r_a[C]| of the exact value
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), gamma_m
+    # = m u / (1 - m u), u = eps / 2, also with fused multiply-adds; zero
+    # terms add no error, so m = 2^n covers both sums. The terms are
+    # |S_{C ^ e_b}| |S_{C ^ e_a}|, and by Cauchy-Schwarz they sum to at most
+    # sum over B of S_B^2. So the two computed matrices differ by at most
+    # 2 gamma_{2^n} sum S_B^2 in every entry.
+    rng = np.random.default_rng(900 + 16 * sig.p + sig.q)
+    m = float(sig.dim) * EPS / 2.0
+    gamma = m / (1.0 - m)
+    values = [random_rotor(sig, rng).value, plane_chain_rotor(sig), _boost(sig, 3.0, rng).value]
+    for value in values:
+        full = gathered_closed_form(value.coeffs, sig.p, sig.q, np.arange(sig.dim))[0]
+        gap = np.max(np.abs(covering._closed_form(value)[0] - full))
+        assert gap <= 2.0 * gamma * float(np.dot(value.coeffs, value.coeffs))
 
 
 def test_sign_table_is_gone():
