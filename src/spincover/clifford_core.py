@@ -130,96 +130,89 @@ def blade_from_name(name: str, n: int) -> int:
     return mask
 
 
-@lru_cache(maxsize=None)
-def _sign_keys(p: int, q: int) -> np.ndarray:
-    """Per-mask keys K_A with sign(e_A e_B) = (-1)^popcount(B & K_A).
+class _Record:
+    # Fixed tables, made once by their key: every array, each view in a tuple too, is read-only.
 
-    Generator i of A passes every generator of B below it, so the swap
-    parity is popcount(B & ((1 << i) - 1)) summed over the bits i of A;
-    the shared generators that square to -1 add popcount(B & A & neg).
-    Both parities are linear in B over GF(2), so one xor-combined key per
-    A carries them.
-    """
-    sig = Signature(p, q)
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            for table in value if isinstance(value, tuple) else (value,):
+                table.setflags(write=False)
+
+
+@dataclass(frozen=True)
+class _Layout(_Record):
+    """The masks of an n-generator algebra, whatever its signature."""
+
+    grades: np.ndarray  # int8 grade of each mask
+    reverse_signs: np.ndarray  # int8 (-1)^(k(k-1)/2) of each mask, -1 where bit 1 of k is set
+    order: np.ndarray  # every mask, in (grade, mask) order
+    grade_masks: tuple[np.ndarray, ...]  # grade k's ascending masks, a view of order
+    odd: np.ndarray  # the odd masks C, ascending
+    partners: np.ndarray  # C ^ e_a at [a, C]
+    probes: np.ndarray  # the even masks, in (grade, mask) order
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int) -> _Layout:
+    grades = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int8)
+    order = np.argsort(grades, kind="stable")
+    by_grade = tuple(np.split(order, np.cumsum([math.comb(n, k) for k in range(n)])))
+    columns = np.flatnonzero(grades % 2)
+    return _Layout(grades, 1 - (grades & 2), order, by_grade, columns, columns ^ (1 << np.arange(n))[:, None],
+                   order[grades[order] % 2 == 0])
+
+
+@dataclass(frozen=True)
+class _Algebra(_Record):
+    """The signs and the metric of Cl(p,q)."""
+
+    #: Per-mask keys K_A with sign(e_A e_B) = (-1)^popcount(B & K_A).
+    #: Generator i of A passes every generator of B below it, so the swap
+    #: parity is popcount(B & ((1 << i) - 1)) summed over the bits i of A;
+    #: the shared generators that square to -1 add popcount(B & A & neg).
+    #: Both parities are linear in B over GF(2), so one xor-combined key per
+    #: A carries them.
+    keys: np.ndarray
+    norm_signs: np.ndarray  # int8 sign of reverse(e_A) e_A, the product of the metric squares
+    eta: np.ndarray  # diag(+1 x p, -1 x q)
+    right_signs: np.ndarray  # int8 sign of e_B e_a at [a, C], B the layout's partner C ^ e_a
+    left_signs: np.ndarray  # int8 sign of e_a e_B at [a, C]
+    odd_norm_signs: np.ndarray  # norm_signs at the odd masks C
+
+
+@lru_cache(maxsize=None)
+def _algebra(p: int, q: int) -> _Algebra:
+    sig, layout = Signature(p, q), _layout(p + q)
     masks = np.arange(sig.dim, dtype=np.int64)
     keys = masks & sig.negative_mask
     for i in range(sig.n):
         keys ^= np.where(masks >> i & 1, (1 << i) - 1, 0)
-    keys.setflags(write=False)
-    return keys
+    norm_signs = np.where(np.bitwise_count(masks & sig.negative_mask) & 1, -1, 1).astype(np.int8)
+    bits = (1 << np.arange(sig.n))[:, None]
+    return _Algebra(keys, norm_signs, np.diag(np.array([1.0] * p + [-1.0] * q)),
+                    _signs(keys, layout.partners, bits), _signs(keys, bits, layout.partners),
+                    norm_signs[layout.odd])
 
 
 def blade_signs(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Signs of e_a e_b as int8, broadcast over integer mask arrays a and b."""
-    odd = np.bitwise_count(b & _sign_keys(sig.p, sig.q)[a]) & 1
+    return _signs(_algebra(sig.p, sig.q).keys, a, b)
+
+
+def _signs(keys: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    odd = np.bitwise_count(b & keys[a]) & 1
     return 1 - 2 * odd.astype(np.int8)
 
 
-@lru_cache(maxsize=None)
-def _grades(n: int) -> np.ndarray:
-    grades = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int8)
-    grades.setflags(write=False)
-    return grades
-
-
-@lru_cache(maxsize=None)
-def _reverse_signs(n: int) -> np.ndarray:
-    """Per-mask reversion signs (-1)^(k(k-1)/2), -1 where bit 1 of the grade k is set."""
-    signs = 1 - (_grades(n) & 2)
-    signs.setflags(write=False)
-    return signs
-
-
-@lru_cache(maxsize=None)
-def _blade_order(n: int) -> np.ndarray:
-    """Read-only masks of all 2^n blades in (grade, mask) order."""
-    order = np.argsort(_grades(n), kind="stable")
-    order.setflags(write=False)
-    return order
-
-
-@lru_cache(maxsize=None)
-def _parity(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only: odd masks C ascending, even masks C ^ e_a at [a, C], even masks in (grade, mask) order."""
-    odd, order = _grades(n) % 2 == 1, _blade_order(n)
-    columns = np.flatnonzero(odd)
-    tables = columns, columns ^ (1 << np.arange(n))[:, None], order[~odd[order]]
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-@lru_cache(maxsize=None)
-def _reverse_norm_signs(p: int, q: int) -> np.ndarray:
-    """Per-mask sign of reverse(e_A) e_A, the product of the metric squares."""
-    sig = Signature(p, q)
-    masks = np.arange(sig.dim, dtype=np.uint64)
-    neg = np.bitwise_count(masks & np.uint64(sig.negative_mask))
-    signs = np.where(neg & 1, -1, 1).astype(np.int8)
-    signs.setflags(write=False)
-    return signs
-
-
 def grade_masks(n: int, k: int) -> np.ndarray:
-    """Ascending masks of all grade-k blades in an n-generator algebra."""
-    try:
-        return _grade_masks(n, k)
-    except TypeError:  # lru_cache hashes first; an unhashable n or k is no integer
-        return _grade_masks.__wrapped__(n, k)
-
-
-@lru_cache(maxsize=None, typed=True)
-def _grade_masks(n: int, k: int) -> np.ndarray:
+    """Ascending masks of all grade-k blades in an n-generator algebra, read-only."""
     if not (_is_integer(n) and 1 <= n <= MAX_DIMENSION):
         raise ValueError(f"dimension n must be an integer in 1..{MAX_DIMENSION}, got {n!r}")
     if not _is_integer(k):
         raise ValueError(f"grades must be integers, got {k!r}")
     if not 0 <= k <= n:
         raise ValueError(f"grade {k} outside 0..{n}")
-    all_masks = np.arange(1 << n, dtype=np.int64)
-    masks = all_masks[_grades(n) == k]
-    masks.setflags(write=False)
-    return masks
+    return _layout(int(n)).grade_masks[k]
 
 
 def _real_array(values: object, what: str) -> np.ndarray:
@@ -330,7 +323,7 @@ class Multivector:
 
     def terms(self) -> Iterator[tuple[int, float]]:
         """(mask, coefficient) pairs above ZERO_THRESHOLD, in (grade, mask) order."""
-        order = _blade_order(self.sig.n)
+        order = _layout(self.sig.n).order
         kept = order[np.abs(self._coeffs[order]) > ZERO_THRESHOLD]
         return zip(kept.tolist(), self._coeffs[kept].tolist())
 
@@ -400,23 +393,21 @@ class Multivector:
 
     def reverse(self) -> Multivector:
         """Reversion: grade k scaled by (-1)^(k(k-1)/2); reverses products."""
-        return Multivector(self.sig, self._coeffs * _reverse_signs(self.sig.n))
+        return Multivector(self.sig, self._coeffs * _layout(self.sig.n).reverse_signs)
 
     def center_projection(self) -> Multivector:
         """Projection onto the center: grade 0, plus grade n when n is odd."""
         n = self.sig.n
-        grades = _grades(n)
-        keep = grades == 0
-        if n % 2 == 1:
-            keep = keep | (grades == n)
+        grades = _layout(n).grades
+        keep = (grades == 0) | (grades == n) & (n % 2 == 1)
         return Multivector(self.sig, np.where(keep, self._coeffs, 0.0))
 
     def even_projection(self) -> Multivector:
-        return Multivector(self.sig, np.where(_grades(self.sig.n) % 2, 0.0, self._coeffs))
+        return Multivector(self.sig, np.where(_layout(self.sig.n).grades % 2, 0.0, self._coeffs))
 
     def odd_part_max(self) -> float:
         """Largest absolute odd-grade coefficient."""
-        return float(np.max(np.abs(self._coeffs[_parity(self.sig.n)[0]])))
+        return float(np.max(np.abs(self._coeffs[_layout(self.sig.n).odd])))
 
     def __repr__(self) -> str:
         parts = [f"{value:.6g}*{blade_name(mask)}" for mask, value in self.terms()]
@@ -446,7 +437,7 @@ def squared_norm(u: Multivector) -> float:
     Cross terms between distinct blades have no scalar part, so this reduces
     to a signed sum of squared coefficients and never needs a full product.
     """
-    signs = _reverse_norm_signs(u.sig.p, u.sig.q)
+    signs = _algebra(u.sig.p, u.sig.q).norm_signs
     return float(np.dot(signs * u.coeffs, u.coeffs))
 
 
@@ -461,7 +452,7 @@ def exp_bivector(b: Multivector) -> Multivector:
     to 1e-12, which 2^h eps passes beyond h = 12: a 1-norm above 4096 raises
     ValueError, as does a non-finite one (an inf or NaN coefficient).
     """
-    if np.any(b.coeffs[_grades(b.sig.n) != 2]):
+    if np.any(b.coeffs[_layout(b.sig.n).grades != 2]):
         raise ValueError("exp_bivector requires a pure grade-2 argument")
     norm = float(np.sum(np.abs(b.coeffs)))
     if not math.isfinite(norm):

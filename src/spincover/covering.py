@@ -60,9 +60,9 @@ import numpy as np
 from .clifford_core import (
     Multivector,
     Signature,
+    _algebra,
     _blade_mask,
-    _parity,
-    _reverse_norm_signs,
+    _layout,
     blade_grade,
     blade_name,
     blade_signs,
@@ -71,7 +71,6 @@ from .clifford_core import (
 )
 from .matrix_group import (
     DEFAULT_TOLERANCE,
-    _metric,
     _scratch,
     batched_minors,
     require_membership,
@@ -137,14 +136,14 @@ class Rotor:
         return float(np.max(np.abs(gram)))
 
     @classmethod
-    def checked(cls, value: Multivector, tol: float = DEFAULT_TOLERANCE) -> Rotor:
-        """Wrap a multivector that passes the rotor rule of forward_map at tol.
+    def checked(cls, value: Rotor | Multivector, tol: float = DEFAULT_TOLERANCE) -> Rotor:
+        """Wrap a multivector (or a rotor's value) that passes the rotor rule of forward_map at tol.
 
         The rotor keeps the matrix and tol, so forward_map at a tolerance of
-        at least tol returns that matrix without judging again.
+        at least tol returns that matrix without judging again; its probe is None.
         """
-        rotor = cls(value)
-        object.__setattr__(rotor, "_closed", (_judge(value, tol), tol))
+        rotor = cls(value.value if isinstance(value, Rotor) else value)
+        object.__setattr__(rotor, "_closed", (_judge(rotor.value, tol), tol))
         return rotor
 
 
@@ -177,19 +176,6 @@ def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
     return v
 
 
-@lru_cache(maxsize=None)
-def _shift_signs(p: int, q: int) -> tuple[np.ndarray, ...]:
-    # _parity's per-n partners B = C ^ e_a of the odd masks C, then read-only int8
-    # tables: the signs of e_B e_a and e_a e_B at [a, C], of reverse(e_C) e_C at C.
-    sig = Signature(p, q)
-    columns, partners, _ = _parity(sig.n)
-    bits = (1 << np.arange(sig.n))[:, None]
-    tables = blade_signs(sig, partners, bits), blade_signs(sig, bits, partners), _reverse_norm_signs(p, q)[columns]
-    for table in tables:
-        table.setflags(write=False)
-    return partners, *tables
-
-
 def _conjugated_generators(value: Multivector, right: Multivector) -> np.ndarray:
     # (n, 2^n) rows value e_a right, one product each; any value, so full-width shifts signed per call.
     value._check_sig(right)
@@ -213,18 +199,18 @@ def _closed_form(value: Multivector) -> tuple[np.ndarray, float, np.ndarray, np.
     # coefficient exceeds |U|_2 |V|_2. R alone bounds neither: S (1 + d e1234),
     # S a rapidity-12 boost in Cl(4,1), has |R| ~ 2d and |D| ~ 800 d.
     # S is even (the rule refuses odd parts first), so S e_a, e_a S, v_a S and
-    # S u_b are odd, and _shift_signs gathers and signs them on the odd masks
-    # alone. One (n, 2^(n-1)) work buffer holds in turn left times the
-    # reverse-norm signs for the product, the residuals left - E right (E =
-    # eta P eta) and right - P^T left. All three live in this thread's working
-    # buffers at n = 12; every returned piece is a new array.
-    sig = value.sig
-    partners, right_signs, left_signs, norm_signs = _shift_signs(sig.p, sig.q)
+    # S u_b are odd: the layout's partners gather them and the algebra's shift
+    # signs sign them on the odd masks alone. One (n, 2^(n-1)) work buffer
+    # holds in turn left times the reverse-norm signs for the product, the
+    # residuals left - E right (E = eta P eta) and right - P^T left. All three
+    # live in this thread's working buffers at n = 12; every returned piece is
+    # a new array.
+    partners, algebra = _layout(value.sig.n).partners, _algebra(value.sig.p, value.sig.q)
     moved = value.coeffs.take(partners, out=_scratch(0, partners.shape), mode="wrap")
-    left = np.multiply(left_signs, moved, out=_scratch(1, partners.shape))
-    right = np.multiply(right_signs, moved, out=moved)
-    eta = np.diag(_metric(sig.p, sig.q))
-    work = np.multiply(left, norm_signs, out=_scratch(2, partners.shape))
+    left = np.multiply(algebra.left_signs, moved, out=_scratch(1, partners.shape))
+    right = np.multiply(algebra.right_signs, moved, out=moved)
+    eta = np.diag(algebra.eta)
+    work = np.multiply(left, algebra.odd_norm_signs, out=_scratch(2, partners.shape))
     matrix = eta[:, None] * (work @ right.T)
     norm = math.sqrt(float(np.dot(value.coeffs, value.coeffs)))
     unit = abs(squared_norm(value) - 1.0)
@@ -307,8 +293,7 @@ def _minor_tables(arr: np.ndarray, n: int) -> _Tables:
 def _pair_signs(p: int, q: int, k: int, rows: int) -> np.ndarray:
     # Read-only int8 grid of sign(e_B e_A) sign(e_A e_A) over the last rows
     # grade-k masks B and every grade-k mask A, the rows of a minor table.
-    sig = Signature(p, q)
-    masks = grade_masks(sig.n, k)
+    sig, masks = Signature(p, q), grade_masks(p + q, k)
     signs = blade_signs(sig, masks[-rows:, None], masks) * blade_signs(sig, masks, masks)
     signs.setflags(write=False)
     return signs
@@ -318,7 +303,7 @@ def _assemble_general(sig: Signature, tables: _Tables, F: int) -> np.ndarray:
     # Coefficients of M_F = 2 L_F. The grade-0 term of L_F is e_F; one
     # bincount per higher grade accumulates every minor(P,B,A) e_B e_F e^A
     # term: sign(e_B e_F) * sign(e_{B^F} e_A) * sign(e_A e_A) at B ^ F ^ A.
-    # The sign keys are linear in their first mask (clifford_core._sign_keys),
+    # The sign keys are linear in their first mask (clifford_core._Algebra),
     # so sign(e_{B^F} e_A) = sign(e_B e_A) sign(e_F e_A): the F-free part is
     # the cached _pair_signs grid, the rest a row and a column sign, read
     # from the signs of e_B e_F and e_F e_A over every mask. The terms are
@@ -362,7 +347,7 @@ def _probe_weights(sig: Signature, tables: _Tables) -> np.ndarray:
     d = np.zeros(sig.dim)
     for masks, dets in tables:
         d[masks[-len(dets) :]] = np.diagonal(dets, masks.size - len(dets))
-    return 2.0 * _reverse_norm_signs(sig.p, sig.q) * _walsh_hadamard(d)
+    return 2.0 * _algebra(sig.p, sig.q).norm_signs * _walsh_hadamard(d)
 
 
 def select_candidate(matrix: object, sig: Signature) -> CandidateElement:
@@ -386,10 +371,10 @@ def _select(arr: np.ndarray, sig: Signature) -> tuple[int, np.ndarray, float]:
     # select_candidate on a validated array, as (F, M_F coefficients, reverse-norm).
     # The probes are the even blades in (grade, mask) order; ties go to the first.
     tables = _minor_tables(arr, sig.n)
-    evens = _parity(sig.n)[2]
+    evens = _layout(sig.n).probes
     F = int(evens[np.argmax(_probe_weights(sig, tables)[evens])])
     M = _assemble_general(sig, tables, F)
-    normsq = float(np.dot(_reverse_norm_signs(sig.p, sig.q) * M, M))  # squared_norm
+    normsq = float(np.dot(_algebra(sig.p, sig.q).norm_signs * M, M))  # squared_norm
     threshold = RELATIVE_THRESHOLD * float(sig.dim) ** 2
     if not normsq > threshold:
         raise NoCandidateError(
@@ -418,7 +403,7 @@ def matrix_to_rotor(
     arr = require_membership(matrix, sig, tol)
     _check_method(method, sig.n)
     F, M, _ = _select(arr, sig)
-    weight = float(sig.dim) * _reverse_norm_signs(sig.p, sig.q)[F] * M[F]
+    weight = float(sig.dim) * _algebra(sig.p, sig.q).norm_signs[F] * M[F]
     if not weight > 0.0:
         raise NoCandidateError(
             f"candidate at F = {blade_name(F)} has non-positive normalizer {weight:.6g}; "

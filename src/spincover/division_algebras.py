@@ -75,6 +75,8 @@ class _FourComponent:
         return np.array([self.a, self.b, self.c, self.d])
 
     def isclose(self, other: _FourComponent, tol: float = 1e-12) -> bool:
+        if type(other) is not type(self):
+            raise ValueError(f"a {type(self).__name__} compares with {type(self).__name__}, not {type(other).__name__}")
         return bool(np.max(np.abs(self.components() - other.components())) <= tol)
 
 

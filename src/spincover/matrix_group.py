@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford_core import Signature, _grade_masks, _real_array
+from .clifford_core import Signature, _algebra, _layout, _real_array
 
 #: Default tolerance for membership residuals.
 DEFAULT_TOLERANCE = 1e-9
@@ -107,15 +107,7 @@ class MembershipError(ValueError):
 
 
 def metric_matrix(sig: Signature) -> np.ndarray:
-    return _metric(sig.p, sig.q).copy()
-
-
-@lru_cache(maxsize=None)
-def _metric(p: int, q: int) -> np.ndarray:
-    # Read-only eta, shared by every membership check at one signature.
-    eta = np.diag(np.array([1.0] * p + [-1.0] * q))
-    eta.setflags(write=False)
-    return eta
+    return _algebra(sig.p, sig.q).eta.copy()
 
 
 def require_tolerance(tol: float) -> float:
@@ -157,7 +149,7 @@ def _measured(matrix: object, sig: Signature, tol: float) -> tuple[np.ndarray, M
     # check_membership's report, with the array it coerced and validated.
     require_tolerance(tol)
     arr = as_square_matrix(matrix, sig.n)
-    eta = _metric(sig.p, sig.q)
+    eta = _algebra(sig.p, sig.q).eta
     residual = float(np.abs(arr.T @ eta @ arr - eta).max())
     det = float(np.linalg.det(arr))
     if sig.p == 0:
@@ -180,7 +172,7 @@ def project_to_group(matrix: object, sig: Signature) -> np.ndarray:
     on a singular input or iterate (P^T eta P = -eta steps to zero), and
     when the 60th iterate still misses the stopping bound.
     """
-    eta = _metric(sig.p, sig.q)
+    eta = _algebra(sig.p, sig.q).eta
     arr = as_square_matrix(matrix, sig.n).copy()
     rounding = sig.n * np.finfo(np.float64).eps
     try:
@@ -245,7 +237,7 @@ def batched_minors(
     are the row sets holding row n - 1.
     """
     n = matrix.shape[0]
-    masks = _grade_masks(n, k)
+    masks = _layout(n).grade_masks[k]
     if k == 0:
         return masks, np.ones((1, 1))
     bits, cols = _laplace_indices(n, k)
@@ -278,9 +270,8 @@ def _laplace_indices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     # (k, m) arrays over the grade-k masks A: bits[j] is a_j, the j-th
     # lowest bit of A, and cols[j] the index of A - a_j among the grade
     # k - 1 masks.
-    masks = _grade_masks(n, k)
+    lower, masks = _layout(n).grade_masks[k - 1 : k + 1]
     position = np.zeros(1 << n, dtype=np.int64)
-    lower = _grade_masks(n, k - 1)
     position[lower] = np.arange(lower.size)
     bits = np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(-1, k).T.copy()
     cols = position[masks ^ (1 << bits)]

@@ -275,7 +275,7 @@ def reference_matrix_to_rotor(matrix, sig, method: str = "general", tol: float =
     the report and the exception classes) are called from the package.
     """
     from spincover import covering
-    from spincover.clifford_core import Multivector, _real_array, _reverse_norm_signs, blade_name, blade_signs
+    from spincover.clifford_core import Multivector, _algebra, _real_array, blade_name, blade_signs
     from spincover.covering import RELATIVE_THRESHOLD, CandidateElement, NoCandidateError, Rotor
     from spincover.matrix_group import MembershipError, MembershipReport, require_tolerance
 
@@ -327,19 +327,19 @@ def reference_matrix_to_rotor(matrix, sig, method: str = "general", tol: float =
     d = np.zeros(sig.dim)
     for masks, dets in tables:
         d[masks[-len(dets) :]] = np.diagonal(dets, masks.size - len(dets))
-    weights = 2.0 * _reverse_norm_signs(sig.p, sig.q) * walsh_hadamard(d)
+    weights = 2.0 * _algebra(sig.p, sig.q).norm_signs * walsh_hadamard(d)
     # Even probes in (grade, mask) order; ties go to the first.
     evens = np.array(sorted((m for m in range(sig.dim) if m.bit_count() % 2 == 0), key=lambda m: (m.bit_count(), m)))
     F = int(evens[np.argmax(weights[evens])])
     M = 2.0 * assemble(tables, F)
-    cand = CandidateElement(F, M, float(np.dot(_reverse_norm_signs(sig.p, sig.q) * M.coeffs, M.coeffs)))
+    cand = CandidateElement(F, M, float(np.dot(_algebra(sig.p, sig.q).norm_signs * M.coeffs, M.coeffs)))
     threshold = RELATIVE_THRESHOLD * float(sig.dim) ** 2
     if not cand.normsq > threshold:
         raise NoCandidateError(
             f"no nonzero covering candidate: best reverse-norm {cand.normsq:.6g} at "
             f"F = {cand.blade} (threshold {threshold:.6g}) for matrix\n{np.array2string(arr)}"
         )
-    weight = float(sig.dim) * _reverse_norm_signs(sig.p, sig.q)[F] * M.coeffs[F]
+    weight = float(sig.dim) * _algebra(sig.p, sig.q).norm_signs[F] * M.coeffs[F]
     if not weight > 0.0:
         raise NoCandidateError(
             f"candidate at F = {blade_name(F)} has non-positive normalizer {weight:.6g}; "

@@ -202,6 +202,27 @@ def test_grade_masks_refuses_unhashable_arguments_with_value_error():
     assert np.array_equal(grade_masks(np.int64(3), 1), [0b001, 0b010, 0b100])
 
 
+def test_grade_masks_are_read_only_views_of_the_blade_order():
+    for n in range(1, MAX_DIMENSION + 1):
+        layout = clifford_core._layout(n)
+        for k in range(n + 1):
+            masks = grade_masks(n, k)
+            assert masks is grade_masks(n, k) and not masks.flags.writeable
+            assert np.shares_memory(masks, layout.order)
+            assert masks.tolist() == [m for m in range(1 << n) if m.bit_count() == k]
+
+
+@pytest.mark.parametrize("n", [1, 3, 12])
+def test_fixed_table_records_are_read_only(n):
+    records = [clifford_core._layout(n)] + [clifford_core._algebra(p, n - p) for p in range(n + 1)]
+    for record in records:
+        for value in vars(record).values():
+            for table in value if isinstance(value, tuple) else (value,):
+                assert isinstance(table, np.ndarray) and not table.flags.writeable
+        with pytest.raises(AttributeError):
+            record.grades = None
+
+
 # -- multivector arithmetic ---------------------------------------------------
 
 def test_multivector_construction_and_access():
@@ -418,14 +439,14 @@ def test_terms_ordering_is_grade_then_mask():
 def test_blade_order_is_grade_then_mask_and_read_only():
     # the one order of Multivector.terms and of the recovery's probes
     for n in range(1, MAX_DIMENSION + 1):
-        order = clifford_core._blade_order(n)
+        order = clifford_core._layout(n).order
         assert order.tolist() == sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
         assert not order.flags.writeable
 
 
 def test_reverse_signs_follow_the_grade():
     for n in range(1, MAX_DIMENSION + 1):
-        signs = clifford_core._reverse_signs(n)
+        signs = clifford_core._layout(n).reverse_signs
         expected = [(-1) ** (k * (k - 1) // 2) for k in map(int.bit_count, range(1 << n))]
         assert signs.dtype == np.int8 and signs.tolist() == expected and not signs.flags.writeable
 

@@ -180,6 +180,18 @@ def test_rotors_not_recovered_from_a_matrix_have_no_probe():
     assert (-Rotor.checked(value)).probe is None
 
 
+def test_rotor_checked_takes_a_rotor():
+    # it read value.odd_part_max and raised AttributeError on a Rotor
+    matrix = sample_matrix(SIG21, 5)
+    rotor = matrix_to_rotor(matrix, SIG21)
+    checked = Rotor.checked(rotor)
+    assert checked == Rotor.checked(rotor.value) and checked.value is rotor.value
+    assert checked.probe is None
+    assert np.array_equal(forward_map(checked), forward_map(rotor.value))
+    with pytest.raises(ValueError, match="is not 1"):
+        Rotor.checked(Rotor(Multivector.scalar(SIG30, 2.0)))
+
+
 def test_probe_does_not_enter_equality():
     value = Multivector.scalar(SIG30)
     assert Rotor(value, 0) == Rotor(value) == Rotor(value, 0b11)
@@ -278,7 +290,7 @@ def test_unit_residual_matches_the_direct_product(sig):
     value = plane_chain_rotor(sig) if sig.n > 6 else random_rotor(sig, rng).value
     fused = Rotor(value).unit_residual()
     assert abs(fused - direct_unit_residual(value.reverse(), value)) <= 8 * EPS * covering._size(value)
-    even = clifford_core._grades(sig.n) % 2 == 0
+    even = clifford_core._layout(sig.n).grades % 2 == 0
     for shift in (1e-9, 1e-3):
         off = value + Multivector(sig, np.where(even, shift * rng.uniform(-1.0, 1.0, sig.dim), 0.0))
         fused = Rotor(off).unit_residual()
@@ -291,7 +303,7 @@ SIGS_UP_TO_4 = [Signature(p, n - p) for n in range(1, 5) for p in range(n + 1)]
 @pytest.mark.parametrize("sig", SIGS_UP_TO_4, ids=lambda s: f"{s.p}_{s.q}")
 def test_conjugated_generators_match_naive_products(sig):
     rng = np.random.default_rng(40 + 5 * sig.p + sig.q)
-    odd = clifford_core._grades(sig.n) % 2 == 1
+    odd = clifford_core._layout(sig.n).grades % 2 == 1
     parts = {"even": ~odd, "odd": odd, "mixed": np.ones(sig.dim, dtype=bool)}
     for left_part in parts.values():
         for right_part in parts.values():
@@ -504,7 +516,7 @@ PERTURBATION_SIZES = [0.0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1e-3]
 def perturbations(value: Multivector, rng: np.random.Generator):
     # even, odd, mixed-parity and pseudoscalar perturbations of each size
     sig = value.sig
-    grades = clifford_core._grades(sig.n)
+    grades = clifford_core._layout(sig.n).grades
     parts = (grades % 2 == 0, grades % 2 == 1, grades >= 0, np.arange(sig.dim) == sig.dim - 1)
     for part in parts:
         for size in PERTURBATION_SIZES:
@@ -663,8 +675,9 @@ def test_sign_caches_are_fresh_blade_signs_and_read_only(sig):
     bits = (1 << np.arange(sig.n))[:, None]
     odd = np.array([m for m in range(sig.dim) if m.bit_count() % 2])
     partner = odd ^ bits
-    columns, partners, evens = clifford_core._parity(sig.n)
-    shared, right, left, norm = covering._shift_signs(sig.p, sig.q)
+    layout, algebra = clifford_core._layout(sig.n), clifford_core._algebra(sig.p, sig.q)
+    columns, partners, evens = layout.odd, layout.partners, layout.probes
+    right, left, norm = algebra.right_signs, algebra.left_signs, algebra.odd_norm_signs
     assert np.array_equal(right, clifford_core.blade_signs(sig, partner, bits))
     assert np.array_equal(left, clifford_core.blade_signs(sig, bits, partner))
     # reverse(e_C) e_C = +-1: one factor -1 per generator of C that squares to -1
@@ -685,7 +698,7 @@ def test_sign_caches_are_fresh_blade_signs_and_read_only(sig):
         assert table.dtype == np.intp and not table.flags.writeable
     # one partner index per n, shared by every signature; at n = 12 all the
     # tables take 242 KiB, where the full-width ones took 480 KiB per signature
-    assert shared is partners
+    assert clifford_core._layout(sig.n).partners is partners
     if sig.n == 12:
         assert partners.nbytes + right.nbytes + left.nbytes + norm.nbytes == 247_808
     if sig.n == 3:

@@ -215,6 +215,16 @@ def test_write_bridges_and_images_refuse_the_other_algebra(call, value, message)
         call(value)
 
 
+def test_isclose_refuses_the_other_algebra():
+    # equal components compared True across algebras, though == is False
+    assert Quaternion(1, 0, 0, 0) != SplitQuaternion(1, 0, 0, 0)
+    with pytest.raises(ValueError, match="a Quaternion compares with Quaternion, not SplitQuaternion"):
+        Quaternion(1, 0, 0, 0).isclose(SplitQuaternion(1, 0, 0, 0))
+    with pytest.raises(ValueError, match="a SplitQuaternion compares with SplitQuaternion, not Quaternion"):
+        SplitQuaternion(1, 0, 0, 0).isclose(Quaternion(1, 0, 0, 0), 1.0)
+    assert Quaternion(1, 0, 0, 0).isclose(Quaternion(1, 0, 0, 1e-13))
+
+
 def test_rotor_to_quaternion_rejects_stray_components():
     bad = Multivector.from_terms(SIG30, {0: 1.0, 0b001: 0.5})
     with pytest.raises(ValueError):
