@@ -72,6 +72,7 @@ from .clifford_core import (
 from .matrix_group import (
     DEFAULT_TOLERANCE,
     _scratch,
+    _tables,
     batched_minors,
     require_membership,
     require_tolerance,
@@ -307,8 +308,10 @@ def _assemble_general(sig: Signature, tables: _Tables, F: int) -> np.ndarray:
     # so sign(e_{B^F} e_A) = sign(e_B e_A) sign(e_F e_A): the F-free part is
     # the cached _pair_signs grid, the rest a row and a column sign, read
     # from the signs of e_B e_F and e_F e_A over every mask. The terms are
-    # binned at B ^ A and the total read at every mask ^ F. The sign grid,
-    # the weighted minors and the bin keys of a large grade live in this
+    # binned at B ^ A and the total read at every mask ^ F. The weighted
+    # minors are written B-major, whatever the layout of dets, so bincount
+    # sums them in the order of the (B, A) table. The sign grid, the
+    # weighted minors and the bin keys of a large grade live in this
     # thread's working buffers.
     every = np.arange(sig.dim)
     from_probe, to_probe = blade_signs(sig, every, F), blade_signs(sig, F, every)
@@ -370,7 +373,9 @@ def select_candidate(matrix: object, sig: Signature) -> CandidateElement:
 def _select(arr: np.ndarray, sig: Signature) -> tuple[int, np.ndarray, float]:
     # select_candidate on a validated array, as (F, M_F coefficients, reverse-norm).
     # The probes are the even blades in (grade, mask) order; ties go to the first.
-    tables = _minor_tables(arr, sig.n)
+    # The large tables go to this thread's table store and never leave here.
+    with _tables:
+        tables = _minor_tables(arr, sig.n)
     evens = _layout(sig.n).probes
     F = int(evens[np.argmax(_probe_weights(sig, tables)[evens])])
     M = _assemble_general(sig, tables, F)

@@ -597,11 +597,60 @@ def test_forward_op_at_n11_bounds_its_temporaries():
 
 
 def test_recovery_at_n10_bounds_its_temporaries():
-    # the minor tables are new arrays; the Laplace and assembly temporaries
-    # of grades 4 and 5 live in the working buffers once warm
+    # the minor tables of grades 3 to 5 live in the thread's table store and
+    # the Laplace and assembly temporaries of grades 4 and 5 in the working
+    # buffers once warm; the peak is 0.41 MB, held to 0.5
     sig = Signature(7, 3)
     matrix = sample_matrix(sig, 5)
-    assert traced_peak_mb(lambda: matrix_to_rotor(matrix, sig)) < 1.3
+    assert traced_peak_mb(lambda: matrix_to_rotor(matrix, sig)) < 0.5
+
+
+def test_recovery_at_n9_bounds_its_temporaries():
+    # the minor tables of grades 3 and 4 live in the thread's table store;
+    # the grade 4 temporaries of 126 x 126 elements fall just below the
+    # working buffers and are allocated per call; the peak is 0.46 MB, held
+    # to 0.55
+    sig = Signature(6, 3)
+    matrix = sample_matrix(sig, 5)
+    assert traced_peak_mb(lambda: matrix_to_rotor(matrix, sig)) < 0.55
+
+
+def fresh_select(arr: np.ndarray, sig: Signature) -> tuple[int, np.ndarray]:
+    # covering._select's probe and M_F, on minor tables that are new arrays
+    tables = covering._minor_tables(arr, sig.n)
+    evens = clifford_core._layout(sig.n).probes
+    F = int(evens[np.argmax(covering._probe_weights(sig, tables)[evens])])
+    return F, covering._assemble_general(sig, tables, F)
+
+
+def test_table_store_grown_at_n10_is_reused_at_smaller_n():
+    # One new thread recovers at n = 10, then at n = 9, 8 and 4, then at
+    # n = 10 again: every probe, M_F and rotor is the one that new tables
+    # give, and the thread keeps the three n = 10 tables of grades 3 to 5.
+    sigs = [Signature(7, 3), Signature(6, 3), Signature(4, 4), Signature(3, 1), Signature(7, 3)]
+    arrays = [matrix_group.require_membership(sample_matrix(sig, 7), sig) for sig in sigs]
+    results = []
+
+    def work():
+        for arr, sig in zip(arrays, sigs):
+            rotor = matrix_to_rotor(arr, sig)
+            F, M, _ = covering._select(arr, sig)
+            results.append((rotor.probe, rotor.coeffs.tobytes(), F, M.tobytes()))
+        results.append(sum(slot.size for slot in matrix_group._tables.slots))
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    *recovered, kept = results
+    for (probe, rotor, F, M), arr, sig in zip(recovered, arrays, sigs):
+        expected_F, expected_M = fresh_select(arr, sig)
+        weight = float(sig.dim) * clifford_core._algebra(sig.p, sig.q).norm_signs[expected_F] * expected_M[expected_F]
+        expected = Rotor(Multivector(sig, expected_M / math.sqrt(weight))).canonicalized()
+        assert (probe, F) == (expected_F, expected_F)
+        assert (rotor, M) == (expected.coeffs.tobytes(), expected_M.tobytes())
+    assert recovered[0] == recovered[-1]
+    assert kept == 8 * (120 * 120 + 210 * 210 + 126 * 252)
 
 
 def test_working_buffers_are_per_thread_and_never_returned():

@@ -380,6 +380,43 @@ def test_batched_minors_up_to_three_are_the_closed_forms():
             assert np.array_equal(dets, _closed_form_determinants(blocks))
 
 
+def _row_expansion(m: np.ndarray, k: int, lower: tuple | None, suffix: int = 0) -> tuple:
+    # Reference: the first-row Laplace step computed row by row into a
+    # C-contiguous (B, A) table, the terms summed in order of j.
+    n = m.shape[0]
+    masks = np.array([mask for mask in range(1 << n) if mask.bit_count() == k], dtype=np.int64)
+    if k == 0:
+        return masks, np.ones((1, 1))
+    position = {mask: i - lower[0].size for i, mask in enumerate(lower[0].tolist())}
+    bits = np.array([[i for i in range(n) if mask >> i & 1] for mask in masks.tolist()])
+    first = bits[-suffix:, 0]
+    below = lower[1][[position[mask] for mask in (masks[-suffix:] ^ (1 << first)).tolist()]]
+    dets = None
+    for j in range(k):
+        cols = [position[mask] + lower[0].size for mask in (masks ^ (1 << bits[:, j])).tolist()]
+        term = below[:, cols] * m[first[:, None], bits[None, :, j]]
+        dets = term if j == 0 else dets - term if j % 2 else dets + term
+    return masks, dets
+
+
+def test_batched_minors_match_a_row_expansion_bit_for_bit():
+    # every grade at n = 3..10, full tables and chains of suffix tables
+    # (the last C(n-1, k-1) row sets, those holding row n - 1)
+    rng = np.random.default_rng(43)
+    for n in range(3, 11):
+        m = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-2, 2, (n, n))
+        full = suffixed = expected_full = expected_suffixed = batched_minors(m, 0, None)
+        for k in range(1, n + 1):
+            rows = math.comb(n - 1, k - 1)
+            full, suffixed = batched_minors(m, k, full), batched_minors(m, k, suffixed, rows)
+            expected_full = _row_expansion(m, k, expected_full)
+            expected_suffixed = _row_expansion(m, k, expected_suffixed, rows)
+            for (masks, dets), (expected_masks, expected) in ((full, expected_full), (suffixed, expected_suffixed)):
+                assert expected.flags.c_contiguous
+                assert np.array_equal(masks, expected_masks) and dets.shape == expected.shape
+                assert np.ascontiguousarray(dets).tobytes() == expected.tobytes()
+
+
 def test_batched_minors_bound_their_temporaries():
     # One gather of all 252^2 blocks of 5 x 5 would trace 12.7 MB; one
     # Laplace step holds a few 252 x 252 arrays.
