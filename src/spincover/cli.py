@@ -57,6 +57,13 @@ _UNIT_OUTPUT = {
 
 def render_json(obj: object) -> str:
     """Serialize with insertion-ordered keys and %.17g floats."""
+    # Containers first, as command output is one dict; their str keys come
+    # from a cache and their finite floats are formatted in place (_item).
+    if isinstance(obj, dict):
+        items = ", ".join([f"{_key(k) if type(k) is str else json.dumps(str(k))}: {_item(v)}" for k, v in obj.items()])
+        return "{" + items + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join([_item(v) for v in obj]) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -68,14 +75,24 @@ def render_json(obj: object) -> str:
         return "%.17g" % value
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {render_json(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(render_json(v) for v in obj) + "]"
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _item(value: object) -> str:
+    # render_json of a dict or list member: an exact, finite float without the call.
+    if type(value) is float and math.isfinite(value):
+        return "%.17g" % value
+    return render_json(value)
+
+
+#: JSON text of a str key. Command output has fixed keys and blade names
+#: only; the bound holds the keys of any other caller of render_json.
+_key = lru_cache(maxsize=1 << 14)(json.dumps)
+
+#: blade_name by mask, for the rotor terms of rotor-from-matrix.
+_blade_name = lru_cache(maxsize=None)(blade_name)
 
 
 def _emit(obj: object) -> None:
@@ -206,12 +223,12 @@ def cmd_rotor_from_matrix(args: argparse.Namespace) -> int:
 
     # -rotor conjugates exactly as rotor does, so one residual covers both.
     residual = verify_covering(rotor, arr).max_residual
-    terms = {blade_name(mask): coeff for mask, coeff in rotor.value.terms()}
+    terms = {_blade_name(mask): coeff for mask, coeff in rotor.value.terms()}
     out: dict = {
         "p": sig.p,
         "q": sig.q,
         "method": args.method,
-        "F": blade_name(rotor.probe),
+        "F": _blade_name(rotor.probe),
         "rotor": terms,
         "rotor_negated": {name: -coeff for name, coeff in terms.items()},
         "residual": residual,

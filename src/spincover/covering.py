@@ -63,6 +63,7 @@ from .clifford_core import (
     _algebra,
     _blade_mask,
     _layout,
+    _pair_sums,
     blade_grade,
     blade_name,
     blade_signs,
@@ -178,12 +179,26 @@ def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
 
 
 def _conjugated_generators(value: Multivector, right: Multivector) -> np.ndarray:
-    # (n, 2^n) rows value e_a right, one product each; any value, so full-width shifts signed per call.
+    # (n, 2^n) rows value e_a right of any value: the signed shifts value e_a,
+    # then their products with right in one grouped pair-sum call, each row
+    # the sum that geometric_product would give.
     value._check_sig(right)
-    sig, bits = value.sig, (1 << np.arange(value.sig.n))[:, None]
+    partners, signs = _generator_shifts(value.sig.p, value.sig.q)
+    return _pair_sums(value.sig, signs * value.coeffs[partners], right.coeffs)
+
+
+@lru_cache(maxsize=None)
+def _generator_shifts(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    # Read-only full-width partners B = C ^ e_a and int8 signs of e_B e_a at
+    # [a, C]: (value e_a)[C] = sign * value[B]. The forward map's closed form
+    # reads only the odd masks C (clifford_core._Layout), so this table is
+    # made on the first conjugation product of its signature.
+    sig, bits = Signature(p, q), (1 << np.arange(p + q))[:, None]
     partners = np.arange(sig.dim) ^ bits
-    rows = blade_signs(sig, partners, bits) * value.coeffs[partners]
-    return np.array([(Multivector(sig, row) * right).coeffs for row in rows])
+    signs = blade_signs(sig, partners, bits)
+    for table in (partners, signs):
+        table.setflags(write=False)
+    return partners, signs
 
 
 def _closed_form(value: Multivector) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
@@ -370,11 +385,24 @@ def select_candidate(matrix: object, sig: Signature) -> CandidateElement:
     return CandidateElement(F, Multivector(sig, M), normsq)
 
 
+@lru_cache(maxsize=None)
+def _keeps_tables(n: int) -> bool:
+    # Whether a minor table of n reaches the table store's floor. The largest
+    # is the square of grade (n - 1) // 2 or, at even n, the grade-n/2 table
+    # of C(n-1, n/2) rows, half that grade's square (n <= 8: none reaches it).
+    sizes = [masks.size for masks in _layout(n).grade_masks]
+    return max(sizes[(n - 1) // 2] ** 2, sizes[n // 2] ** 2 // 2) >= _tables.low
+
+
 def _select(arr: np.ndarray, sig: Signature) -> tuple[int, np.ndarray, float]:
     # select_candidate on a validated array, as (F, M_F coefficients, reverse-norm).
     # The probes are the even blades in (grade, mask) order; ties go to the first.
-    # The large tables go to this thread's table store and never leave here.
-    with _tables:
+    # The large tables go to this thread's table store and never leave here;
+    # an n whose tables are all below the store's floor does not enter it.
+    if _keeps_tables(sig.n):
+        with _tables:
+            tables = _minor_tables(arr, sig.n)
+    else:
         tables = _minor_tables(arr, sig.n)
     evens = _layout(sig.n).probes
     F = int(evens[np.argmax(_probe_weights(sig, tables)[evens])])

@@ -90,9 +90,9 @@ class CoveringReport:
 
 
 def verify_covering(rotor: Rotor | Multivector, matrix: object) -> CoveringReport:
-    """Per generator, max |S e_a S^-1 - P e_a|: one product each, as S e_a permutes S.
-
-    ValueError unless reverse(S) S is finite and nonzero.
+    """Per generator, max |S e_a S^-1 - P e_a|, as S e_a permutes S: the n
+    products S e_a S^-1 in one grouped pair-sum pass, each the sum that
+    geometric_product gives. ValueError unless reverse(S) S is finite and nonzero.
     """
     value = rotor.value if isinstance(rotor, Rotor) else rotor
     arr = as_square_matrix(matrix, value.sig.n)

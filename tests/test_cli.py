@@ -599,6 +599,58 @@ def test_render_json_formats():
         render_json(object())
 
 
+def reference_render_json(obj: object) -> str:
+    """render_json before it dispatched on exact types: one isinstance chain per value."""
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {value!r} in output")
+        return "%.17g" % value
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        items = ", ".join(f"{json.dumps(str(k))}: {reference_render_json(v)}" for k, v in obj.items())
+        return "{" + items + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(reference_render_json(v) for v in obj) + "]"
+    if obj is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+class Key(str):
+    def __str__(self) -> str:
+        return "renamed"
+
+
+class Table(dict):
+    pass
+
+
+def test_render_json_is_the_isinstance_chain_byte_for_byte():
+    scalars = [True, False, 0, -7, 2**70, np.int64(-3), np.int8(5), np.float64(0.1), np.float32(1.5), 0.1, -0.0,
+               1e-300, 2.0**-52, 1.0, 3.5e300, '"quoted" \\ back\tslash\n é \u2028 \x01', "", None]
+    corpus = scalars + [
+        {"a": scalars, "b": {"c": (1.5, [np.float64(-2.25), None]), "e12": -0.5}, 7: "int key", True: 0.25,
+         2.5: "float key", None: [], Key("k"): 1.0, '"': {}},
+        list(scalars), tuple(scalars), [[0.1, -0.2], (0.3, [])], Table(x=0.5, y=[Table()]), (), [], {},
+    ]
+    for obj in corpus:
+        assert render_json(obj) == reference_render_json(obj)
+    failures = [(ValueError, bad) for bad in (float("nan"), np.float64("inf"), -math.inf, {"x": [1.0, math.nan]}, (math.inf,))]
+    failures += [(TypeError, bad) for bad in (object(), {"x": {1, 2}}, [b"bytes"], 1j)]
+    for error, bad in failures:
+        with pytest.raises(error) as new:
+            render_json(bad)
+        with pytest.raises(error) as old:
+            reference_render_json(bad)
+        assert str(new.value) == str(old.value)
+
+
 def test_render_json_17_digits_round_trip():
     values = [math.pi, 1e-300, 2.0**-52, 0.7071067811865476, -1.0 / 3.0]
     for v in values:

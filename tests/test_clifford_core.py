@@ -488,6 +488,66 @@ def test_geometric_product_row_blocks_match_one_block(monkeypatch):
     assert geometric_product(u, Multivector.zero(sig)).max_abs() == 0.0
 
 
+def reference_product(sig: Signature, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """geometric_product's arithmetic before rows were grouped: one row, in blocks of _PAIRS pairs."""
+    ia = np.nonzero(u)[0]
+    ib = np.nonzero(v)[0]
+    total = np.zeros(sig.dim)
+    step = clifford_core._PAIRS // max(1, ib.size)
+    for start in range(0, ia.size, step):
+        rows = ia[start : start + step, None]
+        signs = blade_signs(sig, rows, ib)
+        values = (u[rows] * v[ib] * signs).ravel()
+        total += np.bincount((rows ^ ib).ravel(), weights=values, minlength=sig.dim)
+    return total
+
+
+def sparse(rng: np.random.Generator, dim: int, share: float) -> np.ndarray:
+    return np.where(rng.uniform(size=dim) < share, rng.uniform(-1.0, 1.0, dim), 0.0)
+
+
+@pytest.mark.parametrize(
+    "sig",
+    [Signature(p, n - p) for n in range(1, 7) for p in range(n + 1)] + [Signature(5, 3), Signature(7, 3)],
+    ids=lambda s: f"{s.p}_{s.q}",
+)
+@pytest.mark.parametrize("pairs", ["default", "small"])
+def test_grouped_pair_sums_are_the_one_row_products_byte_for_byte(monkeypatch, sig, pairs):
+    # Dense, sparse, one-blade and all-zero rows, against dense, sparse and
+    # zero right factors: each row of one grouped call, and geometric_product,
+    # gives the bytes of the one-row reference. At the default _PAIRS a dense
+    # (7,3) row with a dense right factor is cut into four blocks; at 4 * 2^n
+    # pairs so is every dense row from n = 3, and the one-blade rows share one.
+    rng = np.random.default_rng(31 + 7 * sig.p + sig.q)
+    if pairs == "small":
+        monkeypatch.setattr(clifford_core, "_PAIRS", 4 * sig.dim)
+    blades = np.zeros((2, sig.dim))
+    blades[0, sig.dim - 1], blades[1, 0] = -0.75, 1.25
+    left = np.array([rng.uniform(-1.0, 1.0, sig.dim), sparse(rng, sig.dim, 0.2), np.zeros(sig.dim), *blades,
+                     sparse(rng, sig.dim, 0.2), rng.uniform(-1.0, 1.0, sig.dim), np.zeros(sig.dim)])
+    bincount, blocks = np.bincount, []
+
+    def counting(keys, weights, minlength):
+        blocks[-1].append(minlength // sig.dim)
+        return bincount(keys, weights, minlength)
+
+    for right in (rng.uniform(-1.0, 1.0, sig.dim), sparse(rng, sig.dim, 0.2), np.zeros(sig.dim)):
+        want = [reference_product(sig, row, right).tobytes() for row in left]
+        blocks.append([])
+        monkeypatch.setattr(np, "bincount", counting)
+        got = clifford_core._pair_sums(sig, left, right)
+        monkeypatch.setattr(np, "bincount", bincount)
+        assert got.shape == left.shape
+        assert [row.tobytes() for row in got] == want
+        for row, expected in zip(left, want):
+            assert geometric_product(Multivector(sig, row), Multivector(sig, right)).coeffs.tobytes() == expected
+    # Each block is one bincount over its rows, so a block of several rows
+    # is a group, and blocks that cover more rows than left has cut a row.
+    assert max(sum(blocks, [])) > 1
+    if sig.n == 10 or pairs == "small" and sig.n >= 3:
+        assert sum(blocks[0]) > len(left)
+
+
 def test_product_unit_and_zero():
     sig = Signature(2, 2)
     rng = np.random.default_rng(3)

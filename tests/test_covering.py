@@ -329,15 +329,16 @@ def test_conjugated_generators_of_zero_is_zero():
 
 
 def count_products(monkeypatch) -> list:
-    """Record the signature of every geometric product."""
+    """Record the signature of every pair-sum pass: a geometric product, or n conjugation products at once."""
     products = []
-    product = clifford_core.geometric_product
+    pair_sums = clifford_core._pair_sums
 
-    def counting_product(u, v):
-        products.append(u.sig)
-        return product(u, v)
+    def counting_pass(sig, left, right):
+        products.append(sig)
+        return pair_sums(sig, left, right)
 
-    monkeypatch.setattr(clifford_core, "geometric_product", counting_product)
+    for module in (clifford_core, covering):
+        monkeypatch.setattr(module, "_pair_sums", counting_pass)
     return products
 
 
@@ -452,12 +453,12 @@ def test_forward_op_on_a_large_boost_runs_one_product(monkeypatch, sig):
 def test_forward_op_runs_the_image_products_once(monkeypatch):
     # 2e-10 in the scalar fails the closed-form bound and its re-based form
     # but passes S reverse(S) and the images; Rotor.checked runs those
-    # 1 + n products and forward_map takes its matrix.
+    # 1 + n products, the n images in one pass, and forward_map takes its matrix.
     sig = Signature(3, 1)
     value = sample_rotor(sig, 0).value + Multivector.scalar(sig, 2e-10)
     products = count_products(monkeypatch)
     forward_map(Rotor.checked(value))
-    assert products == [sig] * (1 + sig.n)
+    assert products == [sig] * 2
 
 
 def test_forward_map_reuses_a_rotor_checked_at_a_tolerance_no_larger(monkeypatch):
@@ -621,6 +622,20 @@ def fresh_select(arr: np.ndarray, sig: Signature) -> tuple[int, np.ndarray]:
     evens = clifford_core._layout(sig.n).probes
     F = int(evens[np.argmax(covering._probe_weights(sig, tables)[evens])])
     return F, covering._assemble_general(sig, tables, F)
+
+
+def test_recovery_enters_the_table_store_only_where_a_table_reaches_its_floor(monkeypatch):
+    # _keeps_tables reads the layout's grade sizes; it must say whether some
+    # minor table of n reaches the store's floor, which none does at n <= 8.
+    for n in range(1, 13):
+        tables = covering._minor_tables(np.eye(n), n)
+        assert covering._keeps_tables(n) == any(dets.size >= matrix_group._tables.low for _, dets in tables)
+    assert not any(map(covering._keeps_tables, range(1, 9)))
+    entered = []
+    monkeypatch.setattr(matrix_group._TableStore, "__enter__", lambda store: entered.append(store))
+    for sig in (Signature(3, 1), Signature(5, 3), Signature(6, 3)):
+        matrix_to_rotor(sample_matrix(sig, 2), sig)
+    assert entered == [matrix_group._tables]
 
 
 def test_table_store_grown_at_n10_is_reused_at_smaller_n():

@@ -167,15 +167,16 @@ def product_verify_covering(value: Multivector, matrix: np.ndarray) -> tuple[flo
     ids=lambda s: f"{s.p}_{s.q}",
 )
 def test_verify_covering_is_bit_for_bit_the_product_reference(monkeypatch, sig):
-    # S e_a is a signed permutation of S, so n products give the residuals
-    # of the 2n basis products exactly, for rotors and for scaled values.
+    # S e_a is a signed permutation of S, so one pair-sum pass over its n
+    # rows gives the residuals of the 2n basis products exactly, for rotors
+    # and for scaled values.
     rng = np.random.default_rng(90 + 11 * sig.p + sig.q)
-    original = clifford_core.geometric_product
-    products = []
+    original = clifford_core._pair_sums
+    passes = []
 
-    def counting(u, v):
-        products.append(u.sig)
-        return original(u, v)
+    def counting(sig, left, right):
+        passes.append(left.shape)
+        return original(sig, left, right)
 
     for seed in range(2):
         rotor = sample_rotor(sig, seed)
@@ -183,11 +184,13 @@ def test_verify_covering_is_bit_for_bit_the_product_reference(monkeypatch, sig):
         for value in (rotor.value, 1.5 * rotor.value):
             for matrix in (exact, exact + 1e-9 * rng.uniform(-1.0, 1.0, exact.shape)):
                 want = product_verify_covering(value, matrix)
-                monkeypatch.setattr(clifford_core, "geometric_product", counting)
-                products.clear()
+                for module in (clifford_core, covering):
+                    monkeypatch.setattr(module, "_pair_sums", counting)
+                passes.clear()
                 got = verify_covering(value, matrix).residuals
-                monkeypatch.setattr(clifford_core, "geometric_product", original)
-                assert len(products) == sig.n
+                for module in (clifford_core, covering):
+                    monkeypatch.setattr(module, "_pair_sums", original)
+                assert passes == [(sig.n, sig.dim)]
                 assert got == want
 
 
