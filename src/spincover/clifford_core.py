@@ -156,6 +156,7 @@ class _Layout(_Record):
     odd: np.ndarray  # the odd masks C, ascending
     partners: np.ndarray  # C ^ e_a at [a, C]
     probes: np.ndarray  # the even masks, in (grade, mask) order
+    parities: np.ndarray  # int8 (-1)^k of each mask of grade k
 
 
 @lru_cache(maxsize=None)
@@ -165,7 +166,7 @@ def _layout(n: int) -> _Layout:
     by_grade = tuple(np.split(order, np.cumsum([math.comb(n, k) for k in range(n)])))
     columns = np.flatnonzero(grades % 2)
     return _Layout(grades, 1 - (grades & 2), order, by_grade, columns, columns ^ (1 << np.arange(n))[:, None],
-                   order[grades[order] % 2 == 0])
+                   order[grades[order] % 2 == 0], 1 - 2 * (grades & 1))
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,36 @@ chosen candidate is nonzero.
 Off the group the halving fails. On an element of O(p,q) the full sum is
 (1 + det P) L_F, which vanishes for det P = -1 while L_F need not, so
 every entry point checks membership first.
+
+matrix_to_rotor assembles that candidate below n = 5 (_CAYLEY_FROM). From
+n = 5 on it takes the Cayley transform instead (Lipschitz, "Untersuchungen
+ueber die Summen von Quadraten", 1886; Lounesto, Clifford Algebras and
+Spinors, 2nd ed., 2001; Higham, "J-orthogonal matrices: properties and
+generation", SIAM Review 45, 2003), in O(n^3 + n 2^n) where the minors
+take O(4^n) and their error grows as eps |P|_F^2. D_F = diag(-1 on F, +1
+elsewhere) is the matrix of e_F, so P D_F is that of S e_F. Its Cayley
+transform Omega = (P D_F - I)(P D_F + I)^-1 is one solve, eta-antisymmetric
+(Omega^T eta = -eta Omega), so K = Omega eta is antisymmetric, and
+
+    S e_F = s_F eps'_F sum over even I of Pf(K_I) e_I,
+
+with Pf(K_I) the Pfaffian of K on the rows and columns of I and eps'_F the
+sign of e_F e_F. So S = s_F sum of Pf(K_I) e_I e_F, every
+Pf(K_I) = +-s_{I^F} / s_F, and s_F^2 comes from one determinant,
+w_F = eps_F det(I + P D_F) = 2^n s_F^2: expanding the determinant over
+principal minors gives the Walsh-Hadamard weight above. The Pfaffians come
+grade by grade from the first-row expansion, one gather per even grade.
+
+The probe must have s_F != 0, as I + P D_F is singular otherwise, and the
+largest |s_F| keeps the solve best conditioned. The pass at F = 0 gives
+|Pf(K_I)| = |s_I / s_0|, whose largest entry, first in (grade, mask)
+order, names F; a second pass at that F certifies it when no |Pf(K_I)|
+exceeds 1 and w_F >= 2 (the s_F^2 sum to at least 1 over the 2^(n-1) even
+F), each up to rounding. A singular solve, which exact half turns give at
+F = 0, or an F not certified falls back to the exact rule, the largest
+w_F, by one batched determinant over every even F. The recovered S must
+pass the rotor rule at the caller's tolerance, and its own matrix must lie
+within membership's bound of the input, or NoCandidateError names why.
 """
 
 from __future__ import annotations
@@ -58,6 +88,7 @@ from typing import Literal
 import numpy as np
 
 from .clifford_core import (
+    MAX_DIMENSION,
     Multivector,
     Signature,
     _algebra,
@@ -73,7 +104,6 @@ from .clifford_core import (
 from .matrix_group import (
     DEFAULT_TOLERANCE,
     _scratch,
-    _tables,
     batched_minors,
     require_membership,
     require_tolerance,
@@ -88,12 +118,24 @@ _Tables = list[tuple[np.ndarray, np.ndarray]]
 #: Candidates with reverse-norm at or below RELATIVE_THRESHOLD x 4^n count as zero.
 RELATIVE_THRESHOLD = 1e-18
 
+#: Recoveries of n >= _CAYLEY_FROM generators go through the Cayley transform.
+_CAYLEY_FROM = 5
+
+#: A probe F is certified when no |Pf(K_I)| = |s_{I^F} / s_F| exceeds
+#: 1 + _PROBE_SLACK and w_F = 2^n s_F^2 is at least 2 - _PROBE_SLACK.
+_PROBE_SLACK = 2.0**-26
+
+#: Signs (-1)^j of the terms of a Pfaffian's first-row expansion, j = 2, 3, ...
+_ALTERNATING = np.resize([1.0, -1.0], MAX_DIMENSION)
+
 
 class NoCandidateError(RuntimeError):
     """The candidate of the largest-weight probe is unusable.
 
-    Either its reverse-norm is ~ 0 or its normalizer is not positive; no
-    matrix in SO+(p,q) gives either, and no other probe is tried.
+    Either its reverse-norm is ~ 0 or its normalizer is not positive, or,
+    from n = 5 on, the rotor fails the rotor rule or its matrix misses the
+    input by more than membership allows; no matrix in SO+(p,q) gives any
+    of these to working precision, and no other probe is tried.
     """
 
 
@@ -110,7 +152,8 @@ class Rotor:
     value: Multivector
     #: Mask of the probe blade F whose candidate this rotor normalizes.
     probe: int | None = field(default=None, compare=False)
-    # (matrix, tol) from _judge, set only by checked and kept for forward_map.
+    # (matrix, tol) from _judge, set by checked and by matrix_to_rotor from
+    # n = 5 on, and kept for forward_map.
     _closed: tuple[np.ndarray, float] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -316,29 +359,27 @@ def _pair_signs(p: int, q: int, k: int, rows: int) -> np.ndarray:
 
 
 def _assemble_general(sig: Signature, tables: _Tables, F: int) -> np.ndarray:
-    # Coefficients of M_F = 2 L_F. The grade-0 term of L_F is e_F; one
-    # bincount per higher grade accumulates every minor(P,B,A) e_B e_F e^A
-    # term: sign(e_B e_F) * sign(e_{B^F} e_A) * sign(e_A e_A) at B ^ F ^ A.
-    # The sign keys are linear in their first mask (clifford_core._Algebra),
-    # so sign(e_{B^F} e_A) = sign(e_B e_A) sign(e_F e_A): the F-free part is
-    # the cached _pair_signs grid, the rest a row and a column sign, read
-    # from the signs of e_B e_F and e_F e_A over every mask. The terms are
-    # binned at B ^ A and the total read at every mask ^ F. The weighted
-    # minors are written B-major, whatever the layout of dets, so bincount
-    # sums them in the order of the (B, A) table. The sign grid, the
-    # weighted minors and the bin keys of a large grade live in this
-    # thread's working buffers.
+    # Coefficients of M_F = 2 L_F for an even probe F. The grade-0 term of
+    # L_F is e_F; one bincount per higher grade accumulates every
+    # minor(P,B,A) e_B e_F e^A term: sign(e_B e_F) * sign(e_{B^F} e_A) *
+    # sign(e_A e_A) at B ^ F ^ A. The sign keys are linear in their first
+    # mask (clifford_core._Algebra), so sign(e_{B^F} e_A) = sign(e_B e_A)
+    # sign(e_F e_A): the F-free part is the cached _pair_signs grid, the
+    # rest a row and a column sign. With y the key of F, sign(e_F e_A) is
+    # (-1)^|A & y|, and as F is even sign(e_B e_F) = (-1)^|B & F| sign(e_F e_B)
+    # = (-1)^|B & (y ^ F)|: both are parities, read from the layout in one
+    # gather. The terms are binned at B ^ A and the total read at every
+    # mask ^ F. The weighted minors are written B-major, whatever the layout
+    # of dets, so bincount sums them in the order of the (B, A) table.
     every = np.arange(sig.dim)
-    from_probe, to_probe = blade_signs(sig, every, F), blade_signs(sig, F, every)
+    y = int(_algebra(sig.p, sig.q).keys[F])
+    from_probe, to_probe = _layout(sig.n).parities[every & np.array([[y ^ F], [y]])]
     total = np.zeros(sig.dim)
     total[0] = 1.0
     for k, (masks, dets) in enumerate(tables[1:], 1):
         b = masks[-len(dets) :, None]
-        signs = np.multiply(_pair_signs(sig.p, sig.q, k, len(dets)), from_probe[b] * to_probe[masks],
-                            out=_scratch(0, dets.shape, np.int8))
-        weights = np.multiply(dets, signs, out=_scratch(1, dets.shape))
-        keys = np.bitwise_xor(b, masks, out=_scratch(2, dets.shape, np.int64))
-        total += np.bincount(keys.ravel(), weights=weights.ravel(), minlength=sig.dim)
+        weights = dets * (_pair_signs(sig.p, sig.q, k, len(dets)) * (from_probe[b] * to_probe[masks]))
+        total += np.bincount((b ^ masks).ravel(), weights=weights.ravel(), minlength=sig.dim)
     return 2.0 * total[every ^ F]
 
 
@@ -385,25 +426,10 @@ def select_candidate(matrix: object, sig: Signature) -> CandidateElement:
     return CandidateElement(F, Multivector(sig, M), normsq)
 
 
-@lru_cache(maxsize=None)
-def _keeps_tables(n: int) -> bool:
-    # Whether a minor table of n reaches the table store's floor. The largest
-    # is the square of grade (n - 1) // 2 or, at even n, the grade-n/2 table
-    # of C(n-1, n/2) rows, half that grade's square (n <= 8: none reaches it).
-    sizes = [masks.size for masks in _layout(n).grade_masks]
-    return max(sizes[(n - 1) // 2] ** 2, sizes[n // 2] ** 2 // 2) >= _tables.low
-
-
 def _select(arr: np.ndarray, sig: Signature) -> tuple[int, np.ndarray, float]:
     # select_candidate on a validated array, as (F, M_F coefficients, reverse-norm).
     # The probes are the even blades in (grade, mask) order; ties go to the first.
-    # The large tables go to this thread's table store and never leave here;
-    # an n whose tables are all below the store's floor does not enter it.
-    if _keeps_tables(sig.n):
-        with _tables:
-            tables = _minor_tables(arr, sig.n)
-    else:
-        tables = _minor_tables(arr, sig.n)
+    tables = _minor_tables(arr, sig.n)
     evens = _layout(sig.n).probes
     F = int(evens[np.argmax(_probe_weights(sig, tables)[evens])])
     M = _assemble_general(sig, tables, F)
@@ -417,6 +443,80 @@ def _select(arr: np.ndarray, sig: Signature) -> tuple[int, np.ndarray, float]:
     return F, M, normsq
 
 
+@lru_cache(maxsize=None)
+def _pfaffian_indices(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    # Per even grade k >= 2, over its ascending masks I = {i_1 < ... < i_k}:
+    # the masks, and as (k - 1, m) int32 arrays the flat index i_1 n + i_j of
+    # K[i_1, i_j] and the mask of I - i_1 - i_j, for j = 2..k; 82 KiB at n = 12.
+    out = []
+    for masks in _layout(n).grade_masks[2::2]:
+        bits = np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(masks.size, -1).T
+        low, rest = bits[0], bits[1:]
+        pairs, rests = (low * n + rest).astype(np.int32), (masks ^ (1 << low) ^ (1 << rest)).astype(np.int32)
+        for index in (pairs, rests):
+            index.setflags(write=False)
+        out.append((masks, pairs, rests))
+    return tuple(out)
+
+
+def _pfaffians(arr: np.ndarray, sig: Signature, F: int) -> np.ndarray:
+    # Pf(K_I) at every mask I (0 at the odd ones) for the probe F, with
+    # Omega = (P D_F + I)^-1 (P D_F - I) by one solve and K the antisymmetric
+    # part of Omega eta, which is all of it on the group; LinAlgError when
+    # P D_F + I is singular. Each even grade is one gather and one dot of
+    # the first-row expansion
+    # Pf(K_I) = sum over j >= 2 of (-1)^j K[i_1, i_j] Pf(K_{I - i_1 - i_j}).
+    moved = arr * _layout(sig.n).parities[1 << np.arange(sig.n) & F]
+    identity = np.eye(sig.n)
+    K = np.linalg.solve(moved + identity, moved - identity) * np.diag(_algebra(sig.p, sig.q).eta)
+    flat = (0.5 * (K - K.T)).ravel()
+    pf = np.zeros(sig.dim)
+    pf[0] = 1.0
+    for masks, pairs, rests in _pfaffian_indices(sig.n):
+        pf[masks] = _ALTERNATING[: len(pairs)] @ (flat.take(pairs) * pf.take(rests))
+    return pf
+
+
+def _weights(arr: np.ndarray, sig: Signature, probes: np.ndarray) -> np.ndarray:
+    # w_F = eps_F det(I + P D_F) = 2^n s_F^2 for each probe F, by one
+    # batched determinant.
+    flips = _layout(sig.n).parities[probes[:, None] & 1 << np.arange(sig.n)]
+    return _algebra(sig.p, sig.q).norm_signs[probes] * np.linalg.det(arr * flips[:, None, :] + np.eye(sig.n))
+
+
+def _cayley(arr: np.ndarray, sig: Signature) -> tuple[int, np.ndarray, float]:
+    # (F, Pf(K_I) at every mask I, w_F) for the probe F of the largest s_F^2:
+    # the pass at F = 0 names F and a pass at F certifies it. The s_F^2 sum
+    # to at least 1, so the largest has w_F >= 2; a singular solve, or an F
+    # with some |Pf(K_I)| = |s_{I^F} / s_F| above 1 or with w_F below 2,
+    # beyond rounding, leaves the choice to the exact rule, the largest w_F.
+    evens = _layout(sig.n).probes
+    try:
+        pf = _pfaffians(arr, sig, 0)
+        F = int(evens[np.argmax(np.abs(pf[evens]))])
+        if F:
+            pf = _pfaffians(arr, sig, F)
+        weight = float(_weights(arr, sig, np.array([F]))[0])
+        if np.max(np.abs(pf[evens])) <= 1.0 + _PROBE_SLACK and weight >= 2.0 - _PROBE_SLACK:
+            return F, pf, weight
+    except np.linalg.LinAlgError:
+        pass
+    weights = _weights(arr, sig, evens)
+    F = int(evens[np.argmax(weights)])
+    weight = _positive(sig, F, float(weights.max()))
+    return F, _pfaffians(arr, sig, F), weight
+
+
+def _positive(sig: Signature, F: int, weight: float) -> float:
+    # The normalizer w_F itself when it is positive, as on SO+(p,q).
+    if not weight > 0.0:
+        raise NoCandidateError(
+            f"candidate at F = {blade_name(F)} has non-positive normalizer {weight:.6g}; "
+            f"the matrix is not in SO+({sig.p},{sig.q})"
+        )
+    return weight
+
+
 def matrix_to_rotor(
     matrix: object,
     sig: Signature,
@@ -425,24 +525,61 @@ def matrix_to_rotor(
 ) -> Rotor:
     """One of the two rotors covering the given SO+(p,q) matrix.
 
-    The result is the sign-canonicalized M_F / sqrt(2^n eps_F <M_F>_F) of
-    select_candidate, with probe F; the other preimage is its negation.
-    The matrix must pass membership at tol (MembershipError otherwise);
-    call project_to_group first to repair a noisy input. Both methods
-    recover the same rotor; "n3" checks that n = 3 (ValueError after
-    membership otherwise). NoCandidateError is also raised on a
-    non-positive normalizer, which no SO+(p,q) matrix gives.
+    Below n = 5 the result is the sign-canonicalized M_F / sqrt(2^n eps_F
+    <M_F>_F) of select_candidate, with probe F. From n = 5 on it is the
+    sign-canonicalized rotor of the Cayley transform (see the module notes),
+    whose probe F is that of select_candidate up to rounding of near ties;
+    it has passed the rotor rule of Rotor.checked at tol, so forward_map at
+    tol returns its matrix without judging again. The other preimage is the
+    negation. The matrix must pass membership at tol (MembershipError
+    otherwise); call project_to_group first to repair a noisy input. Both
+    methods recover the same rotor; "n3" checks that n = 3 (ValueError
+    after membership otherwise). NoCandidateError is raised on a
+    non-positive normalizer, which no SO+(p,q) matrix gives, and from n = 5
+    on when the rotor fails the rule at tol or its matrix misses the input
+    by more than tol * max(1, max |P|)^2, the bound of membership.
     """
     arr = require_membership(matrix, sig, tol)
     _check_method(method, sig.n)
+    if sig.n >= _CAYLEY_FROM:
+        return _cayley_rotor(arr, sig, tol)
     F, M, _ = _select(arr, sig)
-    weight = float(sig.dim) * _algebra(sig.p, sig.q).norm_signs[F] * M[F]
-    if not weight > 0.0:
-        raise NoCandidateError(
-            f"candidate at F = {blade_name(F)} has non-positive normalizer {weight:.6g}; "
-            f"the matrix is not in SO+({sig.p},{sig.q})"
-        )
-    S = M / math.sqrt(weight)
-    if S[np.argmax(np.abs(S))] < 0:  # Rotor.canonicalized
+    weight = _positive(sig, F, float(sig.dim) * _algebra(sig.p, sig.q).norm_signs[F] * M[F])
+    return _canonical(sig, M / math.sqrt(weight), F)
+
+
+def _canonical(sig: Signature, S: np.ndarray, F: int) -> Rotor:
+    # Rotor.canonicalized, with the sign flipped in place on S.
+    if S[np.argmax(np.abs(S))] < 0:
         np.negative(S, out=S)
     return Rotor(Multivector(sig, S), F)
+
+
+def _cayley_rotor(arr: np.ndarray, sig: Signature, tol: float) -> Rotor:
+    # matrix_to_rotor from n = _CAYLEY_FROM on: S = s_F sum over even I of
+    # Pf(K_I) e_I e_F, with sign(e_I e_F) = (-1)^|I & (y ^ F)| as in
+    # _assemble_general. S must pass the rotor rule at tol and cover the
+    # input within membership's bound tol * max(1, max |P|)^2: an input
+    # off the group that membership admits can give a rotor of the rule
+    # whose own matrix is far from it.
+    F, pf, weight = _cayley(arr, sig)
+    layout = _layout(sig.n)
+    S = np.zeros(sig.dim)
+    signs = layout.parities[layout.probes & (int(_algebra(sig.p, sig.q).keys[F]) ^ F)]
+    S[layout.probes ^ F] = math.sqrt(weight / sig.dim) * signs * pf[layout.probes]
+    rotor = _canonical(sig, S, F)
+    try:
+        matrix = _judge(rotor.value, tol)
+    except ValueError as exc:
+        raise NoCandidateError(
+            f"the rotor recovered at F = {blade_name(F)} fails the rotor rule (unit residual "
+            f"{rotor.unit_residual():.3e}): {exc}"
+        ) from None
+    miss, bound = float(np.max(np.abs(matrix - arr))), tol * max(1.0, float(np.max(np.square(arr))))
+    if not miss <= bound:
+        raise NoCandidateError(
+            f"the rotor recovered at F = {blade_name(F)} covers a matrix {miss:.3e} away from the input "
+            f"(tolerance {bound:.3e}); the matrix is not in SO+({sig.p},{sig.q}) to working precision"
+        )
+    object.__setattr__(rotor, "_closed", (matrix, tol))
+    return rotor

@@ -3,9 +3,9 @@
 A matrix P lies in O(p,q) when P^T eta P = eta. The subgroup handled here is
 SO+(p,q): determinant +1 and orthochronous, meaning the leading p x p minor
 stays >= 1 (it cannot drop below 1 on the identity component). Membership is
-decided numerically against a tolerance. The minors of P feed the covering
-construction; batched_minors builds all of one size from the next smaller
-size by one Laplace step.
+decided numerically against a tolerance. The minors of P feed the paper's
+covering candidate, which recoveries below n = 5 assemble; batched_minors
+builds all of one size from the next smaller size by one Laplace step.
 
 Orientation convention used throughout the package: entries[b][a] (0-based)
 is the coordinate over generator b+1 of the image of generator a+1, so the
@@ -21,20 +21,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford_core import MAX_DIMENSION, Signature, _algebra, _layout, _real_array
+from .clifford_core import Signature, _algebra, _layout, _real_array
 
 #: Default tolerance for membership residuals.
 DEFAULT_TOLERANCE = 1e-9
 
 #: From _MAPPED bytes, glibc's default mmap threshold, a freed temporary
 #: tends to go back to the kernel (unmapped, or trimmed off the heap top),
-#: so each call faults it in again; a temporary of _MAPPED // 8 to
-#: _SLOT_BYTES // 8 elements goes to a per-thread working buffer instead.
-#: covering._select keeps its minor tables from _TABLE_BYTES // 8 elements
-#: in a per-thread table store, the 127 KB grade-4 table at n = 9 included.
+#: so each call faults it in again; a temporary of the forward map's closed
+#: form of _MAPPED // 8 to _SLOT_BYTES // 8 elements goes to a per-thread
+#: working buffer instead.
 _MAPPED = 128 * 1024
 _SLOT_BYTES = 512 * 1024
-_TABLE_BYTES = 32 * 1024
 
 
 @dataclass(frozen=True)
@@ -195,18 +193,18 @@ def project_to_group(matrix: object, sig: Signature) -> np.ndarray:
 
 
 class _Buffers(threading.local):
-    # One thread's grow-only byte buffers; view is None (numpy allocates, as
-    # out=None does) outside the element window low to _SLOT_BYTES // 8.
-    # Every caller shares the slots, so no view of one may outlive the call
-    # that asked for it; a view of a replaced buffer keeps that buffer alive.
+    # One thread's three grow-only byte buffers; view is None (numpy
+    # allocates, as out=None does) outside the element window _MAPPED // 8
+    # to _SLOT_BYTES // 8. Every caller shares the slots, so no view of one
+    # may outlive the call that asked for it; a view of a replaced buffer
+    # keeps that buffer alive.
 
-    def __init__(self, count: int, low: int) -> None:
-        self.slots = [np.empty(0, np.uint8)] * count
-        self.low = low
+    def __init__(self) -> None:
+        self.slots = [np.empty(0, np.uint8)] * 3
 
     def view(self, slot: int, shape: tuple[int, ...], dtype: type = np.float64) -> np.ndarray | None:
         elements = math.prod(shape)
-        if not self.low <= elements <= _SLOT_BYTES // 8:
+        if not _MAPPED // 8 <= elements <= _SLOT_BYTES // 8:
             return None
         nbytes = elements * np.dtype(dtype).itemsize
         if self.slots[slot].size < nbytes:
@@ -214,23 +212,7 @@ class _Buffers(threading.local):
         return self.slots[slot][:nbytes].view(dtype).reshape(shape)
 
 
-class _TableStore(_Buffers):
-    # One slot per grade for the minor tables. Only inside `with _tables:`
-    # (keep is then set for this thread) does batched_minors write into it,
-    # so a table from any other call is a new array; a kept table lives
-    # until the next kept table of its grade in this thread.
-
-    keep = False
-
-    def __enter__(self) -> None:
-        self.keep = True
-
-    def __exit__(self, *exc: object) -> None:
-        self.keep = False
-
-
-_scratch = _Buffers(3, _MAPPED // 8).view
-_tables = _TableStore(MAX_DIMENSION // 2 + 1, _TABLE_BYTES // 8)
+_scratch = _Buffers().view
 
 
 def batched_minors(
@@ -240,10 +222,9 @@ def batched_minors(
 
     Returns (masks, dets): masks holds the grade-k blade masks in ascending
     order, bit i standing for 0-based row or column i, and dets[i, j] is the
-    minor on rows masks[i] and columns masks[j]. dets may be the transposed
-    view of a new array (of the thread's table store inside `with _tables:`);
-    it is indexed the same either way. lower is the table returned for
-    grade k - 1; grade 0 needs none and is ([0], [[1]]). Every minor is one
+    minor on rows masks[i] and columns masks[j]; for k > 0 it is the
+    transposed view of a new array. lower is the table returned for grade
+    k - 1; grade 0 needs none and is ([0], [[1]]). Every minor is one
     first-row Laplace step,
 
         det P[B, A] = sum over j of (-1)^j p[b_1, a_j] det P[B - b_1, A - a_j]
@@ -267,21 +248,12 @@ def batched_minors(
     # each term's gather of lower and of P is a whole-row take: below[A', i]
     # is det P[B_i - b_1, A'] and rows[c, i] is p[b_1, c] for the i-th row
     # set B_i. B - b_1 is A - a_0 for A = B, so below reuses the j = 0
-    # columns, counted from the end of lower (-0: every row). below and the
-    # later terms and factors go to the working buffers if _scratch takes
-    # their size, and T to the table store inside `with _tables:`; T is
-    # otherwise a new array. The takes wrap rather than raise, which would
-    # copy into a given out; every index is in range, so wrapping changes none.
-    first = bits[0][-suffix:]
-    below = lower[1].T.take(ends[-suffix:], axis=1, mode="wrap",
-                            out=_scratch(0, (lower[0].size, first.size)))
-    rows = matrix.T.take(first, axis=1)
-    shape = (masks.size, first.size)
-    dets = _tables.view(k, shape) if _tables.keep else None
-    into, factor = _scratch(1, shape), _scratch(2, shape)
+    # columns, counted from the end of lower (-0: every row).
+    below = lower[1].T.take(ends[-suffix:], axis=1)
+    rows = matrix.T.take(bits[0][-suffix:], axis=1)
     for j in range(k):
-        term = below.take(cols[j], axis=0, out=into if j else dets, mode="wrap")
-        term *= rows.take(bits[j], axis=0, out=factor, mode="wrap")
+        term = below.take(cols[j], axis=0)
+        term *= rows.take(bits[j], axis=0)
         if j == 0:
             dets = term
         elif j % 2:

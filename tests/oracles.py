@@ -5,7 +5,7 @@ with the package under test. Most of it works on index tuples and dicts
 with explicit bubble-sort sign bookkeeping and Laplace-expansion
 determinants: deliberately naive, slow, and meant for small n only. The
 full-grade covering sum and the gathered closed form use numpy arrays to
-reach n = 12. The last function, reference_matrix_to_rotor, is the
+reach n = 12; the exact Cayley pair uses Fractions alone. The last function, reference_matrix_to_rotor, is the
 package's earlier recovery pipeline, kept to pin its outputs and
 exceptions bit for bit; it reuses the package's minor tables and signs.
 """
@@ -13,6 +13,7 @@ exceptions bit for bit; it reuses the package's minor tables and signs.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -262,6 +263,73 @@ def gathered_closed_form(coeffs, p: int, q: int, masks=None):
     unit += norm * np.sum(np.linalg.norm(left - (eta[:, None] * matrix * eta) @ right, axis=1))
     slips = np.linalg.norm(right - matrix.T @ left, axis=1) * norm
     return matrix, float(unit), np.sum(np.abs(matrix), axis=0), slips
+
+
+def exact_cayley_pair(K: list[list[Fraction]], p: int):
+    """(P, S, N) for a rational antisymmetric K, n = len(K), exactly.
+
+    With eta = diag(+1 x p, -1 x q) and Omega = eta K, which is
+    eta-antisymmetric, P = (I - Omega)^-1 (I + Omega) is in SO(p,q), by
+    Gauss-Jordan elimination over Fractions (Lipschitz 1886; Higham,
+    "J-orthogonal matrices", SIAM Review 45, 2003). The even multivector
+    X = sum over even subsets I of Pf(eta K eta restricted to I) e_I, each
+    Pfaffian expanded along its first row by plain recursion, covers P up
+    to scale; N = sum of eps_I X_I^2 is its exact reverse-norm, with eps_I
+    the product of eta over I. P is orthochronous exactly when N > 0, and
+    then S = X / sqrt(N) (a dict of float coefficients by mask, each
+    rounded once) is a rotor of P. P is returned as a list of Fraction rows.
+    N = det(I - Omega), so for N = 0 there is no P and (None, None, 0) returns.
+    """
+    n = len(K)
+    eta = [1 if a < p else -1 for a in range(n)]
+    tilde = [[eta[a] * eta[b] * K[a][b] for b in range(n)] for a in range(n)]
+    memo: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+
+    def pfaffian(index: tuple[int, ...]) -> Fraction:
+        if index not in memo:
+            first, rest = index[0], index[1:]
+            memo[index] = sum(
+                (-1) ** j * tilde[first][rest[j]] * pfaffian(rest[:j] + rest[j + 1 :]) for j in range(len(rest))
+            )
+        return memo[index]
+
+    X = {sum(1 << a for a in index): pfaffian(index) for k in range(0, n + 1, 2) for index in combinations(range(n), k)}
+    N = sum(_eps(m, eta) * x * x for m, x in X.items())
+    if N == 0:
+        return None, None, N
+    left = [[Fraction(int(a == b)) - eta[a] * K[a][b] for b in range(n)] for a in range(n)]
+    right = [[Fraction(int(a == b)) + eta[a] * K[a][b] for b in range(n)] for a in range(n)]
+    P = _gauss_jordan(left, right)
+    S = {m: math.copysign(_float_sqrt(x * x / N), x) for m, x in X.items() if x} if N > 0 else None
+    return P, S, N
+
+
+def _eps(mask: int, eta: list[int]) -> int:
+    # the sign of reverse(e_I) e_I: the product of eta over the generators of I
+    return math.prod(eta[a] for a in range(len(eta)) if mask >> a & 1)
+
+
+def _float_sqrt(x: Fraction) -> float:
+    # sqrt(x) for x > 0, rounded once up to the floor of an integer square
+    # root of at least 128 bits, far below a float64 rounding step.
+    shift = 128 + x.denominator.bit_length()
+    return float(Fraction(math.isqrt((x.numerator << 2 * shift) // x.denominator), 1 << shift))
+
+
+def _gauss_jordan(A: list[list[Fraction]], B: list[list[Fraction]]) -> list[list[Fraction]]:
+    """X with A X = B, by Gauss-Jordan elimination with a nonzero pivot; A is nonsingular."""
+    n = len(A)
+    rows = [A[r][:] + B[r][:] for r in range(n)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        lead = rows[c][c]
+        rows[c] = [x / lead for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                factor = rows[r][c]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
 
 
 def reference_matrix_to_rotor(matrix, sig, method: str = "general", tol: float = 1e-9):

@@ -13,6 +13,7 @@ import pytest
 
 import spincover.cli as cli
 import spincover.covering as covering
+import spincover.matrix_group as matrix_group
 import spincover.oracle as oracle
 from spincover.cli import (
     EXIT_BAD_INPUT,
@@ -410,18 +411,74 @@ def mixed_n12_matrix(r: float, seed: int) -> np.ndarray:
     return product
 
 
-@pytest.mark.xfail(
-    strict=True, raises=ValueError, reason="standing defect 2: at mixed n = 12 the recovered rotor misses the rotor rule"
-)
+MIXED_DRAWS = [(r, seed) for r in (1.7, 1.8, 1.9, 2.0, 2.2) for seed in range(10)]
+
+
 def test_mixed_n12_recovery_passes_the_rotor_rule_or_refuses():
-    # r = 1.7, seed 0 (max |P| 2.04e4): the rotor deviates from unit norm
-    # by about 1e-2 against a tolerance of 4.479e-03.
+    # Every draw of the construction that passes membership converts, and
+    # its rotor passes the rotor rule at the same tol: matrix_to_rotor holds
+    # an n >= 5 rotor to that rule (Rotor.checked's covering._judge) before
+    # it returns it and keeps the matrix it judged, and Rotor.checked runs
+    # the rule again on the first draw of each r (each call takes about
+    # 0.4 s here, in the rule's n conjugation products). The one draw off
+    # the group, r = 2.2 seed 9, is refused by membership. The minors path
+    # returned 17 rotors that the rule refuses and raised NoCandidateError
+    # on 7 of these 49.
+    sig, tol = Signature(8, 4), matrix_group.DEFAULT_TOLERANCE
+    refused = []
+    for r, seed in MIXED_DRAWS:
+        matrix = mixed_n12_matrix(r, seed)
+        if not matrix_group.check_membership(matrix, sig, tol).ok:
+            with pytest.raises(matrix_group.MembershipError):
+                matrix_to_rotor(matrix, sig, tol=tol)
+            refused.append((r, seed))
+            continue
+        rotor = matrix_to_rotor(matrix, sig, tol=tol)
+        assert rotor._closed is not None and rotor._closed[1] == tol
+        assert np.array_equal(forward_map(rotor, tol), rotor._closed[0])
+        if seed == 0:
+            assert np.array_equal(forward_map(Rotor.checked(rotor, tol)), rotor._closed[0])
+    assert refused == [(2.2, 9)]
+
+
+def test_mixed_n12_fixture_pipes_through_both_conversions(capsys):
+    # standing defect 2's r = 1.7, seed 0 draw, committed as a CLI input
+    doc = json.loads((FIXTURES / "mixed_84_r17_seed0.json").read_text())
+    assert np.array_equal(np.array(doc["matrix"]), mixed_n12_matrix(1.7, 0))
+    assert main(["rotor-from-matrix", str(FIXTURES / "mixed_84_r17_seed0.json")]) == EXIT_OK
+    assert main(["matrix-from-rotor", capsys.readouterr().out]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["membership"]["ok"] is True
+
+
+def boost_product_matrix(r: float, seed: int) -> np.ndarray:
+    # The forward map of the float product, over the 32 timelike planes
+    # (i, j), i = 0..7, j = 8..11, of the (8,4) boost rotors
+    # cosh(t/2) + sinh(t/2) e_i e_j with t ~ U(-r, r) in that order: the
+    # product's rounding leaves it off unit norm, and its matrix off the group.
+    sig, rng = Signature(8, 4), np.random.default_rng(seed)
+    value = Multivector.scalar(sig)
+    for i in range(8):
+        for j in range(8, 12):
+            t = rng.uniform(-r, r)
+            value = value * Multivector.from_terms(sig, {0: math.cosh(t / 2.0), (1 << i) | (1 << j): math.sinh(t / 2.0)})
+    return forward_map(value, tol=1.0)
+
+
+def test_off_group_matrix_that_passes_membership_gets_no_rotor(capsys):
+    # max |P| = 5.1e4, metric residual 0.14 and det 1.044 pass membership's
+    # bound tol * max |P|^2 = 2.6 at the default tol. The minors path
+    # returned a rotor here that Rotor.checked refuses; the Cayley rotor
+    # passes the rotor rule, but its matrix lies 1.3e2 from the input, so
+    # it is refused, and the CLI exits 4 with its error document alone.
     sig = Signature(8, 4)
-    try:
-        rotor = matrix_to_rotor(mixed_n12_matrix(1.7, 0), sig)
-    except covering.NoCandidateError:
-        return
-    Rotor.checked(rotor)
+    matrix = boost_product_matrix(3.0, 24)
+    report = matrix_group.check_membership(matrix, sig)
+    assert report.ok and report.metric_residual > 0.1 and abs(report.determinant - 1.0) > 0.04
+    with pytest.raises(covering.NoCandidateError, match="away from the input"):
+        matrix_to_rotor(matrix, sig)
+    assert main(["rotor-from-matrix", json.dumps({"p": 8, "q": 4, "matrix": matrix.tolist()})]) == EXIT_NUMERICAL
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["exit_code"] == EXIT_NUMERICAL and set(doc) == {"error", "exit_code"}
 
 
 # -- quaternion method ----------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from spincover.oracle import run_selfcheck, sample_matrix, sample_rotor
 from oracles import (
     coeffs_to_dict,
     dict_to_coeffs,
+    exact_cayley_pair,
     full_grade_candidate,
     full_grade_weights,
     full_minor_tables,
@@ -598,74 +600,19 @@ def test_forward_op_at_n11_bounds_its_temporaries():
 
 
 def test_recovery_at_n10_bounds_its_temporaries():
-    # the minor tables of grades 3 to 5 live in the thread's table store and
-    # the Laplace and assembly temporaries of grades 4 and 5 in the working
-    # buffers once warm; the peak is 0.41 MB, held to 0.5
+    # the Cayley path builds no minor table: its largest temporaries are the
+    # closed form's three (10, 512) odd-column arrays of the rotor rule,
+    # below the working buffers; the peak is 0.19 MB, held to 0.25
     sig = Signature(7, 3)
     matrix = sample_matrix(sig, 5)
-    assert traced_peak_mb(lambda: matrix_to_rotor(matrix, sig)) < 0.5
+    assert traced_peak_mb(lambda: matrix_to_rotor(matrix, sig)) < 0.25
 
 
 def test_recovery_at_n9_bounds_its_temporaries():
-    # the minor tables of grades 3 and 4 live in the thread's table store;
-    # the grade 4 temporaries of 126 x 126 elements fall just below the
-    # working buffers and are allocated per call; the peak is 0.46 MB, held
-    # to 0.55
+    # as at n = 10, with (9, 256) arrays; the peak is 0.09 MB, held to 0.12
     sig = Signature(6, 3)
     matrix = sample_matrix(sig, 5)
-    assert traced_peak_mb(lambda: matrix_to_rotor(matrix, sig)) < 0.55
-
-
-def fresh_select(arr: np.ndarray, sig: Signature) -> tuple[int, np.ndarray]:
-    # covering._select's probe and M_F, on minor tables that are new arrays
-    tables = covering._minor_tables(arr, sig.n)
-    evens = clifford_core._layout(sig.n).probes
-    F = int(evens[np.argmax(covering._probe_weights(sig, tables)[evens])])
-    return F, covering._assemble_general(sig, tables, F)
-
-
-def test_recovery_enters_the_table_store_only_where_a_table_reaches_its_floor(monkeypatch):
-    # _keeps_tables reads the layout's grade sizes; it must say whether some
-    # minor table of n reaches the store's floor, which none does at n <= 8.
-    for n in range(1, 13):
-        tables = covering._minor_tables(np.eye(n), n)
-        assert covering._keeps_tables(n) == any(dets.size >= matrix_group._tables.low for _, dets in tables)
-    assert not any(map(covering._keeps_tables, range(1, 9)))
-    entered = []
-    monkeypatch.setattr(matrix_group._TableStore, "__enter__", lambda store: entered.append(store))
-    for sig in (Signature(3, 1), Signature(5, 3), Signature(6, 3)):
-        matrix_to_rotor(sample_matrix(sig, 2), sig)
-    assert entered == [matrix_group._tables]
-
-
-def test_table_store_grown_at_n10_is_reused_at_smaller_n():
-    # One new thread recovers at n = 10, then at n = 9, 8 and 4, then at
-    # n = 10 again: every probe, M_F and rotor is the one that new tables
-    # give, and the thread keeps the three n = 10 tables of grades 3 to 5.
-    sigs = [Signature(7, 3), Signature(6, 3), Signature(4, 4), Signature(3, 1), Signature(7, 3)]
-    arrays = [matrix_group.require_membership(sample_matrix(sig, 7), sig) for sig in sigs]
-    results = []
-
-    def work():
-        for arr, sig in zip(arrays, sigs):
-            rotor = matrix_to_rotor(arr, sig)
-            F, M, _ = covering._select(arr, sig)
-            results.append((rotor.probe, rotor.coeffs.tobytes(), F, M.tobytes()))
-        results.append(sum(slot.size for slot in matrix_group._tables.slots))
-
-    thread = threading.Thread(target=work)
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive()
-    *recovered, kept = results
-    for (probe, rotor, F, M), arr, sig in zip(recovered, arrays, sigs):
-        expected_F, expected_M = fresh_select(arr, sig)
-        weight = float(sig.dim) * clifford_core._algebra(sig.p, sig.q).norm_signs[expected_F] * expected_M[expected_F]
-        expected = Rotor(Multivector(sig, expected_M / math.sqrt(weight))).canonicalized()
-        assert (probe, F) == (expected_F, expected_F)
-        assert (rotor, M) == (expected.coeffs.tobytes(), expected_M.tobytes())
-    assert recovered[0] == recovered[-1]
-    assert kept == 8 * (120 * 120 + 210 * 210 + 126 * 252)
+    assert traced_peak_mb(lambda: matrix_to_rotor(matrix, sig)) < 0.12
 
 
 def test_working_buffers_are_per_thread_and_never_returned():
@@ -1041,7 +988,7 @@ def test_general_recovery_assembles_one_candidate(monkeypatch):
 
     monkeypatch.setattr(covering, "_assemble_general", counting)
     rng = np.random.default_rng(300)
-    for sig in (SIG30, SIG21, Signature(2, 3), Signature(4, 2)):
+    for sig in (SIG30, SIG21, Signature(1, 3), Signature(2, 2)):
         for rotor in _probe_inputs(sig, rng):
             assembled.clear()
             matrix_to_rotor(forward_map(rotor, tol=1e-6), sig, tol=1e-6)
@@ -1049,8 +996,9 @@ def test_general_recovery_assembles_one_candidate(monkeypatch):
 
 
 def test_cli_rotor_from_matrix_computes_each_minor_grade_once(monkeypatch, capsys):
-    # grades 0..n/2 only, each once; at even n the middle grade expands
-    # only its last C(n-1, n/2) row sets, the ones holding e_n
+    # below the Cayley cut: grades 0..n/2 only, each once; at even n the
+    # middle grade expands only its last C(n-1, n/2) row sets, the ones
+    # holding e_n
     rows = {}
     original = covering.batched_minors
 
@@ -1062,7 +1010,7 @@ def test_cli_rotor_from_matrix_computes_each_minor_grade_once(monkeypatch, capsy
 
     monkeypatch.setattr(covering, "batched_minors", counting)
     monkeypatch.setattr(matrix_group, "batched_minors", counting)
-    for sig in (Signature(3, 2), Signature(4, 2)):
+    for sig in (Signature(2, 1), Signature(2, 2)):
         rows.clear()
         matrix = forward_map(random_rotor(sig, np.random.default_rng(301)))
         doc = json.dumps({"p": sig.p, "q": sig.q, "matrix": matrix.tolist()})
@@ -1214,12 +1162,116 @@ REFERENCE_SIGNATURES = ALL_SIGNATURES + [Signature(7, 3)]
 
 @pytest.mark.parametrize("sig", REFERENCE_SIGNATURES, ids=lambda s: f"{s.p},{s.q}")
 def test_matrix_to_rotor_is_bit_for_bit_the_reference_pipeline(sig):
+    # Below the Cayley cut, bit for bit. From the cut on the recovery is the
+    # Cayley path (test_matrix_to_rotor_matches_the_exact_cayley_reference
+    # holds it to an exact reference); it names the probe of the minors
+    # pipeline, and the two rotors differ by at most 1.6 eps * |P|_F^2 on
+    # these inputs, which the forward map leaves off the group by about as
+    # much; held to 2.
     for matrix in [sample_matrix(sig, 900 + seed) for seed in range(3)] + [np.eye(sig.n)]:
         for method in ("general", "n3") if sig.n == 3 else ("general",):
             rotor = matrix_to_rotor(matrix, sig, method)
             expected = reference_matrix_to_rotor(matrix, sig, method)
             assert rotor.probe == expected.probe
-            assert rotor.coeffs.tobytes() == expected.coeffs.tobytes()
+            if sig.n < covering._CAYLEY_FROM:
+                assert rotor.coeffs.tobytes() == expected.coeffs.tobytes()
+            else:
+                bound = 2.0 * np.finfo(np.float64).eps * np.sum(matrix * matrix)
+                assert np.max(np.abs(rotor.coeffs - expected.coeffs)) <= bound
+
+
+def rational_antisymmetric(n: int, rng: np.random.Generator) -> list[list[Fraction]]:
+    # K[a][b] = k / 8 above the diagonal, k uniform in -8..8, and -K[b][a]
+    K = [[Fraction(0)] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            K[a][b] = Fraction(int(rng.integers(-8, 9)), 8)
+            K[b][a] = -K[a][b]
+    return K
+
+
+EXACT_SIGNATURES = ALL_SIGNATURES + [Signature(7, 3), Signature(8, 4), Signature(4, 8)]
+
+
+@pytest.mark.parametrize("sig", EXACT_SIGNATURES, ids=lambda s: f"{s.p},{s.q}")
+def test_matrix_to_rotor_matches_the_exact_cayley_reference(sig):
+    # Two draws per signature whose exact P = (I - eta K)^-1 (I + eta K) is
+    # orthochronous (tests/oracles.py exact_cayley_pair), P rounded once to
+    # float64. The reference rotor, rounded once, covers P: its closed-form
+    # matrix misses P by at most 4 eps max(1, max |P|)^2 (1.6 measured).
+    # The recovered rotor, by either path, lies within 4 eps max(1, max |P|)
+    # of it relative to its largest coefficient (1.4 measured). A draw off
+    # the orthochronous component (N < 0) must fail membership on that count.
+    rng = np.random.default_rng(1000 + 16 * sig.p + sig.q)
+    eps = np.finfo(np.float64).eps
+    compared = 0
+    while compared < 2:
+        exact, terms, N = exact_cayley_pair(rational_antisymmetric(sig.n, rng), sig.p)
+        if N == 0:
+            continue
+        matrix = np.array([[float(x) for x in row] for row in exact])
+        assert check_membership(matrix, sig).is_orthochronous == (N > 0)
+        if N < 0:
+            with pytest.raises(MembershipError, match="orthochronous"):
+                matrix_to_rotor(matrix, sig)
+            continue
+        reference = Multivector.from_terms(sig, terms)
+        scale = max(1.0, float(np.abs(matrix).max()))
+        assert np.abs(forward_map(reference) - matrix).max() <= 4.0 * eps * scale**2
+        error = rotor_distance(matrix_to_rotor(matrix, sig), Rotor(reference)) / np.abs(reference.coeffs).max()
+        assert error <= 4.0 * eps * scale
+        compared += 1
+
+
+CAYLEY_HALF_TURNS = [(Signature(5, 0), 0b11), (Signature(6, 0), 0b111111), (Signature(2, 4), 0b1111),
+                     (Signature(0, 8), 0b111100), (Signature(8, 4), 0b110000001001)]
+
+
+@pytest.mark.parametrize("sig, J", CAYLEY_HALF_TURNS, ids=lambda v: f"{v.p},{v.q}" if isinstance(v, Signature) else bin(v))
+def test_exact_half_turns_take_the_exact_rule(monkeypatch, sig, J):
+    # D_J, -1 on the generators of J, is the matrix of e_J. I + D_J is
+    # singular, so the first solve fails and one batched determinant ranks
+    # all 2^(n-1) probes; the rotor is e_J, with the probe of
+    # select_candidate (numpy takes a determinant through its logarithm, so
+    # the coefficient 1 may come back an ulp or two low).
+    ranked = []
+    weights = covering._weights
+    monkeypatch.setattr(covering, "_weights", lambda arr, s, probes: ranked.append(len(probes)) or weights(arr, s, probes))
+    matrix = np.diag([-1.0 if J >> a & 1 else 1.0 for a in range(sig.n)])
+    rotor = matrix_to_rotor(matrix, sig)
+    assert ranked == [sig.dim // 2]
+    assert rotor.probe == J == select_candidate(matrix, sig).F
+    assert np.abs(rotor.coeffs - Multivector.basis(sig, J).coeffs).max() <= 4.0 * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("sig", [Signature(5, 0), Signature(3, 3), Signature(7, 3), Signature(4, 8), Signature(0, 6)],
+                         ids=lambda s: f"{s.p},{s.q}")
+def test_two_passes_name_the_probe_of_the_exact_rule(monkeypatch, sig):
+    # P and P D_J, J a plane of two generators that square alike, whose
+    # rotors are S and S e_J. The pass at F = 0 names the probe F of
+    # select_candidate, and only F != 0 takes a second pass, which
+    # certifies it. With no certificate possible, the exact rule picks the
+    # same probe, and the rotors agree to rounding.
+    passes = []
+    pfaffians = covering._pfaffians
+    monkeypatch.setattr(covering, "_pfaffians", lambda arr, s, F: passes.append(F) or pfaffians(arr, s, F))
+    J = 0b11 if sig.p >= 2 else 0b11 << (sig.n - 2)
+    flips = np.array([-1.0 if J >> a & 1 else 1.0 for a in range(sig.n)])
+    probes = set()
+    for seed in range(3):
+        matrix = sample_matrix(sig, seed)
+        for probed in (matrix, matrix * flips):
+            F = select_candidate(probed, sig).F
+            probes.add(F)
+            passes.clear()
+            rotor = matrix_to_rotor(probed, sig)
+            assert rotor.probe == F and passes == ([0, F] if F else [0])
+            with monkeypatch.context() as forced:
+                forced.setattr(covering, "_PROBE_SLACK", -1.0)
+                exact = matrix_to_rotor(probed, sig)
+            assert exact.probe == F
+            assert np.abs(exact.coeffs - rotor.coeffs).max() <= 4.0 * np.finfo(np.float64).eps
+    assert len(probes) > 1
 
 
 REJECT_11 = json.loads((FIXTURES / "reject_11.json").read_text())
