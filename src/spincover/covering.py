@@ -27,21 +27,20 @@ method only names which check applies.
 
 The candidate is M_F = 2^n eps_F s_F S, where eps_F is the sign of
 reverse(e_F) e_F and s_F the e_F coefficient of S, so it vanishes exactly
-when s_F does. Only the B = A terms reach e_F, each as (-1)^|A & F| e_F,
-so the e_F coefficient
+when s_F does. D_F = diag(-1 on F, +1 elsewhere) is the matrix of e_F,
+and one rule ranks the probes, one batched determinant over the even F:
 
-    <M_F>_F = sum over A of (-1)^|A & F| det P[A, A] = 2^n eps_F s_F^2
+    w_F = eps_F det(I + P D_F) = 2^n s_F^2,
 
-is a Walsh-Hadamard transform of the 2^n principal minors, of which the
-half sum holds one of each complementary pair (A and A^c give the same
-minor and the same sign). One transform ranks every probe by
-w_F = eps_F <M_F>_F = 2^n s_F^2, and only the candidate with the largest
-w_F is assembled; no other probe is tried. The rotor is
-M_F / sqrt(2^n eps_F <M_F>_F), up to sign. The reverse-norm
-reverse(M_F) M_F = 4^n s_F^2 would give the same divisor in exact
-arithmetic, but for q > 0 it is an indefinite sum of squares that
-cancels catastrophically on large boosts, so it only tests that the
-chosen candidate is nonzero.
+with exact ties to the first F in (grade, mask) order. Only the candidate
+of the largest w_F is assembled; no other probe is tried. Expanded over
+principal minors, det(I + P D_F) is the Walsh-Hadamard transform
+sum over A of (-1)^|A & F| det P[A, A], which is <M_F>_F, as only the
+B = A terms reach e_F. The rotor is M_F / sqrt(2^n eps_F <M_F>_F), up to
+sign. The reverse-norm reverse(M_F) M_F = 4^n s_F^2 would give the same
+divisor in exact arithmetic, but for q > 0 it is an indefinite sum of
+squares that cancels catastrophically on large boosts, so it only tests
+that the chosen candidate is nonzero.
 
 Off the group the halving fails. On an element of O(p,q) the full sum is
 (1 + det P) L_F, which vanishes for det P = -1 while L_F need not, so
@@ -52,18 +51,16 @@ n = 5 on it takes the Cayley transform instead (Lipschitz, "Untersuchungen
 ueber die Summen von Quadraten", 1886; Lounesto, Clifford Algebras and
 Spinors, 2nd ed., 2001; Higham, "J-orthogonal matrices: properties and
 generation", SIAM Review 45, 2003), in O(n^3 + n 2^n) where the minors
-take O(4^n) and their error grows as eps |P|_F^2. D_F = diag(-1 on F, +1
-elsewhere) is the matrix of e_F, so P D_F is that of S e_F. Its Cayley
-transform Omega = (P D_F - I)(P D_F + I)^-1 is one solve, eta-antisymmetric
-(Omega^T eta = -eta Omega), so K = Omega eta is antisymmetric, and
+take O(4^n) and their error grows as eps |P|_F^2. P D_F is the matrix of
+S e_F. Its Cayley transform Omega = (P D_F - I)(P D_F + I)^-1 is one
+solve, eta-antisymmetric (Omega^T eta = -eta Omega), so K = Omega eta is
+antisymmetric, and
 
     S e_F = s_F eps'_F sum over even I of Pf(K_I) e_I,
 
 with Pf(K_I) the Pfaffian of K on the rows and columns of I and eps'_F the
 sign of e_F e_F. So S = s_F sum of Pf(K_I) e_I e_F, every
-Pf(K_I) = +-s_{I^F} / s_F, and s_F^2 comes from one determinant,
-w_F = eps_F det(I + P D_F) = 2^n s_F^2: expanding the determinant over
-principal minors gives the Walsh-Hadamard weight above. The Pfaffians come
+Pf(K_I) = +-s_{I^F} / s_F, and s_F^2 is w_F / 2^n. The Pfaffians come
 grade by grade from the first-row expansion, one gather per even grade.
 
 The probe must have s_F != 0, as I + P D_F is singular otherwise, and the
@@ -72,15 +69,16 @@ largest |s_F| keeps the solve best conditioned. The pass at F = 0 gives
 order, names F; a second pass at that F certifies it when no |Pf(K_I)|
 exceeds 1 and w_F >= 2 (the s_F^2 sum to at least 1 over the 2^(n-1) even
 F), each up to rounding. A singular solve, which exact half turns give at
-F = 0, or an F not certified falls back to the exact rule, the largest
-w_F, by one batched determinant over every even F. The recovered S must
-pass the rotor rule at the caller's tolerance, and its own matrix must lie
-within membership's bound of the input, or NoCandidateError names why.
+F = 0, or an F not certified falls back to the probe rule above. The
+recovered S must pass the rotor rule at the caller's tolerance, and its
+own matrix must lie within membership's bound of the input, or
+NoCandidateError names why.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Literal
@@ -103,7 +101,6 @@ from .clifford_core import (
 )
 from .matrix_group import (
     DEFAULT_TOLERANCE,
-    _scratch,
     batched_minors,
     require_membership,
     require_tolerance,
@@ -127,6 +124,12 @@ _PROBE_SLACK = 2.0**-26
 
 #: Signs (-1)^j of the terms of a Pfaffian's first-row expansion, j = 2, 3, ...
 _ALTERNATING = np.resize([1.0, -1.0], MAX_DIMENSION)
+
+#: From _MAPPED bytes, glibc's default mmap threshold, a freed temporary
+#: tends to go back to the kernel, so each call would fault it in again; the
+#: closed form's three of that size (n = 12 only) are kept per thread in _held.
+_MAPPED = 128 * 1024
+_held = threading.local()
 
 
 class NoCandidateError(RuntimeError):
@@ -209,18 +212,6 @@ class CandidateElement:
 # Forward direction: rotor -> matrix
 # ---------------------------------------------------------------------------
 
-def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
-    # Butterfly in place, one pass per generator:
-    # v_F <- sum_A (-1)^|A & F| v_A.
-    for bit in range(v.size.bit_length() - 1):
-        pairs = v.reshape(-1, 2, 1 << bit)
-        low, high = pairs[:, 0], pairs[:, 1]
-        diff = low - high
-        low += high
-        high[...] = diff
-    return v
-
-
 def _conjugated_generators(value: Multivector, right: Multivector) -> np.ndarray:
     # (n, 2^n) rows value e_a right of any value: the signed shifts value e_a,
     # then their products with right in one grouped pair-sum call, each row
@@ -262,14 +253,15 @@ def _closed_form(value: Multivector) -> tuple[np.ndarray, float, np.ndarray, np.
     # signs sign them on the odd masks alone. One (n, 2^(n-1)) work buffer
     # holds in turn left times the reverse-norm signs for the product, the
     # residuals left - E right (E = eta P eta) and right - P^T left. All three
-    # live in this thread's working buffers at n = 12; every returned piece is
-    # a new array.
+    # are this thread's _temporaries at n = 12; every returned piece is a new
+    # array.
     partners, algebra = _layout(value.sig.n).partners, _algebra(value.sig.p, value.sig.q)
-    moved = value.coeffs.take(partners, out=_scratch(0, partners.shape), mode="wrap")
-    left = np.multiply(algebra.left_signs, moved, out=_scratch(1, partners.shape))
+    moved, left, work = _temporaries(partners.shape)
+    moved = value.coeffs.take(partners, out=moved, mode="wrap")
+    left = np.multiply(algebra.left_signs, moved, out=left)
     right = np.multiply(algebra.right_signs, moved, out=moved)
     eta = np.diag(algebra.eta)
-    work = np.multiply(left, algebra.odd_norm_signs, out=_scratch(2, partners.shape))
+    work = np.multiply(left, algebra.odd_norm_signs, out=work)
     matrix = eta[:, None] * (work @ right.T)
     norm = math.sqrt(float(np.dot(value.coeffs, value.coeffs)))
     unit = abs(squared_norm(value) - 1.0)
@@ -277,6 +269,18 @@ def _closed_form(value: Multivector) -> tuple[np.ndarray, float, np.ndarray, np.
     unit += norm * np.sum(_row_norms(work))
     np.subtract(right, np.matmul(matrix.T, left, out=work), out=work)
     return matrix, float(unit), np.sum(np.abs(matrix), axis=0), _row_norms(work) * norm
+
+
+def _temporaries(shape: tuple[int, int]) -> tuple[np.ndarray | None, ...]:
+    # The out= arrays of the closed form's three temporaries: Nones below
+    # _MAPPED bytes, so numpy allocates, else the calling thread's own three
+    # float64 arrays, made on its first call (only n = 12 reaches _MAPPED,
+    # so one shape); no view may outlive the call.
+    if 8 * shape[0] * shape[1] < _MAPPED:
+        return None, None, None
+    if not hasattr(_held, "arrays"):
+        _held.arrays = tuple(np.empty(shape) for _ in range(3))
+    return _held.arrays
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -397,25 +401,14 @@ def candidate_n3(matrix: object, sig: Signature, F: int) -> Multivector:
     return Multivector(sig, _assemble_general(sig, _minor_tables(arr, sig.n), F) / 2.0)
 
 
-def _probe_weights(sig: Signature, tables: _Tables) -> np.ndarray:
-    # w_F = eps_F <M_F>_F = 2^n s_F^2 for every mask F (only the even ones
-    # name probes): 2 eps_F sum_A (-1)^|A & F| det P[A, A] over the
-    # principal minors in tables; |A^c & F| = |A & F| mod 2 for even F, so
-    # the A in the half sum stand for their complements too. At n = 3 they
-    # are d = (1, p11, p22, p33) on masks 0, 1, 2, 4.
-    d = np.zeros(sig.dim)
-    for masks, dets in tables:
-        d[masks[-len(dets) :]] = np.diagonal(dets, masks.size - len(dets))
-    return 2.0 * _algebra(sig.p, sig.q).norm_signs * _walsh_hadamard(d)
-
-
 def select_candidate(matrix: object, sig: Signature) -> CandidateElement:
-    """The candidate of the probe F with the largest weight w_F = 2^n s_F^2.
+    """The candidate of the probe F with the largest w_F = eps_F det(I + P D_F).
 
-    Exact ties go to the first even blade in (grade, mask) order. Only this
-    one candidate is assembled: for a matrix in SO+(p,q) it is the probe
-    with the largest s_F^2, and since the s_F^2 over the 2^(n-1) even
-    blades sum to at least 1, its w_F is at least 2 and it cannot vanish.
+    w_F = 2^n s_F^2 (see the module notes); exact ties go to the first even
+    blade in (grade, mask) order. Only this one candidate is assembled: for
+    a matrix in SO+(p,q) it is the probe with the largest s_F^2, and since
+    the s_F^2 over the 2^(n-1) even blades sum to at least 1, its w_F is at
+    least 2 and it cannot vanish.
 
     The matrix must pass membership at DEFAULT_TOLERANCE (MembershipError
     otherwise). NoCandidateError, naming the candidate, is raised when its
@@ -428,11 +421,8 @@ def select_candidate(matrix: object, sig: Signature) -> CandidateElement:
 
 def _select(arr: np.ndarray, sig: Signature) -> tuple[int, np.ndarray, float]:
     # select_candidate on a validated array, as (F, M_F coefficients, reverse-norm).
-    # The probes are the even blades in (grade, mask) order; ties go to the first.
-    tables = _minor_tables(arr, sig.n)
-    evens = _layout(sig.n).probes
-    F = int(evens[np.argmax(_probe_weights(sig, tables)[evens])])
-    M = _assemble_general(sig, tables, F)
+    F, _ = _best_probe(arr, sig)
+    M = _assemble_general(sig, _minor_tables(arr, sig.n), F)
     normsq = float(np.dot(_algebra(sig.p, sig.q).norm_signs * M, M))  # squared_norm
     threshold = RELATIVE_THRESHOLD * float(sig.dim) ** 2
     if not normsq > threshold:
@@ -484,12 +474,21 @@ def _weights(arr: np.ndarray, sig: Signature, probes: np.ndarray) -> np.ndarray:
     return _algebra(sig.p, sig.q).norm_signs[probes] * np.linalg.det(arr * flips[:, None, :] + np.eye(sig.n))
 
 
+def _best_probe(arr: np.ndarray, sig: Signature) -> tuple[int, float]:
+    # (F, w_F) by the probe rule of the module notes: the largest w_F over
+    # the even blades in (grade, mask) order, ties to the first.
+    evens = _layout(sig.n).probes
+    weights = _weights(arr, sig, evens)
+    best = int(np.argmax(weights))
+    return int(evens[best]), float(weights[best])
+
+
 def _cayley(arr: np.ndarray, sig: Signature) -> tuple[int, np.ndarray, float]:
     # (F, Pf(K_I) at every mask I, w_F) for the probe F of the largest s_F^2:
     # the pass at F = 0 names F and a pass at F certifies it. The s_F^2 sum
     # to at least 1, so the largest has w_F >= 2; a singular solve, or an F
     # with some |Pf(K_I)| = |s_{I^F} / s_F| above 1 or with w_F below 2,
-    # beyond rounding, leaves the choice to the exact rule, the largest w_F.
+    # beyond rounding, leaves the choice to the probe rule, _best_probe.
     evens = _layout(sig.n).probes
     try:
         pf = _pfaffians(arr, sig, 0)
@@ -501,9 +500,8 @@ def _cayley(arr: np.ndarray, sig: Signature) -> tuple[int, np.ndarray, float]:
             return F, pf, weight
     except np.linalg.LinAlgError:
         pass
-    weights = _weights(arr, sig, evens)
-    F = int(evens[np.argmax(weights)])
-    weight = _positive(sig, F, float(weights.max()))
+    F, weight = _best_probe(arr, sig)
+    weight = _positive(sig, F, weight)
     return F, _pfaffians(arr, sig, F), weight
 
 
@@ -532,7 +530,7 @@ def matrix_to_rotor(
     it has passed the rotor rule of Rotor.checked at tol, so forward_map at
     tol returns its matrix without judging again. The other preimage is the
     negation. The matrix must pass membership at tol (MembershipError
-    otherwise); call project_to_group first to repair a noisy input. Both
+    otherwise); project_to_group repairs some noisy inputs, not all. Both
     methods recover the same rotor; "n3" checks that n = 3 (ValueError
     after membership otherwise). NoCandidateError is raised on a
     non-positive normalizer, which no SO+(p,q) matrix gives, and from n = 5

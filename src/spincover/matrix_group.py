@@ -15,7 +15,6 @@ image coordinates of one generator fill one column.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,14 +24,6 @@ from .clifford_core import Signature, _algebra, _layout, _real_array
 
 #: Default tolerance for membership residuals.
 DEFAULT_TOLERANCE = 1e-9
-
-#: From _MAPPED bytes, glibc's default mmap threshold, a freed temporary
-#: tends to go back to the kernel (unmapped, or trimmed off the heap top),
-#: so each call faults it in again; a temporary of the forward map's closed
-#: form of _MAPPED // 8 to _SLOT_BYTES // 8 elements goes to a per-thread
-#: working buffer instead.
-_MAPPED = 128 * 1024
-_SLOT_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -190,29 +181,6 @@ def project_to_group(matrix: object, sig: Signature) -> np.ndarray:
         f"the projection did not converge: iterate 60 has metric residual {residual:.3e}; "
         "cannot project onto the group"
     )
-
-
-class _Buffers(threading.local):
-    # One thread's three grow-only byte buffers; view is None (numpy
-    # allocates, as out=None does) outside the element window _MAPPED // 8
-    # to _SLOT_BYTES // 8. Every caller shares the slots, so no view of one
-    # may outlive the call that asked for it; a view of a replaced buffer
-    # keeps that buffer alive.
-
-    def __init__(self) -> None:
-        self.slots = [np.empty(0, np.uint8)] * 3
-
-    def view(self, slot: int, shape: tuple[int, ...], dtype: type = np.float64) -> np.ndarray | None:
-        elements = math.prod(shape)
-        if not _MAPPED // 8 <= elements <= _SLOT_BYTES // 8:
-            return None
-        nbytes = elements * np.dtype(dtype).itemsize
-        if self.slots[slot].size < nbytes:
-            self.slots[slot] = np.empty(nbytes, np.uint8)
-        return self.slots[slot][:nbytes].view(dtype).reshape(shape)
-
-
-_scratch = _Buffers().view
 
 
 def batched_minors(

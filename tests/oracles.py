@@ -336,11 +336,14 @@ def reference_matrix_to_rotor(matrix, sig, method: str = "general", tol: float =
     """matrix_to_rotor as the package computed it before it validated once.
 
     check_membership built eta with np.diag; select_candidate coerced the
-    matrix again and refused det P < 0; the Walsh-Hadamard butterfly
-    copied both halves per pass; the candidate was a Multivector at every
-    step, normalized by a Rotor and canonicalized by Rotor.canonicalized.
-    The steps the package kept (coercion rules, minor tables, sign grids,
-    the report and the exception classes) are called from the package.
+    matrix again and refused det P < 0; the probes were ranked by a
+    Walsh-Hadamard transform of the principal minors, whose butterfly
+    copied both halves per pass, so this is now the independent check of
+    the package's determinant rule w_F = eps_F det(I + P D_F); the
+    candidate was a Multivector at every step, normalized by a Rotor and
+    canonicalized by Rotor.canonicalized. The steps the package kept
+    (coercion rules, minor tables, sign grids, the report and the
+    exception classes) are called from the package.
     """
     from spincover import covering
     from spincover.clifford_core import Multivector, _algebra, _real_array, blade_name, blade_signs

@@ -16,6 +16,7 @@ from spincover import cli, clifford_core, covering, division_algebras, matrix_gr
 from spincover.clifford_core import (
     Multivector,
     Signature,
+    blade_name,
     exp_bivector,
     geometric_product,
     grade_masks,
@@ -85,8 +86,9 @@ def candidate(matrix: np.ndarray, sig: Signature, F: int) -> Multivector:
 
 
 def probe_weights(matrix: np.ndarray, sig: Signature) -> np.ndarray:
-    # w_F at every mask, as select_candidate ranks the probes
-    return covering._probe_weights(sig, covering._minor_tables(np.asarray(matrix, dtype=float), sig.n))
+    # w_F = eps_F det(I + P D_F) at every mask, as select_candidate ranks
+    # the even ones
+    return covering._weights(np.asarray(matrix, dtype=float), sig, np.arange(sig.dim))
 
 
 def rotor_distance(x: Rotor, y: Rotor) -> float:
@@ -668,6 +670,25 @@ def test_working_buffers_are_per_thread_and_never_returned():
     assert [rotor.coeffs.tobytes(), matrix.tobytes()] + [dets.tobytes() for _, dets in tables] == kept
 
 
+def test_working_buffers_are_made_once_per_thread_at_n12():
+    # The closed form's three (n, 2^(n-1)) temporaries reach _MAPPED bytes
+    # at n = 12 alone: every smaller shape gets None, so numpy allocates,
+    # and (12, 2048) gets the same three float64 arrays on every call in
+    # one thread and three others in another.
+    for n in range(1, 12):
+        assert covering._temporaries((n, 1 << (n - 1))) == (None, None, None)
+    arrays = covering._temporaries((12, 2048))
+    assert all(a.shape == (12, 2048) and a.dtype == np.float64 for a in arrays)
+    assert all(a is b for a, b in zip(covering._temporaries((12, 2048)), arrays))
+    other = []
+    thread = threading.Thread(target=lambda: other.extend(covering._temporaries((12, 2048))))
+    thread.start()
+    thread.join()
+    held = list(arrays) + other
+    assert len(held) == 6
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(held) for b in held[i + 1 :])
+
+
 def test_rejecting_a_dense_n12_non_rotor_bounds_its_temporaries():
     value = plane_chain_rotor(Signature(8, 4)) + Multivector.scalar(Signature(8, 4), 1e-3)
 
@@ -978,6 +999,54 @@ def test_probe_weights_are_scaled_squared_rotor_coefficients(sig):
         assert np.abs(weights - expected).max() <= 1e-12 * max(1.0, expected.max())
 
 
+def _integer_turn(n: int, a: int, b: int, quarter: bool) -> np.ndarray:
+    # the quarter turn e_a -> e_b or the half turn in the plane (a, b), as
+    # an integer matrix
+    matrix = np.eye(n, dtype=int)
+    if quarter:
+        matrix[[a, b], [a, b]], matrix[b, a], matrix[a, b] = 0, 1, -1
+    else:
+        matrix[[a, b], [a, b]] = -1
+    return matrix
+
+
+def _exact_ties(sig: Signature) -> list[tuple[np.ndarray, int]]:
+    # (matrix, the probe of the tie rule) over the planes (a, b) whose two
+    # generators square alike: a quarter turn, where w_0 = w_ab; at n = 4 a
+    # quarter turn in each of two disjoint planes, where w_0 = w_ab = w_cd =
+    # w_abcd; and a quarter turn after a half turn in the disjoint plane
+    # (c, d), where w_0 = 0 and w_cd = w_abcd, so e_cd, of lower grade
+    planes = [(a, b) for b in range(sig.n) for a in range(b) if (a < sig.p) == (b < sig.p)]
+    ties = []
+    for a, b in planes:
+        turn = _integer_turn(sig.n, a, b, True)
+        ties.append((turn, 0))
+        for c, d in planes:
+            if not {a, b} & {c, d}:
+                ties.append((turn @ _integer_turn(sig.n, c, d, False), (1 << c) | (1 << d)))
+                if (a, b) < (c, d):
+                    ties.append((turn @ _integer_turn(sig.n, c, d, True), 0))
+    return ties
+
+
+TIE_SIGNATURES = [sig for sig in ALL_SIGNATURES if 2 <= sig.n <= 4 and max(sig.p, sig.q) >= 2]
+
+
+@pytest.mark.parametrize("sig", TIE_SIGNATURES, ids=lambda s: f"{s.p},{s.q}")
+def test_exact_probe_ties_go_to_the_first_even_blade(sig, capsys):
+    # every path that ranks probes names the first even blade of the largest
+    # w_F in (grade, mask) order when the weights tie exactly
+    ties = _exact_ties(sig)
+    assert ties
+    for matrix, probe in ties:
+        assert matrix_to_rotor(matrix, sig).probe == probe
+        assert select_candidate(matrix, sig).F == probe
+        if sig.n == 3:
+            doc = json.dumps({"p": sig.p, "q": sig.q, "matrix": matrix.tolist()})
+            assert cli.main(["rotor-from-matrix", "--method", "quaternion", doc]) == 0
+            assert json.loads(capsys.readouterr().out)["F"] == blade_name(probe)
+
+
 def test_general_recovery_assembles_one_candidate(monkeypatch):
     assembled = []
     original = covering._assemble_general
@@ -1143,7 +1212,8 @@ def test_matrix_to_rotor_validates_the_matrix_once(monkeypatch):
 @pytest.mark.parametrize("pq", [(0, 3), (2, 1), (3, 1), (0, 4), (1, 3)])
 def test_matrix_to_rotor_takes_det_p_once(monkeypatch, pq):
     # membership takes det P and, for p > 0, the orientation minor; the
-    # recovery relies on its |det P - 1| <= 1 instead of a third det
+    # recovery relies on its |det P - 1| <= 1 instead of a third det, and
+    # its probe rule takes one batched det of the 2^(n-1) I + P D_F
     sig = Signature(*pq)
     shapes = []
     det = np.linalg.det
@@ -1154,7 +1224,7 @@ def test_matrix_to_rotor_takes_det_p_once(monkeypatch, pq):
 
     monkeypatch.setattr(np.linalg, "det", counting)
     matrix_to_rotor(sample_matrix(sig, 5), sig)
-    assert shapes == [(sig.n, sig.n)] + [(sig.p, sig.p)] * (sig.p > 0)
+    assert shapes == [(sig.n, sig.n)] + [(sig.p, sig.p)] * (sig.p > 0) + [(sig.dim // 2, sig.n, sig.n)]
 
 
 REFERENCE_SIGNATURES = ALL_SIGNATURES + [Signature(7, 3)]

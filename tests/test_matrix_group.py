@@ -431,19 +431,6 @@ def test_batched_minors_bound_their_temporaries():
     assert peak < 2 * 1024 * 1024
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.int8])
-def test_working_buffers_take_16_to_64_ki_elements(dtype):
-    # One rule for every temporary, by its element count alone: a float64
-    # one of 128 KiB (glibc's mmap threshold) to 512 KiB, or an int8 one of
-    # as many elements, is a view of a slot; any other is None, so numpy
-    # allocates it.
-    for elements in (16 * 1024 - 1, 64 * 1024 + 1):
-        assert matrix_group._scratch(0, (1, elements), dtype) is None
-    for elements in (16 * 1024, 64 * 1024):
-        view = matrix_group._scratch(0, (1, elements), dtype)
-        assert view.shape == (1, elements) and view.dtype == dtype and not view.flags.owndata
-
-
 def test_batched_minors_subsets_are_lexicographic():
     # keyed by blade masks in ascending order: subset (0, 1) first, (2, 3) last
     masks, _ = _minor_tables(np.eye(4))[2]
