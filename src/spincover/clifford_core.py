@@ -37,10 +37,10 @@ ZERO_THRESHOLD = 1e-12
 #: Coefficient pairs summed per block of one row in _pair_sums (and so geometric_product).
 _PAIRS = 1 << 18
 
-#: Pairs up to which _pair_sums sums consecutive rows in one block. Timed
-#: on verify_covering (one core, numpy 2.4): 2^14 groups four (4,3) rows,
-#: 210-220 us against 230-240 us at 2^13 and 290-300 us at 2^16, where all
-#: seven share one block; n <= 6 and n >= 8 read the same from 2^13 to 2^15.
+#: Pairs up to which _pair_sums sums whole rows in one block. Timed on
+#: verify_covering (one core, numpy 2.4): 2^14 groups four (4,3) rows, 195-200 us
+#: against 226-232 us at 2^13 and 280-287 us at 2^16, where all seven share one
+#: block; (3,3), (6,3) and (7,3) read alike from 2^13 to 2^16, (5,3) to 2^15.
 _GROUP_PAIRS = 1 << 14
 
 
@@ -429,47 +429,35 @@ def geometric_product(u: Multivector, v: Multivector) -> Multivector:
 
 
 def _pair_sums(sig: Signature, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    # The products of each 2^n row of left with right, new in left's shape.
-    # Row r sums (u_i v_j) sign(e_i e_j) at i ^ j over its nonzero masks i
-    # ascending, then the nonzero masks j of right ascending, from 0.0, so
-    # every coefficient is the same sum whatever the rows beside it: one
-    # bincount sums the pairs of a block of rows at r 2^n + (i ^ j). Rows
-    # join the open block while it holds at most _GROUP_PAIRS pairs; a row
-    # with more is a block alone, cut after every _PAIRS // |j| masks i,
-    # and its blocks are added in order.
+    # The products of each 2^n row of left with right, new in left's shape;
+    # every row holds the same number, width, of nonzero masks (one row, or
+    # the signed shifts of one value). Row r sums (u_i v_j) sign(e_i e_j) at
+    # i ^ j over its nonzero masks i, then those j of right, ascending, from
+    # 0.0, so no coefficient depends on the rows beside it: one bincount sums
+    # max(1, G // (width |j|)) whole rows at r 2^n + (i ^ j), G the lesser of
+    # _GROUP_PAIRS and _PAIRS, and a row alone in its block is cut every
+    # _PAIRS // |j| masks from its own start, the cuts added in order.
     coeffs = left.ravel()
     flat = coeffs.nonzero()[0]  # r 2^n + i, row-major
     ib = right.nonzero()[0]
     if not (flat.size and ib.size):
         return np.zeros(left.shape)
     dim, rows = sig.dim, left.size >> sig.n
-    keys, values, vb = _algebra(sig.p, sig.q).keys, coeffs[flat], right[ib]
-    step, group = max(1, _PAIRS // ib.size), min(_PAIRS, _GROUP_PAIRS) // ib.size
-    ends = flat.searchsorted(np.arange(dim, left.size + 1, dim)).tolist() if rows > 1 else [flat.size]
-    # Blocks (start, end, first, last): flat[start:end] holds rows first..last - 1.
-    blocks, start, first, begin = [], 0, 0, 0
-    for r, end in enumerate(ends):  # row r is flat[begin:end]
-        if end - start > group:  # row r does not fit the open block: close it
-            if r > first:
-                blocks.append((start, begin, first, r))
-            start, first = begin, r
-            if end - begin > group:  # nor any block: it goes alone
-                blocks += [(s, min(s + step, end), r, r + 1) for s in range(begin, end, step)]
-                start, first = end, r + 1
-        begin = end
-    if rows > first:
-        blocks.append((start, begin, first, rows))
-    sums, opened = [], -1
-    for start, end, first, last in blocks:
-        at = flat[start:end, None] - first * dim if first else flat[start:end, None]  # (r - first) 2^n + i
-        signs = 1 - 2 * (np.bitwise_count(ib & keys.take(at, mode="wrap")) & 1).astype(np.int8)  # keys[i]
-        weights = (values[start:end, None] * vb * signs).ravel()
-        block = np.bincount((at ^ ib).ravel(), weights, (last - first) * dim)
-        if first == opened:
-            sums[-1] += block
-        else:
-            sums.append(block)
-        opened = first
+    width, keys, values, vb = flat.size // rows, _algebra(sig.p, sig.q).keys, coeffs[flat], right[ib]
+    per, step = min(_PAIRS, _GROUP_PAIRS) // (width * ib.size) or 1, _PAIRS // ib.size or 1
+    sums = []
+    for first in range(0, rows, per):
+        last = min(first + per, rows)
+        for start in range(first * width, last * width, step):  # one cut unless the block is one row
+            end = min(start + step, last * width)
+            at = flat[start:end, None] - first * dim if first else flat[start:end, None]  # (r - first) 2^n + i
+            signs = 1 - 2 * (np.bitwise_count(ib & keys.take(at, mode="wrap")) & 1).astype(np.int8)  # keys[i]
+            weights = (values[start:end, None] * vb * signs).ravel()
+            block = np.bincount((at ^ ib).ravel(), weights, (last - first) * dim)
+            if start > first * width:
+                sums[-1] += block
+            else:
+                sums.append(block)
     return (sums[0] if len(sums) == 1 else np.concatenate(sums)).reshape(left.shape)
 
 

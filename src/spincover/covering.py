@@ -213,26 +213,13 @@ class CandidateElement:
 # ---------------------------------------------------------------------------
 
 def _conjugated_generators(value: Multivector, right: Multivector) -> np.ndarray:
-    # (n, 2^n) rows value e_a right of any value: the signed shifts value e_a,
-    # then their products with right in one grouped pair-sum call, each row
-    # the sum that geometric_product would give.
+    # (n, 2^n) rows value e_a right of an even value in one pair-sum call, each the sum
+    # geometric_product gives; value e_a is gathered on the odd masks, as _closed_form does.
     value._check_sig(right)
-    partners, signs = _generator_shifts(value.sig.p, value.sig.q)
-    return _pair_sums(value.sig, signs * value.coeffs[partners], right.coeffs)
-
-
-@lru_cache(maxsize=None)
-def _generator_shifts(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    # Read-only full-width partners B = C ^ e_a and int8 signs of e_B e_a at
-    # [a, C]: (value e_a)[C] = sign * value[B]. The forward map's closed form
-    # reads only the odd masks C (clifford_core._Layout), so this table is
-    # made on the first conjugation product of its signature.
-    sig, bits = Signature(p, q), (1 << np.arange(p + q))[:, None]
-    partners = np.arange(sig.dim) ^ bits
-    signs = blade_signs(sig, partners, bits)
-    for table in (partners, signs):
-        table.setflags(write=False)
-    return partners, signs
+    sig, layout = value.sig, _layout(value.sig.n)
+    shifts = np.zeros((sig.n, sig.dim))
+    shifts[:, layout.odd] = value.coeffs.take(layout.partners) * _algebra(sig.p, sig.q).right_signs
+    return _pair_sums(sig, shifts, right.coeffs)
 
 
 def _closed_form(value: Multivector) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:

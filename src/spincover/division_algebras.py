@@ -98,22 +98,24 @@ class SplitQuaternion(_FourComponent):
 # 2x2 complex representations
 # ---------------------------------------------------------------------------
 
+def _image(q: _FourComponent) -> np.ndarray:
+    # [[z, w], [s conj(w), conj(z)]], z = a + bi, w = c + di, s = j^2; 0.0 - x keeps zeros +0.0.
+    sw = complex(0.0 - q.c, q.d) if q.SQUARE < 0 else complex(q.c, 0.0 - q.d)
+    return np.array([[complex(q.a, q.b), complex(q.c, q.d)], [sw, complex(q.a, 0.0 - q.b)]])
+
+
 def quaternion_to_su2(q: Quaternion) -> np.ndarray:
     """a sigma_0 + b i sigma_3 + c i sigma_2 + d i sigma_1; unit q lands in SU(2)."""
     if type(q) is not Quaternion:
         raise ValueError(f"an SU(2) image reads as Quaternion, not {type(q).__name__}")
-    return np.array(
-        [[complex(q.a, q.b), complex(q.c, q.d)], [complex(0.0 - q.c, q.d), complex(q.a, 0.0 - q.b)]]
-    )
+    return _image(q)
 
 
 def split_to_su11(q: SplitQuaternion) -> np.ndarray:
     """a sigma_0 + b i sigma_3 + c sigma_1 - d sigma_2; unit q lands in SU(1,1)."""
     if type(q) is not SplitQuaternion:
         raise ValueError(f"an SU(1,1) image reads as SplitQuaternion, not {type(q).__name__}")
-    return np.array(
-        [[complex(q.a, q.b), complex(q.c, q.d)], [complex(q.c, 0.0 - q.d), complex(q.a, 0.0 - q.b)]]
-    )
+    return _image(q)
 
 
 def su2_defect(m: np.ndarray) -> float:

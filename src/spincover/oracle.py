@@ -16,6 +16,7 @@ from .clifford_core import (
     Multivector,
     Signature,
     _is_integer,
+    _layout,
     blade_signs,
     exp_bivector,
     grade_masks,
@@ -90,17 +91,19 @@ class CoveringReport:
 
 
 def verify_covering(rotor: Rotor | Multivector, matrix: object) -> CoveringReport:
-    """Per generator, max |S e_a S^-1 - P e_a|, as S e_a permutes S: the n
-    products S e_a S^-1 in one grouped pair-sum pass, each the sum that
-    geometric_product gives. ValueError unless reverse(S) S is finite and nonzero.
+    """Per generator, max |S e_a S^-1 - P e_a|, the n products in one grouped
+    pair-sum pass, each the sum that geometric_product gives. ValueError
+    unless S is even, as forward_map requires, and reverse(S) S is finite and nonzero.
     """
     value = rotor.value if isinstance(rotor, Rotor) else rotor
-    arr = as_square_matrix(matrix, value.sig.n)
+    arr, layout = as_square_matrix(matrix, value.sig.n), _layout(value.sig.n)
+    if np.count_nonzero(value.coeffs[layout.odd]):
+        raise ValueError("rotor has odd-grade coefficients")
     norm = squared_norm(value)
     if not (norm != 0.0 and np.isfinite(norm)):
         raise ValueError(f"reverse-norm {norm} of the value is not invertible")
-    images = _conjugated_generators(value, value.reverse() / norm)
-    images[:, 1 << np.arange(value.sig.n)] -= arr.T
+    images = _conjugated_generators(value, Multivector(value.sig, value.coeffs * layout.reverse_signs / norm))
+    images[:, layout.grade_masks[1]] -= arr.T
     return CoveringReport(tuple(np.max(np.abs(images), axis=1).tolist()))
 
 

@@ -513,39 +513,45 @@ def sparse(rng: np.random.Generator, dim: int, share: float) -> np.ndarray:
 )
 @pytest.mark.parametrize("pairs", ["default", "small"])
 def test_grouped_pair_sums_are_the_one_row_products_byte_for_byte(monkeypatch, sig, pairs):
-    # Dense, sparse, one-blade and all-zero rows, against dense, sparse and
-    # zero right factors: each row of one grouped call, and geometric_product,
-    # gives the bytes of the one-row reference. At the default _PAIRS a dense
-    # (7,3) row with a dense right factor is cut into four blocks; at 4 * 2^n
-    # pairs so is every dense row from n = 3, and the one-blade rows share one.
+    # The signed shifts value e_a of dense, sparse, one-blade and zero
+    # values, rows with one nonzero count each, against dense, sparse and
+    # zero right factors: each row of one grouped call, and
+    # geometric_product, gives the bytes of the one-row reference. At the
+    # default _PAIRS a dense (7,3) row with a dense right factor is cut into
+    # four blocks; at 4 * 2^n pairs so is every dense row from n = 3, and the
+    # one-blade rows share one.
     rng = np.random.default_rng(31 + 7 * sig.p + sig.q)
     if pairs == "small":
         monkeypatch.setattr(clifford_core, "_PAIRS", 4 * sig.dim)
     blades = np.zeros((2, sig.dim))
     blades[0, sig.dim - 1], blades[1, 0] = -0.75, 1.25
-    left = np.array([rng.uniform(-1.0, 1.0, sig.dim), sparse(rng, sig.dim, 0.2), np.zeros(sig.dim), *blades,
-                     sparse(rng, sig.dim, 0.2), rng.uniform(-1.0, 1.0, sig.dim), np.zeros(sig.dim)])
+    values = [rng.uniform(-1.0, 1.0, sig.dim), sparse(rng, sig.dim, 0.2), *blades, np.zeros(sig.dim)]
+    rights = [rng.uniform(-1.0, 1.0, sig.dim), sparse(rng, sig.dim, 0.2), np.zeros(sig.dim)]
+    generators = np.eye(sig.dim)[1 << np.arange(sig.n)]
     bincount, blocks = np.bincount, []
 
     def counting(keys, weights, minlength):
         blocks[-1].append(minlength // sig.dim)
         return bincount(keys, weights, minlength)
 
-    for right in (rng.uniform(-1.0, 1.0, sig.dim), sparse(rng, sig.dim, 0.2), np.zeros(sig.dim)):
-        want = [reference_product(sig, row, right).tobytes() for row in left]
-        blocks.append([])
-        monkeypatch.setattr(np, "bincount", counting)
-        got = clifford_core._pair_sums(sig, left, right)
-        monkeypatch.setattr(np, "bincount", bincount)
-        assert got.shape == left.shape
-        assert [row.tobytes() for row in got] == want
-        for row, expected in zip(left, want):
-            assert geometric_product(Multivector(sig, row), Multivector(sig, right)).coeffs.tobytes() == expected
+    for value in values:
+        left = np.array([reference_product(sig, value, e) for e in generators])
+        for right in rights:
+            want = [reference_product(sig, row, right).tobytes() for row in left]
+            blocks.append([])
+            monkeypatch.setattr(np, "bincount", counting)
+            got = clifford_core._pair_sums(sig, left, right)
+            monkeypatch.setattr(np, "bincount", bincount)
+            assert got.shape == left.shape
+            assert [row.tobytes() for row in got] == want
+            for row, expected in zip(left, want):
+                assert geometric_product(Multivector(sig, row), Multivector(sig, right)).coeffs.tobytes() == expected
     # Each block is one bincount over its rows, so a block of several rows
-    # is a group, and blocks that cover more rows than left has cut a row.
-    assert max(sum(blocks, [])) > 1
+    # is a group, and blocks that cover more rows than left has cut a row:
+    # blocks[0] holds the dense value's shifts against the dense right factor.
+    assert max(sum(blocks, [])) > 1 or sig.n == 1
     if sig.n == 10 or pairs == "small" and sig.n >= 3:
-        assert sum(blocks[0]) > len(left)
+        assert sum(blocks[0]) > sig.n
 
 
 def test_product_unit_and_zero():

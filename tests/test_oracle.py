@@ -200,6 +200,17 @@ def test_verify_covering_sees_both_signs_equally():
     assert verify_covering(-rotor, matrix).max_residual <= 1e-13
 
 
+def test_verify_covering_refuses_odd_grade_values():
+    # S e_a is read on the odd masks only, as forward_map reads it, so an
+    # odd part is refused in forward_map's words: e1, and the central
+    # (1 + e123) / sqrt(2), whose reverse-norm is 1 and whose conjugation
+    # fixes every vector.
+    half = math.sqrt(0.5)
+    for sig, terms in ((Signature(2, 0), {0b1: 1.0}), (SIG30, {0: half, 0b111: half})):
+        with pytest.raises(ValueError, match="odd-grade coefficients"):
+            verify_covering(Multivector.from_terms(sig, terms), np.eye(sig.n))
+
+
 # -- frames and the direct expansion --------------------------------------------
 
 def frame_of(rotor: Rotor) -> list[Multivector]:
